@@ -37,6 +37,7 @@ from .matroid import ReprMatroid
 
 DEFAULT_CODEWORD_CAP = 1 << 14
 MC_BLOCK = 1 << 14
+MC_CHUNK_WORDS = 1 << 20  # XOR words per chunk of a block; bounds its memory
 
 
 @dataclass(frozen=True)
@@ -87,12 +88,15 @@ class ChannelParams:
 
 
 def code_params(M: ReprMatroid, workers=1) -> CodeParams:
-    """(n, k, d, rate, relative distance); d is None for the zero code."""
+    """(n, k, d, rate, relative distance); d is None for the zero code.
+
+    `workers` is accepted for callers that pass it and changes nothing:
+    the minimum-weight search runs in one thread."""
     n = M.size
     if n == 0:
         raise EmptyCode("code of length 0")
     k = M.rank
-    d, _ = min_weight(M.space, workers=workers)
+    d, _ = min_weight(M.space)
     return CodeParams(n, k, d, Fraction(k, n),
                       None if d is None else Fraction(d, n))
 
@@ -259,22 +263,39 @@ def wilson_interval(x: float, n: int, z: float = 3.0):
     return max(0.0, center - half), min(1.0, center + half)
 
 
-def _mc_block(codewords, true_idx, p, seed, block_idx, count):
-    n = codewords.shape[1]
+def _pack_words(bits):
+    """Rows of 0/1 entries as little-endian uint64 words."""
+    packed = np.packbits(bits, axis=1, bitorder="little")
+    pad = -packed.shape[1] % 8
+    return np.pad(packed, ((0, 0), (0, pad))).view(np.uint64)
+
+
+def _mc_block(words, n, true_idx, p, seed, block_idx, count):
+    """(hard errors, tie fractions) of one block of trials.
+
+    `words` is the codeword table packed by _pack_words.  The codeword axis
+    is walked in chunks of at most MC_CHUNK_WORDS XOR words, keeping each
+    trial's least distance and the number of codewords at it.
+    """
     rng = np.random.Generator(np.random.Philox(key=[seed, block_idx]))
-    flips = rng.random((count, n)) < p
-    received = codewords[true_idx][None, :] ^ flips.astype(np.uint8)
-    dists = (received[:, None, :] != codewords[None, :, :]).sum(axis=2)
-    dmin = dists.min(axis=1)
-    dtrue = dists[:, true_idx]
+    flips = _pack_words(rng.random((count, n)) < p)
+    received = words[true_idx] ^ flips
+    dtrue = np.bitwise_count(flips).sum(axis=1, dtype=np.int32)
+    dmin = np.full(count, n + 1, dtype=np.int32)
+    ties = np.zeros(count, dtype=np.int32)
+    chunk = max(1, MC_CHUNK_WORDS // (count * max(1, words.shape[1])))
+    for lo in range(0, len(words), chunk):
+        dists = np.bitwise_count(received[:, None, :] ^ words[None, lo:lo + chunk, :])
+        dists = dists.sum(axis=2, dtype=np.int32)
+        cmin = dists.min(axis=1)
+        cties = (dists == cmin[:, None]).sum(axis=1, dtype=np.int32)
+        ties = np.where(cmin < dmin, cties, ties + np.where(cmin == dmin, cties, 0))
+        dmin = np.minimum(dmin, cmin)
     hard = int((dtrue > dmin).sum())
+    tied = ties[(dtrue == dmin) & (ties > 1)]
     frac = Fraction(0)
-    tied_rows = np.nonzero(dtrue == dmin)[0]
-    if len(tied_rows):
-        counts = (dists[tied_rows] == dmin[tied_rows, None]).sum(axis=1)
-        for t in counts:
-            if t > 1:
-                frac += Fraction(int(t) - 1, int(t))
+    for t, times in zip(*np.unique(tied, return_counts=True)):
+        frac += Fraction(int(times) * (int(t) - 1), int(t))
     return hard, frac
 
 
@@ -291,6 +312,8 @@ def ml_error_mc(code, p, seed, trials, *, workers=1, z=3.0,
         raise DomainError("p must lie in [0, 1/2)")
     M = code.matroid if isinstance(code, CodeView) else code
     codewords = _codeword_table(M, cap)
+    n = codewords.shape[1]
+    words = _pack_words(codewords)
     blocks = []
     done = 0
     idx = 0
@@ -302,10 +325,10 @@ def ml_error_mc(code, p, seed, trials, *, workers=1, z=3.0,
     if workers > 1 and len(blocks) > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(
-                lambda b: _mc_block(codewords, codeword_index, p, seed, b[0], b[1]),
+                lambda b: _mc_block(words, n, codeword_index, p, seed, b[0], b[1]),
                 blocks))
     else:
-        results = [_mc_block(codewords, codeword_index, p, seed, b, c)
+        results = [_mc_block(words, n, codeword_index, p, seed, b, c)
                    for b, c in blocks]
     hard = sum(r[0] for r in results)
     frac = sum((r[1] for r in results), Fraction(0))

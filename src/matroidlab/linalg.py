@@ -12,10 +12,10 @@ honest enumeration, organized by coefficient support so that it prunes
 to the candidates that can still win.
 """
 
-from concurrent.futures import ThreadPoolExecutor
 from itertools import combinations, product
 
 from .errors import CapExceeded, LabelMismatch
+from .field import _digits, _undigits
 
 DEFAULT_WEIGHT_CAP = 1 << 24
 
@@ -93,10 +93,6 @@ def dot(field, u, v):
         if a and b:
             acc = add(acc, mul(a, b))
     return acc
-
-
-def vec_weight(v):
-    return len(v) - v.count(0)
 
 
 # ---------------------------------------------------------------------------
@@ -310,88 +306,119 @@ def intersect_spaces(U: Subspace, V: Subspace) -> Subspace:
 # minimum Hamming weight of a subspace
 # ---------------------------------------------------------------------------
 
-def min_weight(U: Subspace, *, skip_zero=True, cap=DEFAULT_WEIGHT_CAP, workers=1):
-    """Minimum Hamming weight over (nonzero) vectors of U, with a witness.
+def _packed_arithmetic(F, n):
+    """(pack, unpack, add, weight) for vectors of F^n held as one int.
 
-    Returns (None, None) for the zero space.  Enumeration is organized by
-    coefficient support size s: any combination of s basis rows has weight
-    at least s at the pivot columns, so levels beyond the best weight found
-    so far cannot improve and are skipped.  Work is split into tasks keyed
-    by (level, first row, first scalar); reduction takes the minimum of
-    (weight, level, task, counter), so the result does not depend on how
-    tasks are scheduled across workers.
+    Each base-p digit of an element code gets a lane of w bits; coordinate
+    j owns lanes j*e .. j*e+e-1.  Over characteristic 2 a lane is one bit
+    and addition is XOR, since element codes are digit vectors.  For odd p
+    a lane has p.bit_length()+1 bits: lanes are added as integers, then p
+    is subtracted from every lane that reached p, found by adding H-p to
+    each lane and reading its high bit H.  The weight is the popcount of
+    one nonzero flag per coordinate (the OR of its e lane flags).
+    """
+    p, e = F.p, F.k
+    w = 1 if p == 2 else p.bit_length() + 1
+    coord_bits = e * w
+    # over GF(2^e) and GF(p) an element code is already its lane pattern
+    plain = p == 2 or e == 1
+
+    def pack(vec):
+        return sum((c if plain else _undigits(_digits(c, p, e), 1 << w))
+                   << (j * coord_bits) for j, c in enumerate(vec) if c)
+
+    def unpack(x):
+        out = []
+        for j in range(n):
+            c = (x >> (j * coord_bits)) & ((1 << coord_bits) - 1)
+            out.append(c if plain else _undigits(_digits(c, 1 << w, e), p))
+        return tuple(out)
+
+    if p == 2 and e == 1:
+        return pack, unpack, int.__xor__, int.bit_count
+    coord_flags = sum(1 << (j * coord_bits) for j in range(n)) << (w - 1)
+    if p == 2:
+        add = int.__xor__
+    else:
+        ones = sum(1 << (i * w) for i in range(n * e))
+        high = ones << (w - 1)
+        carry_adj = ((1 << (w - 1)) - p) * ones
+        nonzero_adj = ((1 << (w - 1)) - 1) * ones
+
+        def add(a, b):
+            s = a + b
+            return s - (((s + carry_adj) & high) >> (w - 1)) * p
+
+    def weight(x):
+        f = x if p == 2 else (x + nonzero_adj) & high
+        g = f
+        for t in range(1, e):
+            g |= f >> (t * w)
+        return (g & coord_flags).bit_count()
+
+    return pack, unpack, add, weight
+
+
+def _charge(done, batch, cap):
+    """Count `batch` more combinations against `cap`; returns the new count."""
+    if done + batch > cap:
+        raise CapExceeded(f"minimum-weight search enumerated {done} combinations; "
+                          f"the next {batch} would pass the cap {cap}")
+    return done + batch
+
+
+def min_weight(U: Subspace, *, cap=DEFAULT_WEIGHT_CAP):
+    """Minimum Hamming weight over nonzero vectors of U, with a witness.
+
+    Returns (None, None) for the zero space.  Combinations of basis rows
+    are enumerated by level (the number s of rows with a nonzero
+    coefficient), then depth first over (row, scalar) pairs in increasing
+    row order.  A combination of s rows has weight at least s at the pivot
+    columns, so the search stops once the best weight is at most the
+    current level.  The witness is the first vector of least weight in
+    that order.  Vectors are packed into ints (see _packed_arithmetic).
+
+    `cap` limits the combinations actually enumerated; CapExceeded says
+    how many were done.
     """
     F = U.field
     k = U.dim
     n = len(U.ambient)
-    if not skip_zero:
-        return 0, tuple([0] * n)
     if k == 0:
         return None, None
-    if F.q ** k > cap:
-        raise CapExceeded(f"q^dim = {F.q}^{k} exceeds weight enumeration cap {cap}")
+    nz = F.nonzero()
+    per_row = len(nz)
+    # level 1 is the table of scaled rows itself: check it before building
+    _charge(0, k * per_row, cap)
+    pack, unpack, add, weight = _packed_arithmetic(F, n)
+    scaled = [[pack([F.mul(s, x) for x in row]) for s in nz] for row in U.basis]
+    done = 0
+    best_w, best = n + 1, None
 
-    add_t = F.add_t
-    nz = list(F.nonzero())
-    scaled = [{s: tuple(F.mul(s, x) for x in row) for s in nz} for row in U.basis]
-
-    best = [None]  # (w, level, task, counter, witness)
-
-    def run_task(level, task_idx, first, s0):
-        base = scaled[first][s0]
-        local = None
-        counter = 0
-
-        def rec(start, remaining, acc):
-            nonlocal local, counter
-            if remaining == 0:
-                w = len(acc) - acc.count(0)
-                key = (w, level, task_idx, counter, acc)
-                counter += 1
-                if local is None or key < local:
-                    local = key
-                return
-            for i in range(start, k - remaining + 1):
-                rows_i = scaled[i]
-                for s in nz:
-                    row = rows_i[s]
-                    rec(i + 1, remaining - 1,
-                        tuple(add_t[x][y] for x, y in zip(acc, row)))
-
-        rec(first + 1, level - 1, base)
-        return local
+    def search(level, start, remaining, acc):
+        # True once a vector of weight `level` is found: nothing beats it
+        nonlocal done, best_w, best
+        if remaining == 1:
+            done = _charge(done, (k - start) * per_row, cap)
+            for i in range(start, k):
+                for v in scaled[i]:
+                    x = add(acc, v)
+                    wt = weight(x)
+                    if wt < best_w:
+                        best_w, best = wt, x
+                        if wt == level:
+                            return True
+            return False
+        for i in range(start, k - remaining + 1):
+            for v in scaled[i]:
+                if search(level, i + 1, remaining - 1, add(acc, v)):
+                    return True
+        return False
 
     for level in range(1, k + 1):
-        if best[0] is not None and level > best[0][0]:
+        if best_w <= level or search(level, 0, level, 0):
             break
-        tasks = [(level, t, first, s0)
-                 for t, (first, s0) in enumerate(
-                     (f, s) for f in range(k - level + 1) for s in nz)]
-        if workers > 1 and len(tasks) > 1:
-            with ThreadPoolExecutor(max_workers=workers) as pool:
-                results = list(pool.map(lambda a: run_task(*a), tasks))
-        else:
-            results = [run_task(*a) for a in tasks]
-        for res in results:
-            if res is not None and (best[0] is None or res < best[0]):
-                best[0] = res
-    w, _, _, _, witness = best[0]
-    return w, witness
-
-
-def min_weight_bruteforce(U: Subspace, cap=DEFAULT_WEIGHT_CAP):
-    """Independent oracle: scan all q^dim vectors."""
-    if U.dim == 0:
-        return None, None
-    if U.field.q ** U.dim > cap:
-        raise CapExceeded("brute force cap")
-    best = None
-    for v in U.vectors():
-        if any(v):
-            w = vec_weight(v)
-            if best is None or w < best[0]:
-                best = (w, v)
-    return best
+    return best_w, unpack(best)
 
 
 # ---------------------------------------------------------------------------

@@ -259,10 +259,11 @@ def smallest_circuit(M, cap=DEFAULT_SUBSET_CAP, workers=1):
 
     For represented matroids this is the minimum-weight kernel vector;
     its support is a circuit.  Oracle matroids fall back to subset
-    enumeration by increasing size.
+    enumeration by increasing size.  `workers` is accepted for callers
+    that pass it and changes nothing: the search runs in one thread.
     """
     if isinstance(M, ReprMatroid):
-        w, witness = min_weight(orth_complement(M.space), workers=workers)
+        w, witness = min_weight(orth_complement(M.space))
         if w is None:
             return None
         support = tuple(e for e, x in zip(M.ground, witness) if x)
@@ -293,8 +294,11 @@ def girth(M, cap=DEFAULT_SUBSET_CAP, workers=1):
 
 
 def smallest_cocircuit(M, cap=DEFAULT_SUBSET_CAP, workers=1):
+    """(size, sorted labels) of a smallest cocircuit, or None if M has
+    rank 0; the minimum-weight row-space vector for represented matroids.
+    `workers` changes nothing, as in smallest_circuit."""
     if isinstance(M, ReprMatroid):
-        w, witness = min_weight(M.space, workers=workers)
+        w, witness = min_weight(M.space)
         if w is None:
             return None
         support = tuple(e for e, x in zip(M.ground, witness) if x)

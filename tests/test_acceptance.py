@@ -289,20 +289,27 @@ def _worker_digest(workers):
     return json.dumps(out, sort_keys=True)
 
 
-def test_criterion_11_determinism_across_workers():
+def test_criterion_11_determinism_across_workers(tmp_path):
     one = _worker_digest(1)
     eight = _worker_digest(8)
     assert one == eight
     from matroidlab.cli import main
+    from matroidlab.fileio import write_matrix
     import io
     import contextlib
 
-    outputs = []
-    for w in ("1", "8"):
-        buf = io.StringIO()
-        with contextlib.redirect_stdout(buf):
-            code = main(["threshold", "--grid", "19"])
-        assert code == 0
-        outputs.append(buf.getvalue())
-    assert outputs[0] == outputs[1]
+    ham = tmp_path / "hamming.mat"
+    ham.write_text(write_matrix(dual(FANO).space.basis_matrix()))
+    code4 = tmp_path / "gf4.mat"
+    code4.write_text(write_matrix(random_matrix(GF4, 5, 11, seeded(112))))
+    for argv in (["mlsim", str(ham), "--p", "0.05", "--seed", "4", "--trials", "70000"],
+                 ["cogirth", str(code4)]):
+        outputs = []
+        for w in ("1", "8"):
+            buf = io.StringIO()
+            with contextlib.redirect_stdout(buf):
+                code = main(argv + ["--workers", w])
+            assert code == 0
+            outputs.append(buf.getvalue())
+        assert outputs[0] == outputs[1]
     print("\n[criterion 11] PASS byte-identical outputs with workers 1 and 8")

@@ -123,6 +123,18 @@ def test_mlsim_workers_byte_identical(capsys, tmp_path):
     assert out1 == out8
 
 
+def test_girth_cogirth_over_gf257(capsys, tmp_path):
+    # fields above order 256 have no addition table
+    A = Matrix(make_field(257, 1), (0, 1), ("a", "b", "c", "d"),
+               [[1, 0, 5, 200], [0, 1, 7, 256]])
+    path = tmp_path / "gf257.mat"
+    path.write_text(write_matrix(A))
+    for cmd in ("girth", "cogirth"):
+        code, out = run(capsys, [cmd, str(path)])
+        assert code == 0
+        assert json.loads(out) == {"value": 3, "witness": ["a", "c", "d"]}
+
+
 def test_template_check_reports_clause(capsys, tmp_path):
     tmpl = tmp_path / "sub.tmpl"
     tmpl.write_text(

@@ -10,6 +10,7 @@ from matroidlab.field import make_field
 from matroidlab.linalg import Matrix
 from matroidlab.constructions import Graph, complete_graph, graphic
 from matroidlab.matroid import dual, from_generator, girth
+from matroidlab import codes
 from matroidlab.codes import (
     ChannelParams,
     CodeView,
@@ -240,6 +241,24 @@ def test_ml_workers_deterministic():
     est1 = ml_error_mc(repetition(5), p=0.1, seed=11, trials=50000, workers=1)
     est8 = ml_error_mc(repetition(5), p=0.1, seed=11, trials=50000, workers=8)
     assert est1 == est8
+
+
+def test_ml_chunked_codeword_axis_is_identical(monkeypatch):
+    # rep5 and Hamming(7,4) are perfect codes and never tie; rep4 and the
+    # [10,5] code do, so the merged tie counts are checked too
+    ten = mk(GF2, [[1, 0, 0, 0, 0, 1, 1, 0, 1, 0],
+                   [0, 1, 0, 0, 0, 0, 1, 1, 0, 1],
+                   [0, 0, 1, 0, 0, 1, 0, 1, 1, 0],
+                   [0, 0, 0, 1, 0, 0, 1, 0, 1, 1],
+                   [0, 0, 0, 0, 1, 1, 0, 1, 0, 1]])
+    cases = [(repetition(5), 0.1, 11, 50000), (dual(fano()), 0.05, 3, 40000),
+             (repetition(4), 0.1, 6, 40000), (ten, 0.1, 7, 40000)]
+    whole = [ml_error_mc(M, p=p, seed=s, trials=t) for M, p, s, t in cases]
+    assert all(est.errors != int(est.errors) for est in whole[2:])
+    # one codeword per chunk, then chunks of 3 (uneven over 16 codewords)
+    for words in (1, 3 * codes.MC_BLOCK):
+        monkeypatch.setattr(codes, "MC_CHUNK_WORDS", words)
+        assert [ml_error_mc(M, p=p, seed=s, trials=t) for M, p, s, t in cases] == whole
 
 
 def test_ml_monotone_in_p_statistically():

@@ -1,8 +1,9 @@
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracles import min_weight_bruteforce, min_weight_reference, seeded
 
-from matroidlab.errors import LabelMismatch
+from matroidlab.errors import CapExceeded, LabelMismatch
 from matroidlab.field import make_field
 from matroidlab.linalg import (
     Matrix,
@@ -11,7 +12,6 @@ from matroidlab.linalg import (
     gaussian_binomial,
     intersect_spaces,
     min_weight,
-    min_weight_bruteforce,
     orth_complement,
     rref,
     row_space_equal,
@@ -147,10 +147,43 @@ def test_min_weight_matches_bruteforce(A):
     assert got == (want[0] if want else None)
 
 
-def test_min_weight_workers_agree():
-    A = _random_matrix(GF3, 4, 8, seed=7)
-    U = Subspace(A.field, A.cols, A.data)
-    assert min_weight(U, workers=1) == min_weight(U, workers=4)
+# (p, k, longest ambient set, spaces); both U and its complement stay
+# small enough for the tuple-based reference to enumerate
+REFERENCE_FIELDS = ((2, 1, 14, 16), (3, 1, 10, 16), (2, 2, 8, 16), (5, 1, 7, 16),
+                    (2, 3, 6, 16), (3, 2, 6, 16), (257, 1, 4, 6))
+
+
+@pytest.mark.parametrize("p,k,max_n,spaces", REFERENCE_FIELDS)
+def test_min_weight_matches_reference_witness(p, k, max_n, spaces):
+    F = make_field(p, k)
+    rng = seeded(1000 * p + k)
+    checked = 0
+    while checked < spaces:
+        n = rng.randint(2, max_n)
+        A = mat(F, [[rng.randrange(F.q) for _ in range(n)]
+                    for _ in range(rng.randint(1, n - 1))])
+        U = Subspace(F, A.cols, A.data)
+        if F.q ** max(U.dim, n - U.dim) > 1 << 17:
+            continue
+        for V in (U, orth_complement(U)):
+            assert min_weight(V) == min_weight_reference(V)
+        checked += 1
+
+
+def test_min_weight_budget_counts_work_done():
+    # cycle code of K_9: dimension 28 (2^28 combinations in all), distance 3
+    edges = [(a, b) for a in range(9) for b in range(a + 1, 9)]
+    cut = Subspace(GF2, range(len(edges)),
+                   [[int(v in e) for e in edges] for v in range(8)])
+    cycles = orth_complement(cut)
+    assert cycles.dim == 28
+    # levels 1 and 2 (28 + 378 combinations) find a triangle; level 3
+    # cannot beat it, so the search stops there
+    w, witness = min_weight(cycles, cap=406)
+    assert w == 3 and cycles.contains(witness)
+    with pytest.raises(CapExceeded, match="enumerated 400 combinations; "
+                                          "the next 3 would pass the cap 400"):
+        min_weight(cycles, cap=400)
 
 
 def test_row_space_equal_swapped_rows():
