@@ -11,7 +11,6 @@ caps, independent of --workers.
 import argparse
 import json
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 
 from . import fileio
@@ -66,35 +65,6 @@ from .templates import (
     member_of,
     subfield_matroid_of,
 )
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """Validated run parameters shared by every subcommand."""
-
-    command: str
-    inputs: tuple
-    seed: int
-    workers: int
-    cap: int | None
-    output: str | None
-
-    def __post_init__(self):
-        if self.workers < 1:
-            raise ToolkitError("--workers must be positive")
-        if self.cap is not None and self.cap < 1:
-            raise ToolkitError("--cap must be positive")
-
-    @classmethod
-    def from_args(cls, args):
-        inputs = tuple(
-            v for k in ("matrix", "other", "minor", "template", "graph")
-            for v in [getattr(args, k, None)] if v)
-        return cls(command=args.command, inputs=inputs,
-                   seed=getattr(args, "seed", 0),
-                   workers=getattr(args, "workers", 1),
-                   cap=getattr(args, "cap", None),
-                   output=getattr(args, "output", None))
 
 
 def _emit(args, text):
@@ -430,12 +400,23 @@ def _cmd_growth(args):
 # parser
 # ---------------------------------------------------------------------------
 
+def _positive_int(text):
+    """argparse type of --workers and --cap."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be positive, got {value}")
+    return value
+
+
 def _add_common(p, workers=False, cap=None):
     p.add_argument("-o", "--output", help="write results here instead of stdout")
     if workers:
-        p.add_argument("--workers", type=int, default=1)
+        p.add_argument("--workers", type=_positive_int, default=1)
     if cap is not None:
-        p.add_argument("--cap", type=int, default=cap)
+        p.add_argument("--cap", type=_positive_int, default=cap)
 
 
 def build_parser():
@@ -553,7 +534,6 @@ def build_parser():
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        RunConfig.from_args(args)  # validates caps/workers/seed up front
         return args.fn(args)
     except CapExceeded as exc:
         print(f"cap exceeded: {exc}", file=sys.stderr)

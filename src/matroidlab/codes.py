@@ -37,7 +37,7 @@ from .matroid import ReprMatroid
 
 DEFAULT_CODEWORD_CAP = 1 << 14
 MC_BLOCK = 1 << 14
-MC_CHUNK_WORDS = 1 << 20  # XOR words per chunk of a block; bounds its memory
+MC_CHUNK_WORDS = 1 << 20  # XOR words or flip draws per chunk of a block; bounds its memory
 
 
 @dataclass(frozen=True)
@@ -273,12 +273,16 @@ def _pack_words(bits):
 def _mc_block(words, n, true_idx, p, seed, block_idx, count):
     """(hard errors, tie fractions) of one block of trials.
 
-    `words` is the codeword table packed by _pack_words.  The codeword axis
-    is walked in chunks of at most MC_CHUNK_WORDS XOR words, keeping each
-    trial's least distance and the number of codewords at it.
+    `words` is the codeword table packed by _pack_words.  The flips are
+    drawn and packed in slices of at most MC_CHUNK_WORDS draws (consecutive
+    draws concatenate to one draw of the whole block), and the codeword
+    axis is walked in chunks of at most MC_CHUNK_WORDS XOR words, keeping
+    each trial's least distance and the number of codewords at it.
     """
     rng = np.random.Generator(np.random.Philox(key=[seed, block_idx]))
-    flips = _pack_words(rng.random((count, n)) < p)
+    step = max(1, MC_CHUNK_WORDS // max(1, n))
+    flips = np.concatenate([_pack_words(rng.random((min(step, count - lo), n)) < p)
+                            for lo in range(0, count, step)])
     received = words[true_idx] ^ flips
     dtrue = np.bitwise_count(flips).sum(axis=1, dtype=np.int32)
     dmin = np.full(count, n + 1, dtype=np.int32)
@@ -336,29 +340,3 @@ def ml_error_mc(code, p, seed, trials, *, workers=1, z=3.0,
     rate = errors / trials
     lo, hi = wilson_interval(errors, trials, z)
     return MLEstimate(p, trials, seed, errors, rate, lo, hi, z)
-
-
-def exact_ml_error(code, p, cap=1 << 20) -> float:
-    """Exhaustive oracle: sum the exact error contribution of every error
-    pattern (the syndrome table route), with the same tie accounting."""
-    M = code.matroid if isinstance(code, CodeView) else code
-    codewords = _codeword_table(M, cap)
-    n = codewords.shape[1]
-    if 2 ** n > cap:
-        raise CapExceeded("error pattern enumeration exceeds cap")
-    patterns = np.arange(2 ** n, dtype=np.uint32)
-    bits = ((patterns[:, None] >> np.arange(n)[None, :]) & 1).astype(np.uint8)
-    dists = (bits[:, None, :] != codewords[None, :, :]).sum(axis=2)
-    dmin = dists.min(axis=1)
-    dzero = dists[:, 0]
-    weights = bits.sum(axis=1)
-    total = 0.0
-    for i in range(2 ** n):
-        prob = p ** int(weights[i]) * (1 - p) ** (n - int(weights[i]))
-        if dzero[i] > dmin[i]:
-            total += prob
-        else:
-            t = int((dists[i] == dmin[i]).sum())
-            if t > 1:
-                total += prob * (t - 1) / t
-    return total

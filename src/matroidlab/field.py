@@ -158,6 +158,8 @@ class FiniteField:
     # raw digit arithmetic, used to build tables and for big fields
     def _add_raw(self, a, b):
         p, k = self.p, self.k
+        if k == 1:
+            return (a + b) % p
         da, db = _digits(a, p, k), _digits(b, p, k)
         return _undigits([(x + y) % p for x, y in zip(da, db)], p)
 
@@ -179,6 +181,8 @@ class FiniteField:
         if self.neg_t is not None:
             return self.neg_t[a]
         p, k = self.p, self.k
+        if k == 1:
+            return -a % p
         return _undigits([(-d) % p for d in _digits(a, p, k)], p)
 
     def sub(self, a, b):

@@ -86,13 +86,43 @@ def null_space_rows(field, rows, n):
     return out
 
 
-def dot(field, u, v):
-    add, mul = field.add, field.mul
-    acc = 0
-    for a, b in zip(u, v):
-        if a and b:
-            acc = add(acc, mul(a, b))
-    return acc
+def echelon_reducer(field):
+    """reduce(ech, v) for incremental echelon forms over `field`.
+
+    `ech` is a list of (pivot, row) pairs, each row 1 at its pivot.
+    reduce returns the (pivot, row) pair that v adds, its remainder scaled
+    to 1 at its first nonzero entry, or None if v lies in their span.
+    """
+    add, mul, neg, inv = field.add, field.mul, field.neg, field.inv
+
+    def reduce_against(ech, v):
+        v = list(v)
+        for p, row in ech:
+            if v[p]:
+                f = neg(v[p])
+                v = [add(x, mul(f, y)) for x, y in zip(v, row)]
+        for p, x in enumerate(v):
+            if x:
+                ia = inv(x)
+                return p, tuple(mul(ia, y) for y in v)
+        return None
+
+    return reduce_against
+
+
+def normalizer(field):
+    """normalize(v): v scaled to 1 at its first nonzero entry, None if zero.
+    Two nonzero vectors are parallel iff they normalize alike."""
+    mul, inv = field.mul, field.inv
+
+    def normalize(v):
+        lead = next((x for x in v if x), None)
+        if lead is None:
+            return None
+        ia = inv(lead)
+        return tuple(mul(ia, x) for x in v)
+
+    return normalize
 
 
 # ---------------------------------------------------------------------------
@@ -191,18 +221,6 @@ def rref(A: Matrix):
     return R, len(red), tuple(A.cols[j] for j in piv)
 
 
-def row_space_equal(A: Matrix, B: Matrix) -> bool:
-    """True iff A and B generate the same row space (same field and columns)."""
-    if A.field != B.field:
-        raise LabelMismatch("different fields")
-    if set(A.cols) != set(B.cols):
-        raise LabelMismatch("different column label sets")
-    order = sort_labels(A.cols)
-    ra, _ = rref_rows(A.field, A.submatrix(A.rows, order).data)
-    rb, _ = rref_rows(B.field, B.submatrix(B.rows, order).data)
-    return ra == rb
-
-
 # ---------------------------------------------------------------------------
 # subspaces of F^E
 # ---------------------------------------------------------------------------
@@ -280,10 +298,6 @@ class Subspace:
 
     def __repr__(self):
         return f"Subspace(dim={self.dim}, |E|={len(self.ambient)}, {self.field!r})"
-
-
-def subspace_from_matrix(A: Matrix) -> Subspace:
-    return Subspace(A.field, A.cols, A.data)
 
 
 def orth_complement(U: Subspace) -> Subspace:

@@ -20,8 +20,10 @@ from .field import FiniteField
 from .linalg import (
     Matrix,
     Subspace,
+    echelon_reducer,
     label_key,
     min_weight,
+    normalizer,
     null_space_rows,
     orth_complement,
     rref_rows,
@@ -277,17 +279,6 @@ def smallest_circuit(M, cap=DEFAULT_SUBSET_CAP, workers=1):
     return None
 
 
-def smallest_circuit_bruteforce(M, cap=DEFAULT_SUBSET_CAP):
-    """Independent oracle: first dependent subset in size order, via ranks."""
-    if M.size > cap:
-        raise CapExceeded("brute-force circuit cap")
-    for s in range(1, M.size + 1):
-        for S in combinations(M.ground, s):
-            if rank_of(M, S) < s:
-                return s, S
-    return None
-
-
 def girth(M, cap=DEFAULT_SUBSET_CAP, workers=1):
     hit = smallest_circuit(M, cap=cap, workers=workers)
     return None if hit is None else hit[0]
@@ -317,17 +308,10 @@ def cogirth(M, cap=DEFAULT_SUBSET_CAP, workers=1):
 
 def _parallel_classes_repr(M):
     """Map normalized-column key -> list of labels; None key for loops."""
-    F = M.field
+    normalize = normalizer(M.field)
     classes = {}
     for e in M.ground:
-        col = M.column(e)
-        lead = next((x for x in col if x), None)
-        if lead is None:
-            classes.setdefault(None, []).append(e)
-            continue
-        ia = F.inv(lead)
-        key = tuple(F.mul(ia, x) for x in col)
-        classes.setdefault(key, []).append(e)
+        classes.setdefault(normalize(M.column(e)), []).append(e)
     return classes
 
 
@@ -495,23 +479,9 @@ def all_subset_ranks(M, cap=DEFAULT_SUBSET_CAP):
         g = M.ground
         return [M.rank_of([g[i] for i in range(n) if mask >> i & 1])
                 for mask in range(1 << n)]
-    F = M.field
-    d = M.rank
     cols = [M.column(e) for e in M.ground]
-    add, mul, neg, inv = F.add, F.mul, F.neg, F.inv
+    reduce_against = echelon_reducer(M.field)
     ranks = [0] * (1 << n)
-
-    def reduce_against(ech, v):
-        v = list(v)
-        for p, row in ech:
-            if v[p]:
-                f = neg(v[p])
-                v = [add(x, mul(f, y)) for x, y in zip(v, row)]
-        for p in range(d):
-            if v[p]:
-                ia = inv(v[p])
-                return p, tuple(mul(ia, x) for x in v)
-        return None
 
     def rec(start, mask, ech):
         ranks[mask] = len(ech)
@@ -638,23 +608,6 @@ def has_minor(M, N, cap=DEFAULT_MINOR_CAP):
             if _iso_search(PC, PN, lambda mapping: True):
                 return True, (tuple(C), tuple(D))
     return False, None
-
-
-def has_minor_bruteforce(M, N, cap=8):
-    """Oracle: try every disjoint (C, D) pair with the right sizes."""
-    if M.size > cap:
-        raise CapExceeded("brute-force minor cap")
-    gone = M.size - N.size
-    if gone < 0:
-        return False
-    ground = M.ground
-    for csize in range(gone + 1):
-        for C in combinations(ground, csize):
-            rest = [e for e in ground if e not in C]
-            for D in combinations(rest, gone - csize):
-                if isomorphic(minor(M, C, D), N):
-                    return True
-    return False
 
 
 def vertical_connectivity(M, cap=DEFAULT_VCONN_CAP, with_witness=False):

@@ -8,25 +8,37 @@ deletion.  Both conformance predicates decompose per column, which the
 checkers exploit: each free column is classified independently, and the
 existential witness column set Z is recovered in closed form.
 
-Membership testing must quantify over all conforming matrices of the
-right size.  Rows outside the template's named sets are interchangeable
-(permuting them only relabels the realized matroid), so the search
-enumerates them canonically: row choices in non-decreasing order for
-subfield templates, first-use order within equal-choice groups for frame
-templates, with rank and simplicity pruning against the target whenever
-no contraction is involved.
+Enumeration and membership draw their matrices from one layout per
+template kind (_SubfieldLayout, _FrameLayout): the labels, the option
+lists and the matrix assembly.  Membership must quantify over all
+conforming matrices of the right size.  Rows outside the template's named
+sets are interchangeable (permuting them only relabels the realized
+matroid), so the search takes them canonically: row choices in
+non-decreasing order for subfield templates, first-use order within
+equal-choice groups for frame templates, with rank and simplicity pruning
+against the target whenever no contraction is involved.
 """
 
 from dataclasses import dataclass
 from itertools import combinations_with_replacement, product
+from math import comb
 
 from .errors import BadAssignment, CapExceeded, LabelClash, NotConforming
 from .field import FiniteField, MultSubgroup, SubfieldEmbedding, make_field
-from .linalg import Matrix, Subspace, label_key, rref_rows, sort_labels
+from .linalg import (
+    Matrix,
+    Subspace,
+    echelon_reducer,
+    label_key,
+    normalizer,
+    rref_rows,
+    sort_labels,
+)
 from .matroid import (
     ReprMatroid,
     equivalent_up_to_relabel_scaling,
     from_generator,
+    is_simple,
     minor,
 )
 
@@ -286,10 +298,6 @@ def check_subfield(A: Matrix, tmpl: SubfieldTemplate) -> ConformanceReport:
     return ConformanceReport(True)
 
 
-def conforms_subfield(A: Matrix, tmpl: SubfieldTemplate) -> bool:
-    return check_subfield(A, tmpl).ok
-
-
 def subfield_matroid_of(A: Matrix, tmpl: SubfieldTemplate) -> ReprMatroid:
     """M([I,A]) / C \\ D for a conforming A."""
     report = check_subfield(A, tmpl)
@@ -389,12 +397,6 @@ def check_frame_respects(A: Matrix, tmpl: FrameTemplate) -> ConformanceReport:
     return ConformanceReport(True, Z=_lex_least_Z(forced, optional))
 
 
-def respects_frame(A: Matrix, tmpl: FrameTemplate):
-    """(respects?, lexicographically least witness Z or None)."""
-    report = check_frame_respects(A, tmpl)
-    return report.ok, report.Z
-
-
 def conform_frame(A_prime: Matrix, Z, assignment: dict) -> Matrix:
     """Add the assigned Y1 column onto each Z column of A'."""
     F = A_prime.field
@@ -465,10 +467,6 @@ def check_frame_conforms(A: Matrix, tmpl: FrameTemplate) -> ConformanceReport:
     return ConformanceReport(True, Z=tuple(Z), assignment=assignment)
 
 
-def conforms_frame(A: Matrix, tmpl: FrameTemplate) -> bool:
-    return check_frame_conforms(A, tmpl).ok
-
-
 def frame_matroid_of(A: Matrix, tmpl: FrameTemplate) -> ReprMatroid:
     """M([I,A]) / C \\ ((B-X) + Y1) for a conforming A."""
     report = check_frame_conforms(A, tmpl)
@@ -480,21 +478,124 @@ def frame_matroid_of(A: Matrix, tmpl: FrameTemplate) -> ReprMatroid:
 
 
 # ---------------------------------------------------------------------------
-# bounded enumeration of conforming matroids
+# conforming matrices: one layout per template kind
 # ---------------------------------------------------------------------------
 
-def _row_labels(tmpl, extra_rows):
-    named = tuple(tmpl.D) + (tuple(tmpl.X) if isinstance(tmpl, FrameTemplate) else ())
-    return named + tuple(f"b{i:02d}" for i in range(extra_rows))
+def _anon_labels(prefix, count):
+    return tuple(f"{prefix}{i:02d}" for i in range(count))
 
 
-def _col_labels(tmpl, free_cols):
-    if isinstance(tmpl, FrameTemplate):
-        named = tuple(tmpl.C) + tuple(tmpl.Y0) + tuple(tmpl.Y1)
-    else:
-        named = tuple(tmpl.C) + tuple(tmpl.Y)
-    return named + tuple(f"e{i:02d}" for i in range(free_cols))
+class _SubfieldLayout:
+    """The conforming matrices with b anonymous rows and f free columns.
 
+    Rows are D, then b00, b01, ...; columns are C, Y, then e00, e01, ...
+    A matrix is a Lambda pick (one embedded Lambda vector per free column)
+    plus one row pick per anonymous row, taken from row_options(): an
+    embedded Delta vector and f subfield entries.
+    """
+
+    def __init__(self, tmpl, b, f):
+        emb = tmpl.emb
+        self.field = tmpl.field
+        self.f = f
+        self.rows = tuple(tmpl.D) + _anon_labels("b", b)
+        self.cols = tuple(tmpl.C) + tuple(tmpl.Y) + _anon_labels("e", f)
+        self.lam_elems = [tuple(emb.embed(x) for x in v) for v in tmpl.lam.vectors()]
+        self.delta_elems = [tuple(emb.embed(x) for x in v) for v in tmpl.delta.vectors()]
+        self.img = sorted(emb.image())
+        self.n_row_options = len(self.delta_elems) * len(self.img) ** f
+        Dsorted = sort_labels(tmpl.D)
+        CY = sort_labels(tuple(tmpl.C) + tuple(tmpl.Y))
+        # per D row: its fixed A1/A2 entries and its position in Lambda vectors
+        self._top = [([tmpl.A1.entry(r, c) for c in tmpl.C]
+                      + [tmpl.A2.entry(r, c) for c in tmpl.Y], Dsorted.index(r))
+                     for r in tmpl.D]
+        self._cy = [CY.index(c) for c in tuple(tmpl.C) + tuple(tmpl.Y)]
+
+    def row_options(self):
+        return [(delta, entries) for delta in self.delta_elems
+                for entries in product(self.img, repeat=self.f)]
+
+    def matrix(self, lam_pick, row_picks):
+        top = [fixed + [vec[pos] for vec in lam_pick] for fixed, pos in self._top]
+        bottom = [[delta[i] for i in self._cy] + list(entries)
+                  for delta, entries in row_picks]
+        return Matrix(self.field, self.rows, self.cols, top + bottom)
+
+
+class _FrameLayout:
+    """The conforming matrices with b anonymous rows and f free columns.
+
+    Rows are D, X, then b00, b01, ...; columns are C, Y0, Y1, then e00,
+    e01, ...  One Delta vector per anonymous row fixes the named columns
+    (named_columns); each free column then takes one of options(rows).
+    """
+
+    def __init__(self, tmpl, b, f):
+        self.tmpl = tmpl
+        self.field = F = tmpl.field
+        self.rows = tuple(tmpl.D) + tuple(tmpl.X) + _anon_labels("b", b)
+        self.named_cols = tuple(tmpl.C) + tuple(tmpl.Y0) + tuple(tmpl.Y1)
+        self.cols = self.named_cols + _anon_labels("e", f)
+        self.n_named = len(tmpl.D) + len(tmpl.X)
+        self.lam_elems = tmpl.lam.elements()
+        self.delta_elems = tmpl.delta.elements()
+        self._pairs = [F.neg(g) for g in sorted(tmpl.gamma.elements)]
+        self._y1 = sort_labels(tmpl.Y1)
+        Dsorted = sort_labels(tmpl.D)
+        self._dpos = [Dsorted.index(d) for d in tmpl.D]
+
+    def named_columns(self, delta_rows):
+        """Named column label -> column, given each anonymous row's Delta vector."""
+        tmpl = self.tmpl
+        CY = sort_labels(self.named_cols)
+        top_rows = tuple(tmpl.D) + tuple(tmpl.X)
+        return {c: tuple([tmpl.A1.entry(r, c) for r in top_rows]
+                         + [delta[CY.index(c)] for delta in delta_rows])
+                for c in self.named_cols}
+
+    def options(self, rows):
+        """Free-column options over the given anonymous rows (indices).
+
+        An option is (Lambda vector or None, Y1 label or None, bottom
+        entries as (row, value) pairs).  Per Lambda vector: the zero
+        bottom, the unit at each row, then the pairs (i, j, g), with 1 at i
+        and -g at j, for i, then j != i, then g in sorted Gamma; (i, j, g)
+        with j < i and -g = 1 is (j, i, g) again and is skipped.  Then the
+        Z options: the unit at i plus the Y1 column y, for i, then y in
+        sorted Y1.
+        """
+        out = []
+        for lam_vec in self.lam_elems:
+            out.append((lam_vec, None, ()))
+            out.extend((lam_vec, None, ((i, 1),)) for i in rows)
+            out.extend((lam_vec, None, ((i, 1), (j, ng)))
+                       for i in rows for j in rows if j != i
+                       for ng in self._pairs if not (j < i and ng == 1))
+        out.extend((None, y, ((i, 1),)) for i in rows for y in self._y1)
+        return out
+
+    def column(self, option, named):
+        lam_vec, y, bottom = option
+        if y is None:
+            v = [lam_vec[pos] for pos in self._dpos]
+            v += [0] * (len(self.rows) - len(v))
+        else:
+            v = list(named[y])
+        add = self.field.add
+        for i, x in bottom:
+            v[self.n_named + i] = add(v[self.n_named + i], x)
+        return tuple(v)
+
+    def matrix(self, named, free_columns):
+        colvecs = [named[c] for c in self.named_cols] + list(free_columns)
+        data = [[col[ri] for col in colvecs] for ri in range(len(self.rows))]
+        return Matrix(self.field, self.rows, self.cols, data)
+
+
+# ---------------------------------------------------------------------------
+# bounded enumeration of conforming matroids
+# ---------------------------------------------------------------------------
 
 def enumerate_conforming(tmpl, extra_rows, free_cols, cap=DEFAULT_ENUM_CAP):
     """All conforming matroids at the given size, duplicate-free (by
@@ -510,131 +611,33 @@ def enumerate_conforming(tmpl, extra_rows, free_cols, cap=DEFAULT_ENUM_CAP):
 
 
 def _enumerate_subfield(tmpl, extra_rows, free_cols, cap):
-    F = tmpl.field
-    emb = tmpl.emb
-    rows = _row_labels(tmpl, extra_rows)
-    cols = _col_labels(tmpl, free_cols)
-    anon = rows[len(tmpl.D):]
-    free = cols[len(tmpl.C) + len(tmpl.Y):]
-    lam_elems = [[emb.embed(x) for x in v] for v in tmpl.lam.vectors()]
-    delta_elems = [[emb.embed(x) for x in v] for v in tmpl.delta.vectors()]
-    img = sorted(emb.image())
-    total = (len(lam_elems) ** len(free)
-             * (len(delta_elems) * len(img) ** len(free)) ** len(anon))
+    lay = _SubfieldLayout(tmpl, extra_rows, free_cols)
+    total = len(lay.lam_elems) ** free_cols * lay.n_row_options ** extra_rows
     if total > cap:
         raise CapExceeded(f"{total} conforming matrices exceeds cap {cap}")
-    Dsorted = sort_labels(tmpl.D)
-    CY = sort_labels(tuple(tmpl.C) + tuple(tmpl.Y))
+    row_opts = lay.row_options()
     seen = set()
-    for lam_pick in product(range(len(lam_elems)), repeat=len(free)):
-        for row_picks in product(
-                product(range(len(delta_elems)), product(img, repeat=len(free))),
-                repeat=len(anon)):
-            data = []
-            for r in rows:
-                row = []
-                if r in set(tmpl.D):
-                    for c in cols:
-                        if c in set(tmpl.C):
-                            row.append(tmpl.A1.entry(r, c))
-                        elif c in set(tmpl.Y):
-                            row.append(tmpl.A2.entry(r, c))
-                        else:
-                            lam_vec = lam_elems[lam_pick[free.index(c)]]
-                            row.append(lam_vec[Dsorted.index(r)])
-                else:
-                    d_idx, entries = row_picks[anon.index(r)]
-                    for c in cols:
-                        if c in set(tmpl.C) or c in set(tmpl.Y):
-                            row.append(delta_elems[d_idx][CY.index(c)])
-                        else:
-                            row.append(entries[free.index(c)])
-                data.append(row)
-            A = Matrix(F, rows, cols, data)
-            M = subfield_matroid_of(A, tmpl)
+    for lam_pick in product(lay.lam_elems, repeat=free_cols):
+        for row_picks in product(row_opts, repeat=extra_rows):
+            M = subfield_matroid_of(lay.matrix(lam_pick, row_picks), tmpl)
             key = (M.ground, M.space.basis)
             if key not in seen:
                 seen.add(key)
                 yield M
 
 
-def _frame_bottom_options(F, gamma, n_rows):
-    """All Gamma-frame columns on n_rows rows: zero, units, then pairs."""
-    out = [tuple([0] * n_rows)]
-    for i in range(n_rows):
-        col = [0] * n_rows
-        col[i] = 1
-        out.append(tuple(col))
-    seen = set(out)
-    for i in range(n_rows):
-        for j in range(n_rows):
-            if i == j:
-                continue
-            for g in sorted(gamma.elements):
-                col = [0] * n_rows
-                col[i] = 1
-                col[j] = F.neg(g)
-                t = tuple(col)
-                if t not in seen:
-                    seen.add(t)
-                    out.append(t)
-    return out
-
-
 def _enumerate_frame(tmpl, extra_rows, free_cols, cap):
-    F = tmpl.field
-    rows = _row_labels(tmpl, extra_rows)
-    cols = _col_labels(tmpl, free_cols)
-    anon = rows[len(tmpl.D) + len(tmpl.X):]
-    named_cols = tuple(tmpl.C) + tuple(tmpl.Y0) + tuple(tmpl.Y1)
-    free = cols[len(named_cols):]
-    delta_elems = tmpl.delta.elements()
-    lam_elems = tmpl.lam.elements()
-    bottoms = _frame_bottom_options(F, tmpl.gamma, len(anon))
-    per_col = len(lam_elems) * len(bottoms) + len(anon) * len(tmpl.Y1)
-    total = len(delta_elems) ** len(anon) * per_col ** len(free)
+    lay = _FrameLayout(tmpl, extra_rows, free_cols)
+    options = lay.options(range(extra_rows))
+    total = len(lay.delta_elems) ** extra_rows * len(options) ** free_cols
     if total > cap:
         raise CapExceeded(f"{total} conforming matrices exceeds cap {cap}")
-    Dsorted = sort_labels(tmpl.D)
-    CY = sort_labels(named_cols)
-    col_options = []
-    for lam_vec in lam_elems:
-        for bottom in bottoms:
-            col_options.append(("f", lam_vec, bottom))
-    for i in range(len(anon)):
-        for j in sort_labels(tmpl.Y1):
-            col_options.append(("z", i, j))
     seen = set()
-    for delta_pick in product(range(len(delta_elems)), repeat=len(anon)):
-        named_col_of = {}
-        for c in named_cols:
-            top = [tmpl.A1.entry(r, c) for r in tuple(tmpl.D) + tuple(tmpl.X)]
-            bottom = [delta_elems[delta_pick[i]][CY.index(c)]
-                      for i in range(len(anon))]
-            named_col_of[c] = top + bottom
-        for picks in product(col_options, repeat=len(free)):
-            colvecs = {}
-            for c, pick in zip(free, picks):
-                if pick[0] == "f":
-                    _, lam_vec, bottom = pick
-                    top = []
-                    for r in tuple(tmpl.D) + tuple(tmpl.X):
-                        if r in set(tmpl.D):
-                            top.append(lam_vec[Dsorted.index(r)])
-                        else:
-                            top.append(0)
-                    colvecs[c] = list(top) + list(bottom)
-                else:
-                    _, i, j = pick
-                    base = [0] * (len(tmpl.D) + len(tmpl.X) + len(anon))
-                    base[len(tmpl.D) + len(tmpl.X) + i] = 1
-                    colvecs[c] = [F.add(x, y)
-                                  for x, y in zip(base, named_col_of[j])]
-            for c in named_cols:
-                colvecs[c] = named_col_of[c]
-            data = [[colvecs[c][ri] for c in cols] for ri in range(len(rows))]
-            A = Matrix(F, rows, cols, data)
-            M = frame_matroid_of(A, tmpl)
+    for delta_rows in product(lay.delta_elems, repeat=extra_rows):
+        named = lay.named_columns(delta_rows)
+        columns = [lay.column(option, named) for option in options]
+        for picks in product(columns, repeat=free_cols):
+            M = frame_matroid_of(lay.matrix(named, picks), tmpl)
             key = (M.ground, M.space.basis)
             if key not in seen:
                 seen.add(key)
@@ -657,55 +660,20 @@ def member_of(tmpl, M: ReprMatroid, row_cap=None, cap=DEFAULT_ENUM_CAP) -> bool:
 
 def _member_subfield(tmpl, M, row_cap, cap):
     n, r = M.size, M.rank
-    emb = tmpl.emb
-    lam_elems = [tuple(emb.embed(x) for x in v) for v in tmpl.lam.vectors()]
-    delta_elems = [tuple(emb.embed(x) for x in v) for v in tmpl.delta.vectors()]
-    img = sorted(emb.image())
     b_max = r + len(tmpl.C) if row_cap is None else row_cap
-    Dsorted = sort_labels(tmpl.D)
-    CY = sort_labels(tuple(tmpl.C) + tuple(tmpl.Y))
     checked = set()
     for b in range(0, b_max + 1):
         f = n - b - len(tmpl.Y)
         if f < 0:
             continue
-        rows = _row_labels(tmpl, b)
-        cols = _col_labels(tmpl, f)
-        anon = rows[len(tmpl.D):]
-        free = cols[len(tmpl.C) + len(tmpl.Y):]
-        from math import comb
-
-        n_opts = len(delta_elems) * len(img) ** f
-        combos = len(lam_elems) ** f * (comb(n_opts + b - 1, b) if b else 1)
+        lay = _SubfieldLayout(tmpl, b, f)
+        combos = len(lay.lam_elems) ** f * comb(lay.n_row_options + b - 1, b)
         if combos > cap:
             raise CapExceeded(f"membership search size {combos} exceeds cap {cap}")
-        row_opts = [(d, entries)
-                    for d in range(len(delta_elems))
-                    for entries in product(img, repeat=f)]
-        for lam_pick in product(range(len(lam_elems)), repeat=f):
-            for picked in combinations_with_replacement(range(len(row_opts)), b):
-                data = []
-                for r_lbl in rows:
-                    row = []
-                    if r_lbl in set(tmpl.D):
-                        for c in cols:
-                            if c in set(tmpl.C):
-                                row.append(tmpl.A1.entry(r_lbl, c))
-                            elif c in set(tmpl.Y):
-                                row.append(tmpl.A2.entry(r_lbl, c))
-                            else:
-                                vec = lam_elems[lam_pick[free.index(c)]]
-                                row.append(vec[Dsorted.index(r_lbl)])
-                    else:
-                        d_idx, entries = row_opts[picked[anon.index(r_lbl)]]
-                        for c in cols:
-                            if c in set(tmpl.C) or c in set(tmpl.Y):
-                                row.append(delta_elems[d_idx][CY.index(c)])
-                            else:
-                                row.append(entries[free.index(c)])
-                    data.append(row)
-                A = Matrix(tmpl.field, rows, cols, data)
-                N = subfield_matroid_of(A, tmpl)
+        row_opts = lay.row_options()
+        for lam_pick in product(lay.lam_elems, repeat=f):
+            for row_picks in combinations_with_replacement(row_opts, b):
+                N = subfield_matroid_of(lay.matrix(lam_pick, row_picks), tmpl)
                 if N.size != n or N.rank != r:
                     continue
                 key = (N.ground, N.space.basis)
@@ -725,127 +693,50 @@ def _member_frame(tmpl, M, row_cap, cap):
     (C empty), surviving columns restrict the final matroid, which allows
     rank and simplicity pruning against the target.
     """
-    F = tmpl.field
-    n, r_target = M.size, M.rank
-    f = n - len(tmpl.X) - len(tmpl.Y0)
+    f = M.size - len(tmpl.X) - len(tmpl.Y0)
     if f < 0:
         return False
-    delta_elems = tmpl.delta.elements()
-    lam_elems = tmpl.lam.elements()
     prune_ok = len(tmpl.C) == 0
-    simple_target = prune_ok and _matroid_is_simple(M)
-    b_max = 2 * f + len(delta_elems) if row_cap is None else row_cap
+    simple_target = prune_ok and is_simple(M)
+    b_max = 2 * f + tmpl.delta.size if row_cap is None else row_cap
     budget = [cap]
     for b in range(0, b_max + 1):
-        if _member_frame_at_rows(tmpl, M, b, f, delta_elems, lam_elems,
-                                 prune_ok, simple_target, r_target, budget):
+        if _member_frame_at_rows(tmpl, M, b, f, prune_ok, simple_target, budget):
             return True
     return False
 
 
-def _matroid_is_simple(M):
-    from .matroid import is_simple
-
-    return is_simple(M)
-
-
-def _member_frame_at_rows(tmpl, M, b, f, delta_elems, lam_elems,
-                          prune_ok, simple_target, r_target, budget):
-    F = tmpl.field
-    rows = _row_labels(tmpl, b)
-    cols = _col_labels(tmpl, f)
-    named_rows = tuple(tmpl.D) + tuple(tmpl.X)
-    named_cols = tuple(tmpl.C) + tuple(tmpl.Y0) + tuple(tmpl.Y1)
-    anon = rows[len(named_rows):]
-    free = cols[len(named_cols):]
-    CY = sort_labels(named_cols)
-    Dsorted = sort_labels(tmpl.D)
-    nD, nX = len(tmpl.D), len(tmpl.X)
-    survivors_named = tuple(tmpl.X) + tuple(tmpl.Y0)
+def _member_frame_at_rows(tmpl, M, b, f, prune_ok, simple_target, budget):
+    lay = _FrameLayout(tmpl, b, f)
+    r_target = M.rank
+    reduce_against = echelon_reducer(tmpl.field)
+    normalize = normalizer(tmpl.field)
     checked = set()
 
-    add, mul, neg, inv = F.add, F.mul, F.neg, F.inv
-
-    def reduce_against(ech, v):
-        v = list(v)
-        for p, row in ech:
-            if v[p]:
-                fct = neg(v[p])
-                v = [add(x, mul(fct, y)) for x, y in zip(v, row)]
-        for p in range(len(v)):
-            if v[p]:
-                ia = inv(v[p])
-                return p, tuple(mul(ia, x) for x in v)
-        return None
-
-    def norm_key(v):
-        lead = next((x for x in v if x), None)
-        if lead is None:
-            return None
-        ia = inv(lead)
-        return tuple(mul(ia, x) for x in v)
-
-    for delta_pick in combinations_with_replacement(range(len(delta_elems)), b):
-        # group structure: rows with equal Delta choices are interchangeable
-        named_col_of = {}
-        for c in named_cols:
-            top = [tmpl.A1.entry(r, c) for r in named_rows]
-            bottom = [delta_elems[delta_pick[i]][CY.index(c)] for i in range(b)]
-            named_col_of[c] = tuple(top + bottom)
+    for delta_pick in combinations_with_replacement(range(len(lay.delta_elems)), b):
+        named = lay.named_columns([lay.delta_elems[k] for k in delta_pick])
         # initial survivor columns: identity columns of X, then Y0 columns
+        init_cols = []
+        for t in range(len(tmpl.X)):
+            v = [0] * len(lay.rows)
+            v[len(tmpl.D) + t] = 1
+            init_cols.append(tuple(v))
+        init_cols += [named[y] for y in tmpl.Y0]
         ech = []
         keys = set()
         ok = True
-        init_cols = []
-        for x in tmpl.X:
-            v = [0] * (nD + nX + b)
-            v[named_rows.index(x)] = 1
-            init_cols.append(tuple(v))
-        for y in tmpl.Y0:
-            init_cols.append(named_col_of[y])
         for v in init_cols:
             red = reduce_against(ech, v)
             if red is not None:
                 ech = ech + [red]
             if simple_target:
-                k = norm_key(v)
+                k = normalize(v)
                 if k is None or k in keys:
                     ok = False
                     break
                 keys.add(k)
         if not ok or (prune_ok and len(ech) > r_target):
             continue
-
-        # column options; options touching a new row must take the first
-        # unused row of its Delta-group
-        def rec(col_idx, ech, keys, used, chosen):
-            budget[0] -= 1
-            if budget[0] < 0:
-                raise CapExceeded("frame membership search budget exhausted")
-            if prune_ok and len(ech) > r_target:
-                return False
-            if col_idx == f:
-                if prune_ok and len(ech) != r_target:
-                    return False
-                return finish(chosen)
-            results = False
-            for choice in column_choices(used):
-                vec = build_column(choice)
-                red = reduce_against(ech, vec)
-                new_ech = ech + [red] if red is not None else ech
-                if prune_ok and len(new_ech) > r_target:
-                    continue
-                new_keys = keys
-                if simple_target:
-                    k = norm_key(vec)
-                    if k is None or k in keys:
-                        continue
-                    new_keys = keys | {k}
-                new_used = used | rows_touched(choice)
-                if rec(col_idx + 1, new_ech, new_keys, new_used,
-                       chosen + [choice]):
-                    return True
-            return results
 
         def allowed_rows(used):
             """Used rows plus the first unused row of each Delta-group."""
@@ -860,55 +751,35 @@ def _member_frame_at_rows(tmpl, M, b, f, delta_elems, lam_elems,
                     out.append(i)
             return sorted(out)
 
-        def column_choices(used):
-            rows_ok = allowed_rows(used)
-            for lam_vec in lam_elems:
-                yield ("f", lam_vec, None)  # zero bottom
-                for i in rows_ok:
-                    yield ("f", lam_vec, (i,))
-                    for j in rows_ok:
-                        if i == j:
-                            continue
-                        for g in sorted(tmpl.gamma.elements):
-                            yield ("f", lam_vec, (i, j, g))
-            for i in rows_ok:
-                for j in sort_labels(tmpl.Y1):
-                    yield ("z", i, j)
-
-        def rows_touched(choice):
-            if choice[0] == "f":
-                spec = choice[2]
-                if spec is None:
-                    return frozenset()
-                return frozenset(spec[:2]) if len(spec) == 3 else frozenset(spec)
-            return frozenset([choice[1]])
-
-        def build_column(choice):
-            v = [0] * (nD + nX + b)
-            if choice[0] == "f":
-                _, lam_vec, spec = choice
-                for t, d in enumerate(named_rows[:nD]):
-                    v[t] = lam_vec[Dsorted.index(d)]
-                if spec is not None:
-                    if len(spec) == 3:
-                        i, j, g = spec
-                        v[nD + nX + i] = 1
-                        v[nD + nX + j] = neg(g)
-                    else:
-                        v[nD + nX + spec[0]] = 1
-            else:
-                _, i, j = choice
-                v[nD + nX + i] = 1
-                v = [add(x, y) for x, y in zip(v, named_col_of[j])]
-            return tuple(v)
+        def rec(col_idx, ech, keys, used, chosen):
+            budget[0] -= 1
+            if budget[0] < 0:
+                raise CapExceeded("frame membership search budget exhausted")
+            if prune_ok and len(ech) > r_target:
+                return False
+            if col_idx == f:
+                if prune_ok and len(ech) != r_target:
+                    return False
+                return finish(chosen)
+            for option in lay.options(allowed_rows(used)):
+                vec = lay.column(option, named)
+                red = reduce_against(ech, vec)
+                new_ech = ech + [red] if red is not None else ech
+                if prune_ok and len(new_ech) > r_target:
+                    continue
+                new_keys = keys
+                if simple_target:
+                    k = normalize(vec)
+                    if k is None or k in keys:
+                        continue
+                    new_keys = keys | {k}
+                touched = frozenset(i for i, _ in option[2])
+                if rec(col_idx + 1, new_ech, new_keys, used | touched, chosen + [vec]):
+                    return True
+            return False
 
         def finish(chosen):
-            colvecs = dict(named_col_of)
-            for c, choice in zip(free, chosen):
-                colvecs[c] = build_column(choice)
-            data = [[colvecs[c][ri] for c in cols] for ri in range(len(rows))]
-            A = Matrix(F, rows, cols, data)
-            N = frame_matroid_of(A, tmpl)
+            N = frame_matroid_of(lay.matrix(named, chosen), tmpl)
             if N.size != M.size or N.rank != M.rank:
                 return False
             key = (N.ground, N.space.basis)

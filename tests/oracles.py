@@ -1,11 +1,21 @@
 """Slow, independent reference implementations used only by the tests."""
 
-from itertools import product
+from itertools import combinations, product
 import random
 
-from matroidlab.errors import CapExceeded
-from matroidlab.linalg import Matrix, Subspace
-from matroidlab.matroid import ReprMatroid, from_generator
+import numpy as np
+
+from matroidlab.codes import CodeView, _codeword_table
+from matroidlab.errors import CapExceeded, LabelMismatch
+from matroidlab.linalg import Matrix, Subspace, rref_rows, sort_labels
+from matroidlab.matroid import ReprMatroid, from_generator, isomorphic, minor, rank_of
+from matroidlab.templates import (
+    SubfieldTemplate,
+    check_frame_conforms,
+    check_subfield,
+    frame_matroid_of,
+    subfield_matroid_of,
+)
 
 
 def random_matrix(field, m, n, rng):
@@ -35,8 +45,6 @@ def proj_equiv_bruteforce(M1: ReprMatroid, M2: ReprMatroid) -> bool:
 
 def confined_bruteforce(M: ReprMatroid, sub_codes) -> bool:
     """Try every column scaling; confined iff some scaled RREF lands in F0."""
-    from matroidlab.linalg import rref_rows
-
     F = M.field
     n = M.size
     basis = M.space.basis
@@ -106,5 +114,89 @@ def min_weight_bruteforce(U: Subspace, cap=1 << 24):
     return best
 
 
+def row_space_equal(A: Matrix, B: Matrix) -> bool:
+    """True iff A and B generate the same row space (same field and columns)."""
+    if A.field != B.field:
+        raise LabelMismatch("different fields")
+    if set(A.cols) != set(B.cols):
+        raise LabelMismatch("different column label sets")
+    order = sort_labels(A.cols)
+    ra, _ = rref_rows(A.field, A.submatrix(A.rows, order).data)
+    rb, _ = rref_rows(B.field, B.submatrix(B.rows, order).data)
+    return ra == rb
+
+
+def smallest_circuit_bruteforce(M, cap=16):
+    """First dependent subset in size order, via ranks."""
+    if M.size > cap:
+        raise CapExceeded("brute-force circuit cap")
+    for s in range(1, M.size + 1):
+        for S in combinations(M.ground, s):
+            if rank_of(M, S) < s:
+                return s, S
+    return None
+
+
+def has_minor_bruteforce(M, N, cap=8):
+    """Try every disjoint (C, D) pair with the right sizes."""
+    if M.size > cap:
+        raise CapExceeded("brute-force minor cap")
+    gone = M.size - N.size
+    if gone < 0:
+        return False
+    ground = M.ground
+    for csize in range(gone + 1):
+        for C in combinations(ground, csize):
+            rest = [e for e in ground if e not in C]
+            for D in combinations(rest, gone - csize):
+                if isomorphic(minor(M, C, D), N):
+                    return True
+    return False
+
+
+def exact_ml_error(code, p, cap=1 << 20) -> float:
+    """Sum the exact error contribution of every error pattern (the
+    syndrome table route), with the same tie accounting as ml_error_mc."""
+    M = code.matroid if isinstance(code, CodeView) else code
+    codewords = _codeword_table(M, cap)
+    n = codewords.shape[1]
+    if 2 ** n > cap:
+        raise CapExceeded("error pattern enumeration exceeds cap")
+    patterns = np.arange(2 ** n, dtype=np.uint32)
+    bits = ((patterns[:, None] >> np.arange(n)[None, :]) & 1).astype(np.uint8)
+    dists = (bits[:, None, :] != codewords[None, :, :]).sum(axis=2)
+    dmin = dists.min(axis=1)
+    dzero = dists[:, 0]
+    weights = bits.sum(axis=1)
+    total = 0.0
+    for i in range(2 ** n):
+        prob = p ** int(weights[i]) * (1 - p) ** (n - int(weights[i]))
+        if dzero[i] > dmin[i]:
+            total += prob
+        else:
+            t = int((dists[i] == dmin[i]).sum())
+            if t > 1:
+                total += prob * (t - 1) / t
+    return total
+
+
 def seeded(seed):
     return random.Random(seed)
+
+
+def conforming_matroids_bruteforce(tmpl, rows, cols):
+    """Every matrix over the template's field with the given labels, kept
+    when the conformance check passes, realized and deduplicated."""
+    if isinstance(tmpl, SubfieldTemplate):
+        check, realize = check_subfield, subfield_matroid_of
+    else:
+        check, realize = check_frame_conforms, frame_matroid_of
+    F = tmpl.field
+    width = len(cols)
+    out = set()
+    for entries in product(range(F.q), repeat=len(rows) * width):
+        A = Matrix(F, rows, cols,
+                   [entries[i * width:(i + 1) * width] for i in range(len(rows))])
+        if check(A, tmpl).ok:
+            out.add(realize(A, tmpl))
+    return out

@@ -10,7 +10,13 @@ import time
 from fractions import Fraction
 from itertools import combinations
 
-from oracles import random_matrix, seeded
+from oracles import (
+    exact_ml_error,
+    has_minor_bruteforce,
+    random_matrix,
+    seeded,
+    smallest_circuit_bruteforce,
+)
 
 from matroidlab.field import make_field, mult_subgroups
 from matroidlab.linalg import Matrix, Subspace, enumerate_subspaces
@@ -30,18 +36,15 @@ from matroidlab.matroid import (
     dual,
     from_generator,
     girth,
-    has_minor_bruteforce,
     isomorphic,
     rank_of,
     smallest_circuit,
-    smallest_circuit_bruteforce,
     smallest_cocircuit,
 )
 from matroidlab.perturb import PerturbPair, dist, pert_bounds, pert_exact
 from matroidlab.codes import (
     code_params,
     cut_code_distance_bound,
-    exact_ml_error,
     ml_error_mc,
     shannon_f,
     theta_binary,

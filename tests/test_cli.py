@@ -1,7 +1,11 @@
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import matroidlab
 from matroidlab.cli import main
 from matroidlab.fileio import read_matrix, write_matrix
 from matroidlab.linalg import Matrix
@@ -221,3 +225,17 @@ def test_output_flag_writes_file(tmp_path, capsys, fano_file):
     code = main(["girth", fano_file, "-o", str(target)])
     assert code == 0
     assert json.loads(target.read_text())["value"] == 3
+
+
+@pytest.mark.parametrize("argv", [
+    ["girth", "missing.mat", "--workers", "0"],
+    ["template", "member", "missing.tmpl", "missing.mat", "--cap", "0"],
+])
+def test_nonpositive_workers_and_cap_exit_2(argv):
+    src = os.path.dirname(os.path.dirname(matroidlab.__file__))
+    proc = subprocess.run([sys.executable, "-m", "matroidlab.cli", *argv],
+                          capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": src})
+    assert proc.returncode == 2
+    assert "must be positive" in proc.stderr
+    assert "Traceback" not in proc.stderr

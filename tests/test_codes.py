@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from oracles import random_matroid, seeded
+from oracles import exact_ml_error, random_matroid, seeded
 
 from matroidlab.errors import Disconnected, DomainError, EmptyCode, NotBinary
 from matroidlab.field import make_field
@@ -16,7 +16,6 @@ from matroidlab.codes import (
     CodeView,
     cut_code_distance_bound,
     code_params,
-    exact_ml_error,
     good_family_probe,
     ml_error_mc,
     shannon_f,
@@ -255,8 +254,10 @@ def test_ml_chunked_codeword_axis_is_identical(monkeypatch):
              (repetition(4), 0.1, 6, 40000), (ten, 0.1, 7, 40000)]
     whole = [ml_error_mc(M, p=p, seed=s, trials=t) for M, p, s, t in cases]
     assert all(est.errors != int(est.errors) for est in whole[2:])
-    # one codeword per chunk, then chunks of 3 (uneven over 16 codewords)
-    for words in (1, 3 * codes.MC_BLOCK):
+    # one codeword per chunk and one trial per flip slice; then flip slices
+    # of 100-200 trials; then chunks of 3 (uneven over 16 codewords) and
+    # flip slices of 4,915-12,288 trials, each uneven over a block
+    for words in (1, 1000, 3 * codes.MC_BLOCK):
         monkeypatch.setattr(codes, "MC_CHUNK_WORDS", words)
         assert [ml_error_mc(M, p=p, seed=s, trials=t) for M, p, s, t in cases] == whole
 

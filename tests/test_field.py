@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from matroidlab.errors import CapExceeded, DegreeZero, NotASubfield, NotPrime
@@ -141,3 +143,16 @@ def test_subfield_codes_match_embedding_image():
 def test_subfield_codes_rejects_nondivisor_degree():
     with pytest.raises(NotASubfield):
         make_field(2, 4).subfield_codes(3)
+
+
+@pytest.mark.parametrize("p", [257, 65521])
+def test_large_prime_field_matches_integer_arithmetic(p):
+    F = make_field(p, 1)
+    assert F.add_t is None  # above the table cap: the untabled path
+    rng = random.Random(p)
+    for _ in range(2000):
+        a, b = rng.randrange(p), rng.randrange(p)
+        assert F.add(a, b) == (a + b) % p
+        assert F.sub(a, b) == (a - b) % p
+        assert F.neg(a) == -a % p
+        assert F.mul(a, b) == a * b % p

@@ -2,11 +2,12 @@ from itertools import combinations
 from math import comb
 
 import pytest
+from oracles import has_minor_bruteforce
 
 from matroidlab.errors import DefectOutOfRange
 from matroidlab.field import make_field, mult_subgroups, subgroup_of_order
 from matroidlab.constructions import complete_graph, gamma_frame_full, graphic, pg
-from matroidlab.matroid import delete, has_minor_bruteforce, rank_of
+from matroidlab.matroid import delete, rank_of
 from matroidlab.growth import (
     GrowthValue,
     h_exhaustive,

@@ -1,7 +1,7 @@
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import min_weight_bruteforce, min_weight_reference, seeded
+from oracles import min_weight_bruteforce, min_weight_reference, row_space_equal, seeded
 
 from matroidlab.errors import CapExceeded, LabelMismatch
 from matroidlab.field import make_field
@@ -14,7 +14,6 @@ from matroidlab.linalg import (
     min_weight,
     orth_complement,
     rref,
-    row_space_equal,
     subspace_count,
     sum_spaces,
 )

@@ -2,7 +2,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import confined_bruteforce, proj_equiv_bruteforce, random_matroid, seeded
+from oracles import (
+    confined_bruteforce,
+    has_minor_bruteforce,
+    proj_equiv_bruteforce,
+    random_matroid,
+    seeded,
+    smallest_circuit_bruteforce,
+)
 
 from matroidlab.errors import NotASubfield, NotSubset
 from matroidlab.field import make_field
@@ -20,7 +27,6 @@ from matroidlab.matroid import (
     from_generator,
     girth,
     has_minor,
-    has_minor_bruteforce,
     is_simple,
     isomorphic,
     loops,
@@ -30,7 +36,6 @@ from matroidlab.matroid import (
     relabel,
     simplify,
     smallest_circuit,
-    smallest_circuit_bruteforce,
     vertical_connectivity,
 )
 

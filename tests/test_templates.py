@@ -1,11 +1,14 @@
+import hashlib
+import json
 from itertools import combinations, product
 
 import pytest
+from oracles import conforming_matroids_bruteforce
 
 from matroidlab.errors import BadAssignment, LabelClash, NotConforming
 from matroidlab.field import make_field, prime_subfield, subgroup_of_order
 from matroidlab.linalg import Matrix, Subspace, label_key, sort_labels
-from matroidlab.constructions import Graph, complete_graph, graphic, pg
+from matroidlab.constructions import Graph, complete_graph, graphic, pg, uniform_represented
 from matroidlab.matroid import confined_to, from_generator, isomorphic, rank_of
 from matroidlab.templates import (
     AdditiveSpan,
@@ -14,12 +17,9 @@ from matroidlab.templates import (
     check_frame_respects,
     check_subfield,
     conform_frame,
-    conforms_frame,
-    conforms_subfield,
     enumerate_conforming,
     frame_matroid_of,
     member_of,
-    respects_frame,
     subfield_matroid_of,
 )
 
@@ -47,6 +47,16 @@ def gf4_subfield_template(C=(), D=(), Y=(), lam_vectors=None, delta_vectors=None
                      else [[1 if i == j else 0 for j in range(len(cy))]
                            for i in range(len(cy))])
     return SubfieldTemplate(emb, tuple(C), tuple(D), tuple(Y), A1, A2, lam, delta)
+
+
+def conforms_subfield(A, tmpl):
+    return check_subfield(A, tmpl).ok
+
+
+def respects_frame(A, tmpl):
+    """(respects?, lexicographically least witness Z or None)."""
+    report = check_frame_respects(A, tmpl)
+    return report.ok, report.Z
 
 
 # ---------------------------------------------------------------------------
@@ -354,3 +364,113 @@ def test_subfield_members_confined_theorem_direction():
     tmpl = gf4_subfield_template()
     for M in enumerate_conforming(tmpl, extra_rows=2, free_cols=2):
         assert confined_to(M, GF2)
+
+
+# ---------------------------------------------------------------------------
+# enumeration and membership on non-trivial templates
+# ---------------------------------------------------------------------------
+
+def rich_subfield_template():
+    """GF(4) over GF(2) with C, D, Y all non-empty, A1 outside the subfield,
+    Lambda = {0} and Delta = span{(1, 1)}, both proper."""
+    return gf4_subfield_template(
+        C=("c",), D=("d",), Y=("y",), lam_vectors=[], delta_vectors=[[1, 1]],
+        A1=Matrix(GF4, ("d",), ("c",), [[2]]), A2=Matrix(GF4, ("d",), ("y",), [[1]]))
+
+
+def rich_frame_template_gf3():
+    """Gamma = {1, -1} over GF(3) with D, X, Y0, Y1 non-empty.  The X row of
+    A1 is zero, so x is a coloop of every member."""
+    A1 = Matrix(GF3, ("d", "x"), ("y0", "y1"), [[1, 2], [0, 0]])
+    return FrameTemplate(subgroup_of_order(GF3, 2), (), ("d",), ("x",), ("y0",), ("y1",),
+                         A1, AdditiveSpan(GF3, ("d",), [(1,)]),
+                         AdditiveSpan(GF3, ("y0", "y1"), [(1, 1)]))
+
+
+def rich_frame_template_gf2():
+    """Gamma = {1} over GF(2), where -1 = 1, so the pair columns (i, j) and
+    (j, i) coincide; D, X, Y0, Y1 non-empty and A1 non-zero on X."""
+    A1 = Matrix(GF2, ("d", "x"), ("y0", "y1"), [[1, 0], [1, 1]])
+    return FrameTemplate(ONE2, (), ("d",), ("x",), ("y0",), ("y1",),
+                         A1, AdditiveSpan(GF2, ("d",), [(1,)]),
+                         AdditiveSpan(GF2, ("y0", "y1"), [(1, 1)]))
+
+
+# name -> (template, (extra rows, free columns) shapes, SHA-256 of the
+# ordered enumerations); the brute-force oracle runs on the shapes with at
+# most ORACLE_MATRICES matrices
+RICH_TEMPLATES = {
+    "subfield-gf4": (
+        rich_subfield_template, ((1, 1), (2, 0), (0, 2), (1, 2), (2, 1), (1, 3)),
+        "0f9e0b7d9cc4c57492fa66c2059589003c21b98aaa4259a02e9688023e9fecbb"),
+    "frame-gf3": (
+        rich_frame_template_gf3, ((1, 1), (2, 0), (0, 2), (2, 2)),
+        "bd51aca4a75decb360b46d536c40650f04c79dfd181cbda5db6c2ed8b6995bc1"),
+    "frame-gf2": (
+        rich_frame_template_gf2, ((2, 1), (3, 1), (2, 2), (3, 2)),
+        "ad7dff87315e65bf980b0cd91c850997332d0c53510b01b3a5bf03e6c71322ad"),
+}
+ORACLE_MATRICES = 1 << 16
+
+
+def _labels(tmpl, b, f):
+    """Rows and columns of enumerate_conforming's matrices: the named
+    labels in template order, then b00, b01, ... and e00, e01, ..."""
+    if isinstance(tmpl, FrameTemplate):
+        rows, cols = tmpl.D + tmpl.X, tmpl.C + tmpl.Y0 + tmpl.Y1
+    else:
+        rows, cols = tmpl.D, tmpl.C + tmpl.Y
+    return (rows + tuple(f"b{i:02d}" for i in range(b)),
+            cols + tuple(f"e{i:02d}" for i in range(f)))
+
+
+@pytest.fixture(scope="module")
+def rich_enumerations():
+    return {name: {shape: list(enumerate_conforming(make(), *shape))
+                   for shape in shapes}
+            for name, (make, shapes, _) in RICH_TEMPLATES.items()}
+
+
+@pytest.mark.parametrize("name", sorted(RICH_TEMPLATES))
+def test_rich_template_enumeration_matches_bruteforce(name, rich_enumerations):
+    make, shapes, _ = RICH_TEMPLATES[name]
+    tmpl = make()
+    checked = 0
+    for shape in shapes:
+        got = rich_enumerations[name][shape]
+        assert got and len(set(got)) == len(got)
+        rows, cols = _labels(tmpl, *shape)
+        if tmpl.field.q ** (len(rows) * len(cols)) <= ORACLE_MATRICES:
+            assert set(got) == conforming_matroids_bruteforce(tmpl, rows, cols)
+            checked += 1
+    assert checked >= 3
+
+
+@pytest.mark.parametrize("name", sorted(RICH_TEMPLATES))
+def test_rich_template_enumeration_order_is_pinned(name, rich_enumerations):
+    _, shapes, digest = RICH_TEMPLATES[name]
+    ordered = [[list(shape), [[list(M.ground), [list(r) for r in M.space.basis]]
+                              for M in rich_enumerations[name][shape]]]
+               for shape in shapes]
+    assert hashlib.sha256(json.dumps(ordered).encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("name", sorted(RICH_TEMPLATES))
+def test_rich_template_enumerated_are_members(name, rich_enumerations):
+    tmpl = RICH_TEMPLATES[name][0]()
+    for found in rich_enumerations[name].values():
+        for N in found:
+            assert member_of(tmpl, N)
+
+
+def test_rich_subfield_template_rejects_u24():
+    # every member is binary: contracting c = w*e_d + s sends y = e_d + s to
+    # a multiple of the binary vector s (or to a loop), and all other columns
+    # are binary already; U_{2,4} is not binary
+    assert not member_of(rich_subfield_template(), uniform_represented(2, 4, GF4))
+
+
+def test_rich_frame_template_rejects_coloop_free():
+    # the X row of A1 is zero, so x is a coloop of every member; the
+    # triangle U_{2,3} has none
+    assert not member_of(rich_frame_template_gf3(), uniform_represented(2, 3, GF3))
