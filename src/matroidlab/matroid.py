@@ -20,7 +20,6 @@ from .field import FiniteField
 from .linalg import (
     Matrix,
     Subspace,
-    echelon_reducer,
     label_key,
     min_weight,
     normalizer,
@@ -217,6 +216,8 @@ def minor(M, contract_set, delete_set):
     C, D = set(contract_set), set(delete_set)
     if C & D:
         raise NotSubset("contract and delete sets must be disjoint")
+    if not C:  # contracting nothing leaves M as it is
+        return delete(M, D)
     return delete(contract(M, C), D)
 
 
@@ -470,8 +471,49 @@ def confinement_witness(M: ReprMatroid, F0):
 # subset ranks, isomorphism, minors, connectivity
 # ---------------------------------------------------------------------------
 
+def _column_reducer(M):
+    """(columns, reduce_by) for the subset-rank walk.
+
+    Over GF(2) a column is a Python int (bit i is row i) and eliminating
+    v from w is an XOR when w has v's lowest set bit.  Over other fields a
+    column is a tuple of codes, () when zero, and w loses the multiple of
+    v that clears w at v's first nonzero entry.  reduce_by(v, rest)
+    returns rest with v eliminated from each column.
+    """
+    F = M.field
+    cols = [M.column(e) for e in M.ground]
+    if F.q == 2:
+        def reduce_by(v, rest):
+            low = v & -v
+            return [w ^ v if w & low else w for w in rest]
+
+        return [sum(x << i for i, x in enumerate(col)) for col in cols], reduce_by
+    add, mul, neg, inv = F.add, F.mul, F.neg, F.inv
+
+    def reduce_by(v, rest):
+        p = next(i for i, x in enumerate(v) if x)
+        f0 = neg(inv(v[p]))
+        out = []
+        for w in rest:
+            if w and w[p]:
+                f = mul(w[p], f0)
+                w = tuple(add(x, mul(f, y)) for x, y in zip(w, v))
+                if not any(w):
+                    w = ()
+            out.append(w)
+        return out
+
+    return [col if any(col) else () for col in cols], reduce_by
+
+
 def all_subset_ranks(M, cap=DEFAULT_SUBSET_CAP):
-    """ranks[mask] over the sorted ground set; bit i is ground[i]."""
+    """ranks[mask] over the sorted ground set; bit i is ground[i].
+
+    A depth-first walk adds elements in increasing order.  Each node hands
+    its children the columns after it already reduced modulo the span of
+    its own columns, so a column is in that span iff it reduced to zero,
+    and a child does one elimination per remaining column.
+    """
     n = M.size
     if n > cap:
         raise CapExceeded(f"|E|={n} exceeds subset enumeration cap {cap}")
@@ -479,32 +521,38 @@ def all_subset_ranks(M, cap=DEFAULT_SUBSET_CAP):
         g = M.ground
         return [M.rank_of([g[i] for i in range(n) if mask >> i & 1])
                 for mask in range(1 << n)]
-    cols = [M.column(e) for e in M.ground]
-    reduce_against = echelon_reducer(M.field)
+    cols, reduce_by = _column_reducer(M)
     ranks = [0] * (1 << n)
 
-    def rec(start, mask, ech):
-        ranks[mask] = len(ech)
-        for j in range(start, n):
-            red = reduce_against(ech, cols[j])
-            rec(j + 1, mask | (1 << j), ech + [red] if red is not None else ech)
+    def rec(start, mask, r, rest):
+        # rest[i] is column start + i reduced modulo the span of mask
+        for i, v in enumerate(rest):
+            child, tail = mask | 1 << (start + i), rest[i + 1:]
+            rc = ranks[child] = r + 1 if v else r
+            if tail:
+                rec(start + i + 1, child, rc, reduce_by(v, tail) if v else tail)
 
-    rec(0, 0, [])
+    rec(0, 0, 0, cols)
     return ranks
 
 
 class _IsoProfile:
-    def __init__(self, M, cap):
-        self.n = M.size
-        self.ground = M.ground
-        self.ranks = all_subset_ranks(M, cap=cap)
-        self.hist = Counter(
-            (mask.bit_count(), r) for mask, r in enumerate(self.ranks))
+    """A rank table with the invariants the isomorphism search prunes on."""
+
+    def __init__(self, ground, ranks):
+        self.n = len(ground)
+        self.ground = ground
+        self.ranks = ranks
+        self.hist = Counter(zip(map(int.bit_count, range(len(ranks))), ranks))
         self.sigs = []
         for i in range(self.n):
-            pair = sorted(self.ranks[(1 << i) | (1 << j)]
+            pair = sorted(ranks[(1 << i) | (1 << j)]
                           for j in range(self.n) if j != i)
-            self.sigs.append((self.ranks[1 << i], tuple(pair)))
+            self.sigs.append((ranks[1 << i], tuple(pair)))
+
+
+def _profile(M, cap):
+    return _IsoProfile(M.ground, all_subset_ranks(M, cap=cap))
 
 
 def _iso_search(P1, P2, accept):
@@ -558,8 +606,8 @@ def isomorphic(M1, M2, cap=DEFAULT_ISO_CAP) -> bool:
     """Ground-set bijection preserving the rank of every subset."""
     if M1.size != M2.size:
         return False
-    P1 = _IsoProfile(M1, cap)
-    P2 = _IsoProfile(M2, cap)
+    P1 = _profile(M1, cap)
+    P2 = _profile(M2, cap)
     return _iso_search(P1, P2, lambda mapping: True)
 
 
@@ -569,8 +617,8 @@ def equivalent_up_to_relabel_scaling(M1: ReprMatroid, M2: ReprMatroid,
     M1 onto M2.  This is the equivalence used for template membership."""
     if M1.field != M2.field or M1.size != M2.size:
         return False
-    P1 = _IsoProfile(M1, cap)
-    P2 = _IsoProfile(M2, cap)
+    P1 = _profile(M1, cap)
+    P2 = _profile(M2, cap)
 
     def accept(mapping):
         phi = {P1.ground[i]: P2.ground[j] for i, j in enumerate(mapping)}
@@ -584,7 +632,9 @@ def has_minor(M, N, cap=DEFAULT_MINOR_CAP):
 
     C runs over independent sets of the right size only (contracting any
     set equals contracting a basis of it and deleting the rest), in
-    sorted label order, so the witness is deterministic.
+    sorted label order, so the witness is deterministic.  M's rank table
+    is built once; each candidate's table is read from it, since
+    r(M/C\\D)(X) = r(X + C) - r(C).
     Returns (found, (C, D) or None).
     """
     if M.size > cap:
@@ -597,14 +647,20 @@ def has_minor(M, N, cap=DEFAULT_MINOR_CAP):
     d = M.size - N.size - c
     if d < 0:
         return False, None
-    PN = _IsoProfile(N, cap=max(cap, N.size))
+    PN = _profile(N, cap=max(cap, N.size))
+    ranks = all_subset_ranks(M, cap=cap)
+    bit = {e: 1 << i for i, e in enumerate(M.ground)}
     for C in combinations(M.ground, c):
-        if rank_of(M, C) < c:
+        cmask = sum(bit[e] for e in C)
+        if ranks[cmask] < c:
             continue
-        MC = contract(M, C)
-        for D in combinations([e for e in MC.ground], d):
-            cand = delete(MC, D)
-            PC = _IsoProfile(cand, cap=max(cap, cand.size))
+        rest = [e for e in M.ground if e not in C]
+        for D in combinations(rest, d):
+            kept = [e for e in rest if e not in D]
+            masks = [cmask]
+            for e in kept:
+                masks += [m | bit[e] for m in masks]
+            PC = _IsoProfile(kept, [ranks[m] - c for m in masks])
             if _iso_search(PC, PN, lambda mapping: True):
                 return True, (tuple(C), tuple(D))
     return False, None

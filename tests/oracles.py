@@ -8,7 +8,15 @@ import numpy as np
 from matroidlab.codes import CodeView, _codeword_table
 from matroidlab.errors import CapExceeded, LabelMismatch
 from matroidlab.linalg import Matrix, Subspace, rref_rows, sort_labels
-from matroidlab.matroid import ReprMatroid, from_generator, isomorphic, minor, rank_of
+from matroidlab.matroid import (
+    ReprMatroid,
+    contract,
+    delete,
+    from_generator,
+    isomorphic,
+    minor,
+    rank_of,
+)
 from matroidlab.templates import (
     SubfieldTemplate,
     check_frame_conforms,
@@ -135,6 +143,35 @@ def smallest_circuit_bruteforce(M, cap=16):
             if rank_of(M, S) < s:
                 return s, S
     return None
+
+
+def subset_ranks_bruteforce(M):
+    """ranks[mask] over the sorted ground set (bit i is ground[i]), one
+    `rank_of` call per subset: an RREF of its columns, or the rank oracle."""
+    g, n = M.ground, M.size
+    return [rank_of(M, [g[i] for i in range(n) if mask >> i & 1])
+            for mask in range(1 << n)]
+
+
+def has_minor_reference(M, N):
+    """The per-candidate minor search: every independent C of size
+    r(M) - r(N) and every D of the remaining size, in combinations order,
+    each M/C\\D built by contract and delete and tested for isomorphism.
+    Returns (found, (C, D) or None) in the library's witness order."""
+    if N.size > M.size or N.rank > M.rank:
+        return False, None
+    c = M.rank - N.rank
+    d = M.size - N.size - c
+    if d < 0:
+        return False, None
+    for C in combinations(M.ground, c):
+        if rank_of(M, C) < c:
+            continue
+        MC = contract(M, C)
+        for D in combinations(MC.ground, d):
+            if isomorphic(delete(MC, D), N, cap=N.size):
+                return True, (tuple(C), tuple(D))
+    return False, None
 
 
 def has_minor_bruteforce(M, N, cap=8):

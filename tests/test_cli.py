@@ -239,3 +239,38 @@ def test_nonpositive_workers_and_cap_exit_2(argv):
     assert proc.returncode == 2
     assert "must be positive" in proc.stderr
     assert "Traceback" not in proc.stderr
+
+
+# A fixed 9-element binary matroid of rank 5; it has M(K4) and F7* minors
+# whose witnesses contract and delete something.
+NINE = Matrix(GF2, tuple(range(5)), tuple(range(9)),
+              [[1, 0, 1, 0, 1, 1, 1, 0, 1],
+               [1, 0, 1, 0, 0, 0, 1, 1, 0],
+               [1, 1, 0, 0, 0, 1, 0, 0, 1],
+               [0, 0, 1, 1, 0, 1, 0, 0, 0],
+               [1, 1, 1, 1, 1, 0, 1, 1, 0]])
+# the stdout of `minor` and `vconn` on NINE, witnesses included, is a contract
+PINNED_MINOR_K4 = '{"value": true, "witness": {"contract": [0, 5], "delete": [7]}}\n'
+PINNED_MINOR_F7_DUAL = '{"value": true, "witness": {"contract": [5], "delete": [8]}}\n'
+PINNED_VCONN = '{"value": 2, "witness": {"X": [5, 6], "Y": [0, 1, 2, 3, 4, 7, 8]}}\n'
+
+
+def test_minor_and_vconn_stdout_bytes(capsys, tmp_path):
+    nine = tmp_path / "nine.mat"
+    nine.write_text(write_matrix(NINE))
+    _, out = run(capsys, ["construct", "kn", "--n", "4", "--gf", "2", "1"])
+    k4 = tmp_path / "k4.mat"
+    k4.write_text(out)
+    _, out = run(capsys, ["construct", "pg", "--rank", "3", "--gf", "2", "1"])
+    fano = tmp_path / "fano.mat"
+    fano.write_text(out)
+    _, out = run(capsys, ["dual", str(fano)])
+    fano_dual = tmp_path / "fano_dual.mat"
+    fano_dual.write_text(out)
+    outputs = [run(capsys, argv) for argv in (
+        ["minor", str(nine), str(k4)],
+        ["minor", str(nine), str(fano_dual)],
+        ["vconn", str(nine)],
+    )]
+    assert outputs == [(0, PINNED_MINOR_K4), (0, PINNED_MINOR_F7_DUAL),
+                       (0, PINNED_VCONN)]

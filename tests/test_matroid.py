@@ -5,12 +5,16 @@ from hypothesis import strategies as st
 from oracles import (
     confined_bruteforce,
     has_minor_bruteforce,
+    has_minor_reference,
     proj_equiv_bruteforce,
+    random_matrix,
     random_matroid,
     seeded,
     smallest_circuit_bruteforce,
+    subset_ranks_bruteforce,
 )
 
+from matroidlab.constructions import complete_graph, graphic, pg, uniform
 from matroidlab.errors import NotASubfield, NotSubset
 from matroidlab.field import make_field
 from matroidlab.linalg import Matrix, Subspace
@@ -18,6 +22,7 @@ from matroidlab.matroid import (
     UNBOUNDED,
     ReprMatroid,
     OracleMatroid,
+    all_subset_ranks,
     cogirth,
     confined_to,
     contract,
@@ -165,8 +170,6 @@ def test_rank_axioms_exhaustive():
         M = random_matroid(GF3, 6, rng)
         g = M.ground
         n = len(g)
-        from matroidlab.matroid import all_subset_ranks
-
         ranks = all_subset_ranks(M)
         for mask in range(1 << n):
             r = ranks[mask]
@@ -181,6 +184,40 @@ def test_rank_axioms_exhaustive():
                     rb = ranks[mask | 1 << b]
                     rab = ranks[mask | 1 << a | 1 << b]
                     assert ra + rb >= rab + r  # local submodularity
+
+
+def _ranks_instances(field, rng):
+    """Seeded matrices over `field` with a loop and a parallel pair planted,
+    plus rank 0, |E| = 0 and a spanning 12-element case."""
+    yield Matrix(field, (), (), [])
+    yield Matrix(field, (0, 1), tuple(range(4)), [[0] * 4, [0] * 4])
+    for m, n in ((1, 3), (2, 5), (3, 7), (4, 9), (5, 12)):
+        A = random_matrix(field, m, n, rng)
+        data = [list(row) for row in A.data]
+        s = rng.randrange(1, field.q)
+        for row in data:
+            row[0] = 0                          # column 0 is a loop
+            row[2] = field.mul(s, row[1])       # columns 1 and 2 are parallel
+        yield Matrix(field, A.rows, A.cols, data)
+    yield random_matrix(field, 6, 12, rng)
+
+
+@pytest.mark.parametrize("p,k", [(2, 1), (3, 1), (2, 2), (5, 1), (3, 2), (257, 1)])
+def test_all_subset_ranks_match_bruteforce(p, k):
+    F = make_field(p, k)
+    rng = seeded(p * 10 + k)
+    sizes = set()
+    for A in _ranks_instances(F, rng):
+        M = from_generator(A)
+        sizes.add((M.size, M.rank))
+        assert all_subset_ranks(M) == subset_ranks_bruteforce(M)
+    assert (0, 0) in sizes and (4, 0) in sizes and (12, 6) in sizes
+
+
+def test_all_subset_ranks_oracle_matroid():
+    M = uniform(3, 6)
+    assert isinstance(M, OracleMatroid)
+    assert all_subset_ranks(M) == subset_ranks_bruteforce(M)
 
 
 # ---------------------------------------------------------------------------
@@ -360,14 +397,40 @@ def test_u23_has_no_k4_minor():
 
 
 def test_has_minor_matches_bruteforce():
-    rng = seeded(23)
-    checked = 0
-    while checked < 25:
-        M = random_matroid(GF2, 6, rng)
-        N = random_matroid(GF2, 4, rng)
-        got, _ = has_minor(M, N)
-        assert got == has_minor_bruteforce(M, N)
-        checked += 1
+    for field in (GF2, GF3):
+        rng = seeded(23)
+        for _ in range(25):
+            M = random_matroid(field, 6, rng)
+            N = random_matroid(field, 4, rng)
+            got, _ = has_minor(M, N)
+            assert got == has_minor_bruteforce(M, N)
+
+
+@pytest.mark.parametrize("field", [GF2, GF3])
+def test_has_minor_witness_matches_reference(field):
+    rng = seeded(41)
+    f7 = pg(3, GF2)
+    targets = {"U24": uniform(2, 4), "U23": u23(),
+               "K4": graphic(complete_graph(4), GF2), "F7": f7, "F7*": dual(f7)}
+    found = 0
+    for n in range(6, 10):
+        for _ in range(4):
+            M = from_generator(random_matrix(field, rng.randint(3, n - 2), n, rng))
+            for name, N in targets.items():
+                got = has_minor(M, N)
+                assert got == has_minor_reference(M, N), (n, name)
+                found += got[0]
+    assert 10 <= found < 16 * len(targets)  # both verdicts occur
+
+
+def test_minor_with_empty_contraction_is_a_deletion():
+    rng = seeded(7)
+    for field in (GF2, GF3, GF4):
+        for _ in range(5):
+            M = random_matroid(field, 7, rng, min_n=3)
+            assert contract(M, ()) == M
+            for D in ((), M.ground[:1], M.ground[1:3]):
+                assert minor(M, (), D) == delete(M, D)
 
 
 # ---------------------------------------------------------------------------
