@@ -8,11 +8,11 @@ objects.
 """
 
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import combinations, product
 
 from .errors import FieldTooSmall, LabelMismatch
 from .field import FiniteField, MultSubgroup
-from .linalg import Matrix, label_key
+from .linalg import Matrix, combine, label_key, normalizer
 from .matroid import OracleMatroid, ReprMatroid, from_generator, rank_of
 
 
@@ -231,27 +231,16 @@ def reid(F: FiniteField, lines=None) -> ReprMatroid:
     else:
         d1, d3, a, b = lines
     e = (1, 0, 0)
+    normalize = normalizer(F)
 
     def span_points(u, v):
         # normalized points of the projective line through u and v
-        seen, pts = set(), []
-        for s in F.elements():
-            for t in F.elements():
-                if s == 0 and t == 0:
-                    continue
-                w = tuple(F.add(F.mul(s, x), F.mul(t, y)) for x, y in zip(u, v))
-                lead = next(i for i, x in enumerate(w) if x)
-                ia = F.inv(w[lead])
-                w = tuple(F.mul(ia, x) for x in w)
-                if w not in seen:
-                    seen.add(w)
-                    pts.append(w)
-        return pts
+        return [normalize(combine(F, st, (u, v)))
+                for st in product(F.elements(), repeat=2) if any(st)]
 
-    pts = []
-    for p in span_points(e, d1) + span_points(e, d3) + [a, b]:
-        if p not in pts:
-            pts.append(p)
+    # dict.fromkeys drops repeated points and keeps first-seen order
+    pts = list(dict.fromkeys(span_points(e, d1) + span_points(e, d3)
+                             + [tuple(a), tuple(b)]))
     if len(pts) != 2 * F.q + 3:
         raise ValueError("chosen points do not form a Reid configuration")
     rows = [tuple(p[i] for p in pts) for i in range(3)]
@@ -288,23 +277,24 @@ def is_frame_matrix(A: Matrix) -> bool:
     return all(sum(1 for x in A.col_vector(c) if x) <= 2 for c in A.cols)
 
 
+def _is_gamma_frame_column(F, gamma, col):
+    """At most two nonzero entries: a lone one is 1, a pair is 1 and -g
+    for some g in Gamma."""
+    nz = [x for x in col if x]
+    if len(nz) > 2:
+        return False
+    if len(nz) == 1:
+        return nz[0] == 1
+    if len(nz) == 2:
+        v1, v2 = nz
+        return (v1 == 1 and F.neg(v2) in gamma) or (v2 == 1 and F.neg(v1) in gamma)
+    return True
+
+
 def is_gamma_frame_matrix(A: Matrix, gamma: MultSubgroup) -> bool:
     """Frame matrix whose single-nonzero columns contain a 1 and whose
     two-nonzero columns contain a 1 and, elsewhere, -g for some g in Gamma."""
-    F = A.field
-    for c in A.cols:
-        col = A.col_vector(c)
-        nz = [x for x in col if x]
-        if len(nz) > 2:
-            return False
-        if len(nz) == 1 and nz[0] != 1:
-            return False
-        if len(nz) == 2:
-            v1, v2 = nz
-            ok = (v1 == 1 and F.neg(v2) in gamma) or (v2 == 1 and F.neg(v1) in gamma)
-            if not ok:
-                return False
-    return True
+    return all(_is_gamma_frame_column(A.field, gamma, A.col_vector(c)) for c in A.cols)
 
 
 def is_frame_presentation(M_prime, B) -> bool:

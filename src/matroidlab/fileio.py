@@ -288,11 +288,7 @@ def write_template(tmpl) -> str:
     A1 = tmpl.A1.submatrix(named_rows, named_cols)
     lines += [" ".join(str(x) for x in row) for row in A1.data]
     lines.append("lambda")
-    lines += [" ".join(str(x) for x in g) for g in _span_generators(tmpl.lam)]
+    lines += [" ".join(str(x) for x in g) for g in tmpl.lam.generators()]
     lines.append("delta")
-    lines += [" ".join(str(x) for x in g) for g in _span_generators(tmpl.delta)]
+    lines += [" ".join(str(x) for x in g) for g in tmpl.delta.generators()]
     return "\n".join(lines) + "\n"
-
-
-def _span_generators(span: AdditiveSpan):
-    return [span._unflatten(list(row)) for row in span.basis]

@@ -7,9 +7,12 @@ fixed so that reduced row echelon forms, and hence all serialized
 output, are deterministic.
 
 The row space of a matrix is held canonically as a Subspace: an RREF
-basis over the sorted ambient label set.  Minimum-weight search is an
-honest enumeration, organized by coefficient support so that it prunes
-to the candidates that can still win.
+basis over the sorted ambient label set.  rref_rows, reduce_vector,
+extend_echelon and combine are the one echelon kernel: the rest of the
+library reduces vectors and combines rows through them, except the
+packed walks of all_subset_ranks and min_weight.  Minimum-weight search
+is an honest enumeration, organized by coefficient support so that it
+prunes to the candidates that can still win.
 """
 
 from itertools import combinations, product
@@ -86,28 +89,42 @@ def null_space_rows(field, rows, n):
     return out
 
 
-def echelon_reducer(field):
-    """reduce(ech, v) for incremental echelon forms over `field`.
+def reduce_vector(field, basis, pivots, v):
+    """The remainder of v modulo an echelon basis, as a list.
 
-    `ech` is a list of (pivot, row) pairs, each row 1 at its pivot.
-    reduce returns the (pivot, row) pair that v adds, its remainder scaled
-    to 1 at its first nonzero entry, or None if v lies in their span.
+    Row i of `basis` is 1 at pivots[i] and 0 at every earlier pivot (an
+    RREF basis is one such), so clearing v at each pivot in turn leaves
+    zero exactly when v lies in the span.
     """
-    add, mul, neg, inv = field.add, field.mul, field.neg, field.inv
+    v = list(v)
+    for row, p in zip(basis, pivots):
+        if v[p]:
+            f, add, mul = field.neg(v[p]), field.add, field.mul
+            v = [add(x, mul(f, y)) for x, y in zip(v, row)]
+    return v
 
-    def reduce_against(ech, v):
-        v = list(v)
-        for p, row in ech:
-            if v[p]:
-                f = neg(v[p])
-                v = [add(x, mul(f, y)) for x, y in zip(v, row)]
-        for p, x in enumerate(v):
-            if x:
-                ia = inv(x)
-                return p, tuple(mul(ia, y) for y in v)
-        return None
 
-    return reduce_against
+def extend_echelon(field, basis, pivots, v):
+    """(basis, pivots), as tuples, grown by v's remainder scaled to 1 at
+    its first nonzero entry; unchanged when v lies in the span."""
+    rest = reduce_vector(field, basis, pivots, v)
+    for p, x in enumerate(rest):
+        if x:
+            if x != 1:
+                ia, mul = field.inv(x), field.mul
+                rest = [mul(ia, y) for y in rest]
+            return basis + (tuple(rest),), pivots + (p,)
+    return basis, pivots
+
+
+def combine(field, coeffs, rows):
+    """The linear combination sum coeffs[i] * rows[i] of non-empty rows."""
+    add, mul = field.add, field.mul
+    out = [0] * len(rows[0])
+    for c, row in zip(coeffs, rows):
+        if c:
+            out = [add(x, mul(c, y)) for x, y in zip(out, row)]
+    return tuple(out)
 
 
 def normalizer(field):
@@ -175,9 +192,6 @@ class Matrix:
     def entry(self, r, c):
         return self.data[self._rindex[r]][self._cindex[c]]
 
-    def row_vector(self, r):
-        return self.data[self._rindex[r]]
-
     def col_vector(self, c):
         j = self._cindex[c]
         return tuple(row[j] for row in self.data)
@@ -192,9 +206,6 @@ class Matrix:
     def transpose(self):
         return Matrix(self.field, self.cols, self.rows,
                       [self.col_vector(c) for c in self.cols])
-
-    def with_sorted_labels(self):
-        return self.submatrix(sort_labels(self.rows), sort_labels(self.cols))
 
     def hstack(self, other):
         if other.field != self.field or other.rows != self.rows:
@@ -230,19 +241,15 @@ class Subspace:
 
     __slots__ = ("field", "ambient", "basis", "pivots", "_index")
 
-    def __init__(self, field, ambient, vectors, _canonical=False):
+    def __init__(self, field, ambient, vectors):
         ambient = tuple(ambient)
         if len(set(ambient)) != len(ambient):
             raise LabelMismatch("duplicate ambient labels")
         order = sort_labels(ambient)
-        if _canonical:
-            basis = [tuple(v) for v in vectors]
-            _, piv = rref_rows(field, basis) if basis else ([], [])
-        else:
-            if ambient != order:
-                perm = [ambient.index(lbl) for lbl in order]
-                vectors = [[v[i] for i in perm] for v in vectors]
-            basis, piv = rref_rows(field, vectors)
+        if ambient != order:
+            perm = [ambient.index(lbl) for lbl in order]
+            vectors = [[v[i] for i in perm] for v in vectors]
+        basis, piv = rref_rows(field, vectors)
         self.field = field
         self.ambient = order
         self.basis = tuple(basis)
@@ -263,14 +270,7 @@ class Subspace:
             for lbl, x in zip(labels, vec):
                 aligned[self._index[lbl]] = x
             vec = aligned
-        v = list(vec)
-        F = self.field
-        add, mul, neg = F.add, F.mul, F.neg
-        for row, p in zip(self.basis, self.pivots):
-            if v[p]:
-                f = neg(v[p])
-                v = [add(x, mul(f, y)) for x, y in zip(v, row)]
-        return not any(v)
+        return not any(reduce_vector(self.field, self.basis, self.pivots, vec))
 
     def vectors(self):
         """All q^dim vectors, in deterministic order.  Small spaces only."""

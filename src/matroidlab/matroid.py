@@ -5,14 +5,15 @@ canonical RREF so that equality of represented matroids is structural
 equality.  Girth is computed as the minimum weight of the orthogonal
 complement (circuits are the minimal supports of the kernel of any
 generator matrix); cogirth is the minimum weight of the row space
-itself.  A slower circuit-enumeration route is kept alongside as a
-cross-check oracle.
+itself.  The tests compare both with a circuit enumeration in
+tests/oracles.py.
 
 Rank-oracle matroids host the abstract matroids (graphic, bicircular,
 uniform) that have no preferred representation.
 """
 
 from collections import Counter
+from functools import cached_property
 from itertools import combinations
 
 from .errors import CapExceeded, LabelMismatch, NotASubfield, NotSubset
@@ -20,10 +21,8 @@ from .field import FiniteField
 from .linalg import (
     Matrix,
     Subspace,
-    label_key,
     min_weight,
     normalizer,
-    null_space_rows,
     orth_complement,
     rref_rows,
     sort_labels,
@@ -185,30 +184,21 @@ def delete(M, X):
 
 
 def contract(M, X):
-    """M / X: vectors of U vanishing on X, restricted to E - X."""
+    """M / X: vectors of U vanishing on X, restricted to E - X.
+
+    In an RREF of U with the X columns first, the rows pivoting outside X
+    vanish on X and span every vector of U that does.
+    """
     X = _check_subset(M, X)
     keep = [e for e in M.ground if e not in X]
     if isinstance(M, OracleMatroid):
         base = M.rank_of(X)
         fn = lambda S: M.rank_of(set(S) | X) - base
         return OracleMatroid(keep, fn, validate=False)
-    B = M.space.basis
-    d = M.rank
-    xi = [M.space.index(e) for e in sorted(X, key=label_key)]
-    # coefficient vectors c with c . B[:, X] = 0
-    cond_rows = [[B[i][j] for i in range(d)] for j in xi]
-    coeffs = null_space_rows(M.field, cond_rows, d)
-    add, mul = M.field.add, M.field.mul
-    keep_idx = [M.space.index(e) for e in keep]
-    vecs = []
-    for c in coeffs:
-        v = [0] * len(keep_idx)
-        for ci, row in zip(c, B):
-            if ci:
-                for t, j in enumerate(keep_idx):
-                    if row[j]:
-                        v[t] = add(v[t], mul(ci, row[j]))
-        vecs.append(v)
+    order = ([i for i, e in enumerate(M.ground) if e in X]
+             + [i for i, e in enumerate(M.ground) if e not in X])
+    red, piv = rref_rows(M.field, [[row[i] for i in order] for row in M.space.basis])
+    vecs = [row[len(X):] for row, p in zip(red, piv) if p >= len(X)]
     return ReprMatroid(keep, Subspace(M.field, keep, vecs))
 
 
@@ -361,13 +351,41 @@ def loops(M):
 # projective equivalence and subfield confinement
 # ---------------------------------------------------------------------------
 
+def _solve_ratios(n, constraints, op, inverse, one):
+    """Labels val[c] in a group with val[c] = op(w, val[p]) for every
+    constraint (p, c, w), or None if no labelling satisfies them all.
+
+    Each component of the column graph is labelled by propagation from
+    its least column, set to `one`; every constraint is then re-checked.
+    """
+    adj = {}
+    for p, c, w in constraints:
+        adj.setdefault(p, []).append((c, w))
+        adj.setdefault(c, []).append((p, inverse(w)))
+    val = {}
+    for start in range(n):
+        if start in val or start not in adj:
+            continue
+        val[start] = one
+        stack = [start]
+        while stack:
+            u = stack.pop()
+            for v, w in adj[u]:
+                if v not in val:
+                    val[v] = op(w, val[u])
+                    stack.append(v)
+    if all(val[c] == op(w, val[p]) for p, c, w in constraints):
+        return val
+    return None
+
+
 def projectively_equivalent(M1: ReprMatroid, M2: ReprMatroid) -> bool:
     """True iff U2 = {x D : x in U1} for some nonsingular diagonal D.
 
     Because both spaces are in RREF, a scaling D works iff the pivot sets
     match and the per-entry ratio constraints d_c / d_pivot(i) =
-    B2[i,c] / B1[i,c] admit a solution; constraints are propagated over
-    the column graph and then re-verified, so no scaling search is needed.
+    B2[i,c] / B1[i,c] admit a solution in F^x, which _solve_ratios
+    decides, so no scaling search is needed.
     """
     if M1.ground != M2.ground:
         raise LabelMismatch("projective equivalence needs equal ground sets")
@@ -388,23 +406,7 @@ def projectively_equivalent(M1: ReprMatroid, M2: ReprMatroid) -> bool:
                 return False
             if row1[c]:
                 constraints.append((p, c, F.div(row2[c], row1[c])))
-    adj = {}
-    for p, c, w in constraints:
-        adj.setdefault(p, []).append((c, w))
-        adj.setdefault(c, []).append((p, F.inv(w)))
-    val = {}
-    for start in range(n):
-        if start in val or start not in adj:
-            continue
-        val[start] = 1
-        stack = [start]
-        while stack:
-            u = stack.pop()
-            for v, w in adj[u]:
-                if v not in val:
-                    val[v] = F.mul(w, val[u])
-                    stack.append(v)
-    return all(val[c] == F.mul(w, val[p]) for p, c, w in constraints)
+    return _solve_ratios(n, constraints, F.mul, F.inv, 1) is not None
 
 
 def confined_to(M: ReprMatroid, F0) -> bool:
@@ -417,9 +419,10 @@ def confinement_witness(M: ReprMatroid, F0):
     subfield, as a label -> code dict, or None if M is not confined.
 
     Each nonzero RREF entry constrains the scalings of its column and its
-    pivot column inside the quotient group F^x / F0^x (cyclic of order
-    (q-1)/(q0-1)); the constraint graph is solved by propagation and the
-    resulting scaling is re-verified before being returned.
+    pivot column inside the quotient group F^x / F0^x, cyclic of order
+    m = (q-1)/(q0-1) and written additively through discrete logs mod m;
+    _solve_ratios solves the constraints, and the resulting scaling is
+    re-verified before being returned.
     """
     F = M.field
     if isinstance(F0, FiniteField):
@@ -432,31 +435,13 @@ def confinement_witness(M: ReprMatroid, F0):
     if sub.q == F.q or M.rank == 0:
         return {e: 1 for e in M.ground}
     m = (F.q - 1) // (sub.q - 1)
-    ci = lambda x: F.dlog(x) % m
     B = M.space
-    constraints = []
-    for i, p in enumerate(B.pivots):
-        row = B.basis[i]
-        for c in range(n):
-            if c != p and row[c]:
-                constraints.append((p, c, ci(row[c])))
-    adj = {}
-    for p, c, w in constraints:
-        adj.setdefault(p, []).append((c, -w))
-        adj.setdefault(c, []).append((p, w))
-    val = {}
-    for start in range(n):
-        if start in val or start not in adj:
-            continue
-        val[start] = 0
-        stack = [start]
-        while stack:
-            u = stack.pop()
-            for v, w in adj[u]:
-                if v not in val:
-                    val[v] = (val[u] + w) % m
-                    stack.append(v)
-    if not all((val[c] - val[p] + w) % m == 0 for p, c, w in constraints):
+    constraints = [(p, c, -F.dlog(row[c]) % m)
+                   for row, p in zip(B.basis, B.pivots)
+                   for c in range(n) if c != p and row[c]]
+    val = _solve_ratios(n, constraints, lambda w, x: (w + x) % m,
+                        lambda w: -w % m, 0)
+    if val is None:
         return None
     g = F.generator()
     scales = [F.pow(g, val.get(c, 0)) for c in range(n)]
@@ -537,18 +522,22 @@ def all_subset_ranks(M, cap=DEFAULT_SUBSET_CAP):
 
 
 class _IsoProfile:
-    """A rank table with the invariants the isomorphism search prunes on."""
+    """A rank table with the invariants the isomorphism search prunes on.
+    The pair signatures are built on first use, after the rank histograms
+    have matched."""
 
     def __init__(self, ground, ranks):
         self.n = len(ground)
         self.ground = ground
         self.ranks = ranks
         self.hist = Counter(zip(map(int.bit_count, range(len(ranks))), ranks))
-        self.sigs = []
-        for i in range(self.n):
-            pair = sorted(ranks[(1 << i) | (1 << j)]
-                          for j in range(self.n) if j != i)
-            self.sigs.append((ranks[1 << i], tuple(pair)))
+
+    @cached_property
+    def sigs(self):
+        ranks, n = self.ranks, self.n
+        return [(ranks[1 << i],
+                 tuple(sorted(ranks[(1 << i) | (1 << j)] for j in range(n) if j != i)))
+                for i in range(n)]
 
 
 def _profile(M, cap):

@@ -3,16 +3,16 @@ represented matroids on a common ground set, and rank perturbations.
 
 Projections of M = (E, U) are exactly the (E, U') with U' a subspace of
 U of codimension at most one, and lifts are the superspaces of dimension
-at most one more; this lattice characterization is validated against the
-definitional add-an-element-then-contract enumeration in the tests.
-Distance is a breadth-first search in the subspace lattice.
+at most one more; the tests check this lattice characterization against
+the definitional add-an-element-then-contract enumeration.  Distance is
+a breadth-first search in the subspace lattice.
 
 pert_exact reduces the minimum of rank(A1 - A2) over aligned generator
 matrices to a search over difference row spaces: a subspace V of U1+U2
 works iff U1 <= U2 + V and U2 <= U1 + V (any valid pair of matrices has
 such a V of dimension rank(A1 - A2); conversely pairing bases through V
-achieves dim V at row count dim U1 + dim U2).  pert_exact_tiny keeps the
-literal enumeration over coefficient matrices as a cross-check.
+achieves dim V at row count dim U1 + dim U2).  The tests compare it with
+the literal enumeration over coefficient matrices in tests/oracles.py.
 """
 
 from dataclasses import dataclass
@@ -22,15 +22,18 @@ from .errors import CapExceeded, LabelMismatch, ShapeMismatch
 from .linalg import (
     Matrix,
     Subspace,
+    combine,
     enumerate_subspaces,
+    extend_echelon,
+    intersect_spaces,
     null_space_rows,
     rref_rows,
+    subspace_count,
     sum_spaces,
 )
 from .matroid import ReprMatroid
 
 DEFAULT_LATTICE_CAP = 5000
-DEFAULT_PAIR_CAP = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -68,19 +71,11 @@ def elementary_projections(M: ReprMatroid, cap=DEFAULT_LATTICE_CAP):
         raise CapExceeded(f"{count} hyperplanes exceeds cap {cap}")
     out = [M]
     B = M.space.basis
-    add, mul = F.add, F.mul
     for code in product(F.elements(), repeat=d):
         lead = next((i for i, x in enumerate(code) if x), None)
         if lead is None or code[lead] != 1:
             continue  # one normalized functional per hyperplane
-        kernel = null_space_rows(F, [list(code)], d)
-        vecs = []
-        for coeff in kernel:
-            v = [0] * len(M.ground)
-            for ci, row in zip(coeff, B):
-                if ci:
-                    v = [add(x, mul(ci, y)) for x, y in zip(v, row)]
-            vecs.append(v)
+        vecs = [combine(F, coeff, B) for coeff in null_space_rows(F, [code], d)]
         out.append(ReprMatroid(M.ground, Subspace(F, M.ground, vecs)))
     return out
 
@@ -111,28 +106,23 @@ def dist(pair: PerturbPair, cap=100000) -> int:
     """Minimum number of elementary projections and lifts from M1 to M2:
     a shortest path in the subspace lattice of F^E, explored lazily by
     breadth-first search (cap bounds the subspaces visited)."""
-    F = pair.field
-    ground = pair.ground
-    start = pair.m1.space.basis
     goal = pair.m2.space.basis
-    if start == goal:
+    if pair.m1.space.basis == goal:
         return 0
-    seen = {start}
-    frontier = [start]
+    seen = {pair.m1.space.basis}
+    frontier = [pair.m1]
     steps = 0
     while frontier:
         steps += 1
         nxt = []
-        for basis in frontier:
-            M = ReprMatroid(ground, Subspace(F, ground, list(basis),
-                                             _canonical=True))
+        for M in frontier:
             for N in elementary_projections(M, cap) + elementary_lifts(M, cap):
                 nb = N.space.basis
                 if nb == goal:
                     return steps
                 if nb not in seen:
                     seen.add(nb)
-                    nxt.append(nb)
+                    nxt.append(N)
         if len(seen) > cap:
             raise CapExceeded(f"visited over {cap} subspaces")
         frontier = nxt
@@ -143,17 +133,16 @@ def dist(pair: PerturbPair, cap=100000) -> int:
 # rank perturbations
 # ---------------------------------------------------------------------------
 
-def _complement_rows(field, base_rows, space_rows):
-    """Rows of `space_rows` extending the echelon of `base_rows` to a basis
-    of the larger space."""
-    ech, _ = rref_rows(field, base_rows) if base_rows else ([], [])
+def _complement_rows(field, W: Subspace, rows):
+    """The rows, in order, outside the span of W and of the rows kept
+    before them: they extend W's basis to a basis of W + span(rows)."""
+    ech = W.basis, W.pivots
     out = []
-    cur = list(ech)
-    for row in space_rows:
-        stacked, _ = rref_rows(field, cur + [list(row)])
-        if len(stacked) > len(cur):
-            out.append(tuple(row))
-            cur = stacked
+    for row in rows:
+        grown = extend_echelon(field, *ech, row)
+        if len(grown[1]) > len(ech[1]):
+            out.append(row)
+            ech = grown
     return out
 
 
@@ -177,15 +166,13 @@ def pert_bounds(pair: PerturbPair, with_witness=False):
 def _aligned_generators(pair: PerturbPair):
     """Generator row lists for (m1, m2) with a common row count, pairing a
     shared basis of the intersection first and complements afterwards."""
-    from .linalg import intersect_spaces
-
     F = pair.field
     n = len(pair.ground)
     U1, U2 = pair.m1.space, pair.m2.space
     W = intersect_spaces(U1, U2)
     shared = [list(r) for r in W.basis]
-    x_rows = _complement_rows(F, shared, U1.basis)
-    y_rows = _complement_rows(F, shared, U2.basis)
+    x_rows = _complement_rows(F, W, U1.basis)
+    y_rows = _complement_rows(F, W, U2.basis)
     height = max(len(x_rows), len(y_rows))
     zero = [0] * n
     A1 = shared + [list(r) for r in x_rows] + [zero] * (height - len(x_rows))
@@ -201,86 +188,17 @@ def pert_exact(pair: PerturbPair, cap=DEFAULT_LATTICE_CAP) -> int:
         return 0
     S = sum_spaces(U1, U2)
     s = S.dim
-    from .linalg import subspace_count
-
     if subspace_count(F.q, s) > cap:
         raise CapExceeded(f"subspace search in dim {s} exceeds cap {cap}")
-    add, mul = F.add, F.mul
-    n = len(pair.ground)
-
-    def to_ambient(coeff_rows):
-        out = []
-        for c in coeff_rows:
-            v = [0] * n
-            for ci, row in zip(c, S.basis):
-                if ci:
-                    v = [add(x, mul(ci, y)) for x, y in zip(v, row)]
-            out.append(v)
-        return out
-
     for vb in enumerate_subspaces(F, s, cap=cap):  # ascending dimension
-        V_rows = to_ambient(vb)
-        up2 = Subspace(F, pair.ground, [list(r) for r in U2.basis] + V_rows)
+        V_rows = [combine(F, c, S.basis) for c in vb]
+        up2 = Subspace(F, pair.ground, list(U2.basis) + V_rows)
         if not all(up2.contains(r) for r in U1.basis):
             continue
-        up1 = Subspace(F, pair.ground, [list(r) for r in U1.basis] + V_rows)
+        up1 = Subspace(F, pair.ground, list(U1.basis) + V_rows)
         if all(up1.contains(r) for r in U2.basis):
             return len(vb)
     raise AssertionError("V = U1 + U2 is always feasible")  # unreachable
-
-
-def pert_exact_tiny(pair: PerturbPair, cap=DEFAULT_PAIR_CAP) -> int:
-    """Literal enumeration over generator pairs (T1 B1, T2 B2) at row count
-    dim U1 + dim U2, minimizing rank(A1 - A2).  Cross-check oracle only."""
-    F = pair.field
-    U1, U2 = pair.m1.space, pair.m2.space
-    d1, d2 = U1.dim, U2.dim
-    m = d1 + d2
-    if d1 == 0 or d2 == 0:
-        return max(d1, d2)  # zero rows force the other space wholesale
-
-    def full_rank_count(d):
-        return _count_full_rank(F.q, m, d)
-
-    if full_rank_count(d1) * full_rank_count(d2) > cap:
-        raise CapExceeded("coefficient enumeration exceeds cap")
-
-    def generators(basis, d):
-        out = []
-        for entries in product(F.elements(), repeat=m * d):
-            T = [entries[i * d:(i + 1) * d] for i in range(m)]
-            _, piv = rref_rows(F, T)
-            if len(piv) != d:
-                continue
-            rows = []
-            for trow in T:
-                v = [0] * len(pair.ground)
-                for c, brow in zip(trow, basis):
-                    if c:
-                        v = [F.add(x, F.mul(c, y)) for x, y in zip(v, brow)]
-                rows.append(v)
-            out.append(rows)
-        return out
-
-    best = None
-    gens2 = generators(U2.basis, d2)
-    for A1 in generators(U1.basis, d1):
-        for A2 in gens2:
-            diff = [[F.sub(x, y) for x, y in zip(r1, r2)]
-                    for r1, r2 in zip(A1, A2)]
-            _, piv = rref_rows(F, diff)
-            if best is None or len(piv) < best:
-                best = len(piv)
-                if best == 0:
-                    return 0
-    return best
-
-
-def _count_full_rank(q, m, d):
-    out = 1
-    for i in range(d):
-        out *= q ** m - q ** i
-    return out
 
 
 def apply_perturbation(M: ReprMatroid, P: Matrix):

@@ -24,14 +24,14 @@ from itertools import combinations_with_replacement, product
 from math import comb
 
 from .errors import BadAssignment, CapExceeded, LabelClash, NotConforming
-from .field import FiniteField, MultSubgroup, SubfieldEmbedding, make_field
+from .constructions import _is_gamma_frame_column
+from .field import FiniteField, MultSubgroup, SubfieldEmbedding, _digits, _undigits, make_field
 from .linalg import (
     Matrix,
     Subspace,
-    echelon_reducer,
+    extend_echelon,
     label_key,
     normalizer,
-    rref_rows,
     sort_labels,
 )
 from .matroid import (
@@ -53,82 +53,54 @@ class AdditiveSpan:
     """All prime-subfield linear combinations of generator vectors in F^E.
 
     This is an additive group, not necessarily an F-subspace; frame
-    templates need exactly that.  Membership reduces each coordinate to
-    its base-p digit vector and echelonizes over GF(p).
+    templates need exactly that.  It is held as `space`, a GF(p)-subspace
+    of the base-p digit vectors (k digits per coordinate of GF(p^k)).
     """
 
     def __init__(self, field: FiniteField, ambient, generators):
         self.field = field
         self.ambient = sort_labels(ambient)
-        self.prime = make_field(field.p, 1)
-        flat = [self._flatten(g) for g in generators]
-        self.basis, _ = rref_rows(self.prime, flat) if flat else ([], [])
+        self.space = Subspace(make_field(field.p, 1), range(len(self.ambient) * field.k),
+                              [self._flatten(g) for g in generators])
 
     def _flatten(self, vec):
-        p, k = self.field.p, self.field.k
-        out = []
-        for x in vec:
-            for _ in range(k):
-                out.append(x % p)
-                x //= p
-        return out
+        return [d for x in vec for d in _digits(x, self.field.p, self.field.k)]
 
     def _unflatten(self, flat):
         p, k = self.field.p, self.field.k
-        out = []
-        for i in range(len(self.ambient)):
-            code = 0
-            for d in reversed(flat[i * k:(i + 1) * k]):
-                code = code * p + d
-            out.append(code)
-        return tuple(out)
+        return tuple(_undigits(flat[i:i + k], p) for i in range(0, len(flat), k))
 
     @property
     def dim(self):
-        return len(self.basis)
+        return self.space.dim
 
     @property
     def size(self):
         return self.field.p ** self.dim
 
+    def generators(self):
+        """The reduced basis, as vectors of F^E."""
+        return [self._unflatten(row) for row in self.space.basis]
+
     def contains(self, vec):
-        if len(vec) != len(self.ambient):
-            return False
-        v = list(self._flatten(vec))
-        P = self.prime
-        for row in self.basis:
-            pcol = next(i for i, x in enumerate(row) if x)
-            if v[pcol]:
-                f = P.neg(v[pcol])
-                v = [P.add(x, P.mul(f, y)) for x, y in zip(v, row)]
-        return not any(v)
+        return len(vec) == len(self.ambient) and self.space.contains(self._flatten(vec))
 
     def elements(self):
         """All members, deterministic order (coefficient lex order)."""
-        P = self.prime
-        out = [tuple([0] * (len(self.ambient) * self.field.k))]
-        for row in self.basis:
-            out = [tuple(P.add(x, P.mul(s, y)) for x, y in zip(v, row))
-                   for v in out for s in P.elements()]
-        return [self._unflatten(list(v)) for v in out]
+        return [self._unflatten(v) for v in self.space.vectors()]
 
     def closed_under(self, gamma: MultSubgroup) -> bool:
         F = self.field
-        for g in gamma.elements:
-            for row in self.basis:
-                vec = self._unflatten(list(row))
-                scaled = tuple(F.mul(g, x) for x in vec)
-                if not self.contains(scaled):
-                    return False
-        return True
+        return all(self.contains(tuple(F.mul(g, x) for x in vec))
+                   for g in gamma.elements for vec in self.generators())
 
     def __eq__(self, other):
         return (isinstance(other, AdditiveSpan)
-                and (self.field, self.ambient, tuple(self.basis))
-                == (other.field, other.ambient, tuple(other.basis)))
+                and (self.field, self.ambient, self.space)
+                == (other.field, other.ambient, other.space))
 
     def __hash__(self):
-        return hash((self.field, self.ambient, tuple(self.basis)))
+        return hash((self.field, self.ambient, self.space))
 
 
 # ---------------------------------------------------------------------------
@@ -316,18 +288,6 @@ def _realize(A: Matrix, contract_set, delete_set) -> ReprMatroid:
 # ---------------------------------------------------------------------------
 # frame conformance
 # ---------------------------------------------------------------------------
-
-def _is_gamma_frame_column(F, gamma, col):
-    nz = [x for x in col if x]
-    if len(nz) > 2:
-        return False
-    if len(nz) == 1:
-        return nz[0] == 1
-    if len(nz) == 2:
-        v1, v2 = nz
-        return (v1 == 1 and F.neg(v2) in gamma) or (v2 == 1 and F.neg(v1) in gamma)
-    return True
-
 
 def _is_unit_column(col):
     nz = [x for x in col if x]
@@ -708,9 +668,9 @@ def _member_frame(tmpl, M, row_cap, cap):
 
 def _member_frame_at_rows(tmpl, M, b, f, prune_ok, simple_target, budget):
     lay = _FrameLayout(tmpl, b, f)
+    F = tmpl.field
     r_target = M.rank
-    reduce_against = echelon_reducer(tmpl.field)
-    normalize = normalizer(tmpl.field)
+    normalize = normalizer(F)
     checked = set()
 
     for delta_pick in combinations_with_replacement(range(len(lay.delta_elems)), b):
@@ -722,20 +682,18 @@ def _member_frame_at_rows(tmpl, M, b, f, prune_ok, simple_target, budget):
             v[len(tmpl.D) + t] = 1
             init_cols.append(tuple(v))
         init_cols += [named[y] for y in tmpl.Y0]
-        ech = []
+        ech = ((), ())  # echelon (basis, pivots) of the survivor columns
         keys = set()
         ok = True
         for v in init_cols:
-            red = reduce_against(ech, v)
-            if red is not None:
-                ech = ech + [red]
+            ech = extend_echelon(F, *ech, v)
             if simple_target:
                 k = normalize(v)
                 if k is None or k in keys:
                     ok = False
                     break
                 keys.add(k)
-        if not ok or (prune_ok and len(ech) > r_target):
+        if not ok or (prune_ok and len(ech[1]) > r_target):
             continue
 
         def allowed_rows(used):
@@ -755,17 +713,16 @@ def _member_frame_at_rows(tmpl, M, b, f, prune_ok, simple_target, budget):
             budget[0] -= 1
             if budget[0] < 0:
                 raise CapExceeded("frame membership search budget exhausted")
-            if prune_ok and len(ech) > r_target:
+            if prune_ok and len(ech[1]) > r_target:
                 return False
             if col_idx == f:
-                if prune_ok and len(ech) != r_target:
+                if prune_ok and len(ech[1]) != r_target:
                     return False
                 return finish(chosen)
             for option in lay.options(allowed_rows(used)):
                 vec = lay.column(option, named)
-                red = reduce_against(ech, vec)
-                new_ech = ech + [red] if red is not None else ech
-                if prune_ok and len(new_ech) > r_target:
+                new_ech = extend_echelon(F, *ech, vec)
+                if prune_ok and len(new_ech[1]) > r_target:
                     continue
                 new_keys = keys
                 if simple_target:

@@ -217,6 +217,60 @@ def exact_ml_error(code, p, cap=1 << 20) -> float:
     return total
 
 
+def pert_exact_tiny(pair, cap=1 << 20) -> int:
+    """Literal enumeration over generator pairs (T1 B1, T2 B2) at row count
+    dim U1 + dim U2, minimizing rank(A1 - A2): the definition of pert_exact."""
+    F = pair.field
+    U1, U2 = pair.m1.space, pair.m2.space
+    d1, d2 = U1.dim, U2.dim
+    m = d1 + d2
+    if d1 == 0 or d2 == 0:
+        return max(d1, d2)  # zero rows force the other space wholesale
+
+    def full_rank_count(d):
+        return _count_full_rank(F.q, m, d)
+
+    if full_rank_count(d1) * full_rank_count(d2) > cap:
+        raise CapExceeded("coefficient enumeration exceeds cap")
+
+    def generators(basis, d):
+        out = []
+        for entries in product(F.elements(), repeat=m * d):
+            T = [entries[i * d:(i + 1) * d] for i in range(m)]
+            _, piv = rref_rows(F, T)
+            if len(piv) != d:
+                continue
+            rows = []
+            for trow in T:
+                v = [0] * len(pair.ground)
+                for c, brow in zip(trow, basis):
+                    if c:
+                        v = [F.add(x, F.mul(c, y)) for x, y in zip(v, brow)]
+                rows.append(v)
+            out.append(rows)
+        return out
+
+    best = None
+    gens2 = generators(U2.basis, d2)
+    for A1 in generators(U1.basis, d1):
+        for A2 in gens2:
+            diff = [[F.sub(x, y) for x, y in zip(r1, r2)]
+                    for r1, r2 in zip(A1, A2)]
+            _, piv = rref_rows(F, diff)
+            if best is None or len(piv) < best:
+                best = len(piv)
+                if best == 0:
+                    return 0
+    return best
+
+
+def _count_full_rank(q, m, d):
+    out = 1
+    for i in range(d):
+        out *= q ** m - q ** i
+    return out
+
+
 def seeded(seed):
     return random.Random(seed)
 

@@ -274,3 +274,52 @@ def test_minor_and_vconn_stdout_bytes(capsys, tmp_path):
     )]
     assert outputs == [(0, PINNED_MINOR_K4), (0, PINNED_MINOR_F7_DUAL),
                        (0, PINNED_VCONN)]
+
+
+GF3, GF4, GF8 = make_field(3, 1), make_field(2, 2), make_field(2, 3)
+# inputs whose outputs go through projective scalings, aligned generators,
+# the lattice search and line spans; the bytes are those printed before
+# these paths moved onto the shared echelon kernel
+PINNED_INPUTS = {
+    "conf4": Matrix(GF4, (0, 1), ("a", "b", "c", "d"), [[1, 0, 2, 3], [0, 1, 2, 3]]),
+    "conf4n": Matrix(GF4, (0, 1), ("a", "b", "c", "d"), [[1, 0, 2, 2], [0, 1, 2, 3]]),
+    "conf8": Matrix(GF8, (0, 1, 2), tuple(range(6)),
+                    [[1, 0, 0, 3, 0, 5], [0, 1, 0, 3, 6, 0], [0, 0, 1, 0, 6, 5]]),
+    "p1": Matrix(GF3, (0, 1), tuple(range(5)), [[1, 0, 1, 2, 0], [0, 1, 1, 0, 2]]),
+    "p2": Matrix(GF3, (0, 1), tuple(range(5)), [[1, 1, 0, 0, 1], [0, 0, 1, 1, 1]]),
+    "p3": Matrix(GF3, (0, 1, 2), tuple(range(5)),
+                 [[1, 0, 1, 2, 0], [0, 0, 0, 1, 1], [0, 1, 2, 0, 0]]),
+    "d1": Matrix(GF2, (0,), tuple(range(4)), [[1, 0, 0, 0]]),
+    "d2": Matrix(GF2, (0, 1), tuple(range(4)), [[0, 1, 0, 0], [0, 0, 1, 1]]),
+}
+PINNED_STDOUT = [
+    (["confine", "conf4", "--sub", "2", "1"],
+     '{"value": true, "witness": {"a": 1, "b": 1, "c": 3, "d": 2}}\n'),
+    (["confine", "conf4n", "--sub", "2", "1"], '{"value": false, "witness": null}\n'),
+    (["confine", "conf8", "--sub", "2", "1"],
+     '{"value": true, "witness": {"0": 1, "1": 1, "2": 1, "3": 6, "4": 3, "5": 2}}\n'),
+    (["perturb", "pert", "p1", "p2", "--exact"],
+     '{"exact": 2, "hi": 2, "lo": 2, "witness": [[0, 2, 1, 2, 2], [0, 1, 0, 2, 1]]}\n'),
+    (["perturb", "pert", "p1", "p3", "--exact"],
+     '{"exact": 2, "hi": 2, "lo": 2, '
+     '"witness": [[0, 0, 0, 0, 0], [2, 1, 0, 0, 1], [0, 2, 1, 0, 0]]}\n'),
+    (["perturb", "dist", "d1", "d2"], '{"value": 3}\n'),
+    (["perturb", "dist", "p1", "p2"], '{"value": 4}\n'),
+    (["construct", "reid", "--gf", "3", "1"],
+     "gf 3 1\nrows 0 1 2\ncols 0 1 2 3 4 5 6 7 8\n1 0 1 2 0 0 0 1 1\n"
+     "0 1 1 1 0 1 1 0 1\n0 0 0 0 1 1 2 1 1\n"),
+    (["construct", "reid", "--gf", "2", "2"],
+     "gf 2 2\npoly 1 1 1\nrows 0 1 2\ncols 0 1 2 3 4 5 6 7 8 9 10\n"
+     "1 0 1 2 3 0 0 0 0 1 1\n0 1 1 1 1 0 1 1 1 0 1\n0 0 0 0 0 1 1 2 3 1 1\n"),
+]
+
+
+@pytest.mark.parametrize("argv,expected", PINNED_STDOUT,
+                         ids=[" ".join(argv[:4]) for argv, _ in PINNED_STDOUT])
+def test_confine_perturb_reid_stdout_bytes(capsys, tmp_path, argv, expected):
+    paths = {}
+    for name, A in PINNED_INPUTS.items():
+        paths[name] = tmp_path / f"{name}.mat"
+        paths[name].write_text(write_matrix(A))
+    argv = [str(paths[a]) if a in paths else a for a in argv]
+    assert run(capsys, argv) == (0, expected)

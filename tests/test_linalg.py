@@ -8,12 +8,16 @@ from matroidlab.field import make_field
 from matroidlab.linalg import (
     Matrix,
     Subspace,
+    combine,
     enumerate_subspaces,
+    extend_echelon,
     gaussian_binomial,
     intersect_spaces,
     min_weight,
     orth_complement,
+    reduce_vector,
     rref,
+    rref_rows,
     subspace_count,
     sum_spaces,
 )
@@ -222,6 +226,47 @@ def test_sum_intersection_dimension_formula(A, B):
     assert S.dim + I.dim == U.dim + V.dim
     for v in I.basis:
         assert U.contains(v) and V.contains(v)
+
+
+# (p, k, n, largest dim): every q^dim enumeration stays at most 257^2
+KERNEL_FIELDS = [(2, 1, 5, 5), (3, 1, 4, 4), (2, 2, 4, 4), (3, 2, 3, 3), (257, 1, 3, 2)]
+
+
+@pytest.mark.parametrize("p,k,n,max_dim", KERNEL_FIELDS)
+def test_subspace_contains_matches_enumeration(p, k, n, max_dim):
+    F = make_field(p, k)
+    rng = seeded(p * 10 + k)
+    ambient = tuple(f"x{i}" for i in reversed(range(n)))  # not in sorted order
+    for dim in range(max_dim + 1):
+        vecs = [[rng.randrange(F.q) for _ in range(n)] for _ in range(dim)]
+        U = Subspace(F, ambient, vecs)
+        members = set(U.vectors())
+        assert len(members) == F.q ** U.dim
+        probes = [tuple(rng.randrange(F.q) for _ in range(n)) for _ in range(200)]
+        probes += rng.sample(sorted(members), min(50, len(members)))
+        for v in probes:
+            assert U.contains(v) == (v in members)
+            # the same vector given in the caller's label order
+            assert U.contains(v[::-1], labels=ambient) == (v in members)
+
+
+@pytest.mark.parametrize("p,k,n,max_dim", KERNEL_FIELDS)
+def test_extend_echelon_tracks_rank_and_span(p, k, n, max_dim):
+    F = make_field(p, k)
+    rng = seeded(p * 10 + k)
+    for _ in range(30):
+        vecs, ech = [], ((), ())
+        for _ in range(n + 2):
+            if vecs and rng.random() < 0.4:  # a vector already in the span
+                v = combine(F, [rng.randrange(F.q) for _ in vecs], vecs)
+            else:
+                v = tuple(rng.randrange(F.q) for _ in range(n))
+            vecs.append(v)
+            ech = extend_echelon(F, *ech, v)
+            assert len(ech[1]) == len(rref_rows(F, vecs)[1])
+        basis, pivots = ech
+        assert all(row[q] == 1 for row, q in zip(basis, pivots))
+        assert all(not any(reduce_vector(F, basis, pivots, v)) for v in vecs)
 
 
 def test_subspace_canonicalizes_ambient_order():

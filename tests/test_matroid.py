@@ -137,6 +137,16 @@ def test_deletion_contraction_duality_random():
         assert dual(delete(M, X)) == contract(dual(M), X)
 
 
+@pytest.mark.parametrize("p,k", [(2, 1), (3, 1), (2, 2), (3, 2), (257, 1)])
+def test_contract_is_dual_of_deletion_in_dual(p, k):
+    F = make_field(p, k)
+    rng = seeded(p * 10 + k)
+    for _ in range(60):
+        M = random_matroid(F, 7, rng)
+        X = {e for e in M.ground if rng.random() < 0.4}
+        assert contract(M, X) == dual(delete(dual(M), X))
+
+
 def test_dual_of_free_matroid():
     M = mk(GF3, [[1, 0], [0, 1]])
     assert dual(M).rank == 0

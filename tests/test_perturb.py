@@ -1,6 +1,9 @@
+import random
 from itertools import product
 
 import pytest
+
+from oracles import pert_exact_tiny
 
 from matroidlab.errors import ShapeMismatch
 from matroidlab.field import make_field
@@ -8,13 +11,13 @@ from matroidlab.linalg import Matrix, Subspace, enumerate_subspaces
 from matroidlab.matroid import ReprMatroid, contract, delete, from_generator
 from matroidlab.perturb import (
     PerturbPair,
+    _aligned_generators,
     apply_perturbation,
     dist,
     elementary_lifts,
     elementary_projections,
     pert_bounds,
     pert_exact,
-    pert_exact_tiny,
 )
 
 GF2 = make_field(2, 1)
@@ -192,6 +195,26 @@ def test_pert_lower_bound_is_intersection_defect():
     M2 = space_matroid(GF2, 4, [(1, 0, 0, 0), (0, 0, 1, 0)])
     lo, hi = pert_bounds(PerturbPair(M1, M2))
     assert lo == 1 and pert_exact(PerturbPair(M1, M2)) == 1 and hi == 1
+
+
+@pytest.mark.parametrize("p,k", [(2, 1), (3, 1), (2, 2), (3, 2), (257, 1)])
+def test_aligned_generators_span_both_spaces(p, k):
+    F = make_field(p, k)
+    rng = random.Random(p * 10 + k)
+    for _ in range(40):
+        n = rng.randint(1, 5)
+        pair = PerturbPair(*(
+            mk(F, [[rng.randrange(F.q) for _ in range(n)] for _ in range(rng.randint(0, n))], n)
+            for _ in range(2)))
+        A1, A2 = _aligned_generators(pair)
+        assert len(A1) == len(A2)
+        assert Subspace(F, pair.ground, A1) == pair.m1.space
+        assert Subspace(F, pair.ground, A2) == pair.m2.space
+        lo, hi, diff = pert_bounds(pair, with_witness=True)
+        assert diff == [[F.sub(x, y) for x, y in zip(r1, r2)] for r1, r2 in zip(A1, A2)]
+        # W, the complements in U1 and those in U2 together are independent,
+        # so the difference has rank max(d1, d2) - dim W = lo
+        assert Subspace(F, pair.ground, diff).dim == hi == lo
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import random
 from itertools import combinations, product
 
 import pytest
@@ -69,6 +70,26 @@ def test_additive_span_membership_and_elements():
     assert span.contains((1,)) and span.contains((0,))
     assert not span.contains((2,))
     assert sorted(span.elements()) == [(0,), (1,)]
+
+
+# (p, k, ambient size): every member of F^n is probed, at most 257^2
+SPAN_FIELDS = [(2, 1, 5), (3, 1, 4), (2, 2, 3), (3, 2, 2), (257, 1, 2)]
+
+
+@pytest.mark.parametrize("p,k,n", SPAN_FIELDS)
+def test_additive_span_contains_matches_elements(p, k, n):
+    F = make_field(p, k)
+    rng = random.Random(p * 10 + k)
+    vectors = list(product(range(F.q), repeat=n))
+    for count in range(4 if F.q < 257 else 2):
+        gens = [rng.choice(vectors) for _ in range(count)]
+        span = AdditiveSpan(F, tuple(range(n)), gens)
+        members = span.elements()
+        assert len(set(members)) == len(members) == span.size
+        assert all(span.contains(g) for g in gens)
+        members = set(members)
+        assert [v for v in vectors if span.contains(v)] == sorted(members)
+        assert not span.contains(vectors[0][1:])  # wrong length
 
 
 def test_additive_span_gamma_closure():
