@@ -207,12 +207,6 @@ class Matrix:
         return Matrix(self.field, self.cols, self.rows,
                       [self.col_vector(c) for c in self.cols])
 
-    def hstack(self, other):
-        if other.field != self.field or other.rows != self.rows:
-            raise LabelMismatch("hstack needs identical row labels and field")
-        return Matrix(self.field, self.rows, self.cols + other.cols,
-                      [a + b for a, b in zip(self.data, other.data)])
-
     def __eq__(self, other):
         return (isinstance(other, Matrix)
                 and (self.field, self.rows, self.cols, self.data)

@@ -300,9 +300,10 @@ def cogirth(M, cap=DEFAULT_SUBSET_CAP, workers=1):
 def _parallel_classes_repr(M):
     """Map normalized-column key -> list of labels; None key for loops."""
     normalize = normalizer(M.field)
+    basis = M.space.basis
     classes = {}
-    for e in M.ground:
-        classes.setdefault(normalize(M.column(e)), []).append(e)
+    for e, col in zip(M.ground, zip(*basis) if basis else [()] * M.size):
+        classes.setdefault(normalize(col), []).append(e)
     return classes
 
 
@@ -601,13 +602,15 @@ def isomorphic(M1, M2, cap=DEFAULT_ISO_CAP) -> bool:
 
 
 def equivalent_up_to_relabel_scaling(M1: ReprMatroid, M2: ReprMatroid,
-                                     cap=DEFAULT_ISO_CAP) -> bool:
+                                     cap=DEFAULT_ISO_CAP, profile2=None) -> bool:
     """Some label bijection followed by a projective transformation maps
-    M1 onto M2.  This is the equivalence used for template membership."""
+    M1 onto M2.  This is the equivalence used for template membership.
+    profile2, when given, is M2's rank profile (_profile(M2, cap)), built
+    once by a caller that compares many matroids with the same M2."""
     if M1.field != M2.field or M1.size != M2.size:
         return False
     P1 = _profile(M1, cap)
-    P2 = _profile(M2, cap)
+    P2 = _profile(M2, cap) if profile2 is None else profile2
 
     def accept(mapping):
         phi = {P1.ground[i]: P2.ground[j] for i, j in enumerate(mapping)}

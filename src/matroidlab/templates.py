@@ -6,7 +6,9 @@ A template constrains a matrix A in F^(B x (E-B)) block by block; the
 matroid it realizes is M([I,A]) after the prescribed contraction and
 deletion.  Both conformance predicates decompose per column, which the
 checkers exploit: each free column is classified independently, and the
-existential witness column set Z is recovered in closed form.
+existential witness column set Z is recovered in closed form.  A
+conforming matrix is realized by one row reduction of [I,A]'s columns in
+the contracted set followed by the kept ones (_realize).
 
 Enumeration and membership draw their matrices from one layout per
 template kind (_SubfieldLayout, _FrameLayout): the labels, the option
@@ -16,30 +18,36 @@ sets are interchangeable (permuting them only relabels the realized
 matroid), so the search takes them canonically: row choices in
 non-decreasing order for subfield templates, first-use order within
 equal-choice groups for frame templates, with rank and simplicity pruning
-against the target whenever no contraction is involved.
+against the target whenever no contraction is involved.  Every candidate
+has its conformance checked before it is realized.  The target's rank
+profile is built once per query, and a candidate reaches the equivalence
+search only if its loop count and parallel-class sizes match the
+target's (_Target).
 """
 
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import combinations_with_replacement, product
 from math import comb
 
-from .errors import BadAssignment, CapExceeded, LabelClash, NotConforming
+from .errors import CapExceeded, LabelClash, NotConforming
 from .constructions import _is_gamma_frame_column
 from .field import FiniteField, MultSubgroup, SubfieldEmbedding, _digits, _undigits, make_field
 from .linalg import (
     Matrix,
     Subspace,
     extend_echelon,
-    label_key,
     normalizer,
+    rref_rows,
     sort_labels,
 )
 from .matroid import (
+    DEFAULT_ISO_CAP,
     ReprMatroid,
+    _parallel_classes_repr,
+    _profile,
     equivalent_up_to_relabel_scaling,
-    from_generator,
     is_simple,
-    minor,
 )
 
 DEFAULT_ENUM_CAP = 200000
@@ -83,6 +91,8 @@ class AdditiveSpan:
         return [self._unflatten(row) for row in self.space.basis]
 
     def contains(self, vec):
+        if not self.ambient:
+            return not vec
         return len(vec) == len(self.ambient) and self.space.contains(self._flatten(vec))
 
     def elements(self):
@@ -234,13 +244,15 @@ def check_subfield(A: Matrix, tmpl: SubfieldTemplate) -> ConformanceReport:
     """Clause-by-clause conformance of A (rows are B, columns are E-B)."""
     B = A.rows
     emb = tmpl.emb
-    if not set(tmpl.D) <= set(B):
+    D, C = set(tmpl.D), set(tmpl.C)
+    named = C | set(tmpl.Y)
+    if not D <= set(B):
         raise LabelClash("template set D must be a subset of the row labels")
-    if not (set(tmpl.C) | set(tmpl.Y)) <= set(A.cols):
+    if not named <= set(A.cols):
         raise LabelClash("template sets C and Y must be column labels")
     img = emb.image()
-    free = [c for c in A.cols if c not in set(tmpl.C) | set(tmpl.Y)]
-    rest_rows = [r for r in B if r not in set(tmpl.D)]
+    free = [c for c in A.cols if c not in named]
+    rest_rows = [r for r in B if r not in D]
     # clause ii: fixed blocks, and F0 entries everywhere outside A[D, C]
     for r in tmpl.D:
         for c in tmpl.C:
@@ -249,12 +261,10 @@ def check_subfield(A: Matrix, tmpl: SubfieldTemplate) -> ConformanceReport:
         for c in tmpl.Y:
             if A.entry(r, c) != tmpl.A2.entry(r, c):
                 return ConformanceReport(False, "clause-ii")
-    for r in B:
-        for c in A.cols:
-            if r in set(tmpl.D) and c in set(tmpl.C):
-                continue
-            if A.entry(r, c) not in img:
-                return ConformanceReport(False, "clause-ii")
+    for r, row in zip(B, A.data):
+        skip = C if r in D else ()
+        if any(x not in img for c, x in zip(A.cols, row) if c not in skip):
+            return ConformanceReport(False, "clause-ii")
     # clause iii: columns of A[D, free] lie in Lambda
     Dsorted = sort_labels(tmpl.D)
     for c in free:
@@ -279,10 +289,29 @@ def subfield_matroid_of(A: Matrix, tmpl: SubfieldTemplate) -> ReprMatroid:
 
 
 def _realize(A: Matrix, contract_set, delete_set) -> ReprMatroid:
+    """M([I,A]) / C \\ D in one row reduction.
+
+    The rows of [I,A] restricted to C followed by the kept labels span the
+    restriction of its row space.  Row-reduced with C first, the rows
+    pivoting outside C span the vectors that vanish on C (the rule of
+    matroid.contract), and RREF is canonical, so the result equals the
+    contract-then-delete chain.
+    """
     if set(A.rows) & set(A.cols):
         raise LabelClash("row labels must be disjoint from column labels")
-    full = Matrix.identity(A.field, A.rows).hstack(A)
-    return minor(from_generator(full), contract_set, delete_set)
+    C = tuple(contract_set)
+    gone = set(C) | set(delete_set)
+    kept = sort_labels(e for e in A.rows + A.cols if e not in gone)
+    col = {c: j for j, c in enumerate(A.cols)}
+    unit = {r: i for i, r in enumerate(A.rows)}
+    # per label of C + kept: (its column of A, None) or (None, its row of I)
+    picks = [(col[e], None) if e in col else (None, unit[e]) for e in C + kept]
+    rows = [[row[j] if i is None else int(i == ri) for j, i in picks]
+            for ri, row in enumerate(A.data)]
+    if C:
+        red, piv = rref_rows(A.field, rows)
+        rows = [row[len(C):] for row, p in zip(red, piv) if p >= len(C)]
+    return ReprMatroid(kept, Subspace(A.field, kept, rows))
 
 
 # ---------------------------------------------------------------------------
@@ -292,91 +321,6 @@ def _realize(A: Matrix, contract_set, delete_set) -> ReprMatroid:
 def _is_unit_column(col):
     nz = [x for x in col if x]
     return len(nz) == 1 and nz[0] == 1
-
-
-def _frame_column_classes(A, tmpl, free, bottom_rows, Dsorted):
-    """Classify each free column of A' as usable in Z, outside Z, or neither."""
-    F = tmpl.field
-    z_ok, f_ok = {}, {}
-    for c in free:
-        dpart = [A.entry(r, c) for r in Dsorted]
-        bottom = [A.entry(r, c) for r in bottom_rows]
-        z_ok[c] = not any(dpart) and _is_unit_column(bottom)
-        f_ok[c] = tmpl.lam.contains(dpart) and _is_gamma_frame_column(F, tmpl.gamma, bottom)
-    return z_ok, f_ok
-
-
-def _lex_least_Z(forced, optional):
-    """Least valid Z in sorted-tuple order: all forced columns plus every
-    optional column below the largest forced one."""
-    if not forced:
-        return ()
-    top = max(label_key(x) for x in forced)
-    z = list(forced) + [o for o in optional if label_key(o) < top]
-    return sort_labels(z)
-
-
-def check_frame_respects(A: Matrix, tmpl: FrameTemplate) -> ConformanceReport:
-    B = A.rows
-    named_rows = set(tmpl.D) | set(tmpl.X)
-    named_cols = set(tmpl.C) | set(tmpl.Y0) | set(tmpl.Y1)
-    if not named_rows <= set(B):
-        raise LabelClash("template sets D and X must be row labels")
-    if not named_cols <= set(A.cols):
-        raise LabelClash("template sets C, Y0, Y1 must be column labels")
-    free = [c for c in A.cols if c not in named_cols]
-    bottom_rows = [r for r in B if r not in named_rows]
-    Dsorted = sort_labels(tmpl.D)
-    # clause ii: the A1 block, and zero X-rows outside it
-    for r in tuple(tmpl.D) + tuple(tmpl.X):
-        for c in named_cols:
-            if A.entry(r, c) != tmpl.A1.entry(r, c):
-                return ConformanceReport(False, "clause-ii")
-    for r in tmpl.X:
-        for c in free:
-            if A.entry(r, c):
-                return ConformanceReport(False, "clause-ii")
-    # clauses iii and iv, column by column
-    z_ok, f_ok = _frame_column_classes(A, tmpl, free, bottom_rows, Dsorted)
-    forced, optional = [], []
-    for c in free:
-        if z_ok[c] and f_ok[c]:
-            optional.append(c)
-        elif z_ok[c]:
-            forced.append(c)
-        elif not f_ok[c]:
-            bottom = [A.entry(r, c) for r in bottom_rows]
-            good_bottom = _is_gamma_frame_column(tmpl.field, tmpl.gamma, bottom)
-            return ConformanceReport(False, "clause-iv" if good_bottom else "clause-iii")
-    # clause v: rows of A'[B-(D+X), C+Y0+Y1] lie in Delta
-    CY = sort_labels(tuple(tmpl.C) + tuple(tmpl.Y0) + tuple(tmpl.Y1))
-    for r in bottom_rows:
-        row = [A.entry(r, c) for c in CY]
-        if not tmpl.delta.contains(row):
-            return ConformanceReport(False, "clause-v")
-    return ConformanceReport(True, Z=_lex_least_Z(forced, optional))
-
-
-def conform_frame(A_prime: Matrix, Z, assignment: dict) -> Matrix:
-    """Add the assigned Y1 column onto each Z column of A'."""
-    F = A_prime.field
-    Z = tuple(Z)
-    if set(assignment) != set(Z):
-        raise BadAssignment("assignment must cover exactly the Z columns")
-    for z, j in assignment.items():
-        if j not in A_prime.cols:
-            raise BadAssignment(f"assigned column {j!r} does not exist")
-    data = []
-    zset = set(Z)
-    for ri, r in enumerate(A_prime.rows):
-        row = []
-        for c in A_prime.cols:
-            x = A_prime.entry(r, c)
-            if c in zset:
-                x = F.add(x, A_prime.entry(r, assignment[c]))
-            row.append(x)
-        data.append(row)
-    return Matrix(F, A_prime.rows, A_prime.cols, data)
 
 
 def check_frame_conforms(A: Matrix, tmpl: FrameTemplate) -> ConformanceReport:
@@ -432,8 +376,8 @@ def frame_matroid_of(A: Matrix, tmpl: FrameTemplate) -> ReprMatroid:
     report = check_frame_conforms(A, tmpl)
     if not report.ok:
         raise NotConforming(f"matrix violates {report.violated}")
-    B = A.rows
-    delete_set = [r for r in B if r not in set(tmpl.X)] + list(tmpl.Y1)
+    X = set(tmpl.X)
+    delete_set = [r for r in A.rows if r not in X] + list(tmpl.Y1)
     return _realize(A, tmpl.C, delete_set)
 
 
@@ -618,10 +562,49 @@ def member_of(tmpl, M: ReprMatroid, row_cap=None, cap=DEFAULT_ENUM_CAP) -> bool:
     return _member_frame(tmpl, M, row_cap, cap)
 
 
+def _parallel_invariants(M):
+    """The loop count and the sorted parallel-class sizes, which every
+    label bijection and projective transformation keeps."""
+    classes = _parallel_classes_repr(M)
+    loops = len(classes.pop(None, ()))
+    return loops, sorted(map(len, classes.values()))
+
+
+class _Target:
+    """The matroid a membership search compares its candidates with.
+
+    Its parallel invariants are computed once and compared before any
+    equivalence search; its rank profile is built once, on first use, and
+    handed to every equivalence test.  Candidates already compared are
+    skipped.
+    """
+
+    def __init__(self, M):
+        self.M = M
+        self.invariants = _parallel_invariants(M)
+        self.checked = set()
+
+    @cached_property
+    def profile(self):
+        return _profile(self.M, DEFAULT_ISO_CAP)
+
+    def matches(self, N):
+        M = self.M
+        if N.size != M.size or N.rank != M.rank:
+            return False
+        key = (N.ground, N.space.basis)
+        if key in self.checked:
+            return False
+        self.checked.add(key)
+        if _parallel_invariants(N) != self.invariants:
+            return False
+        return equivalent_up_to_relabel_scaling(N, M, profile2=self.profile)
+
+
 def _member_subfield(tmpl, M, row_cap, cap):
     n, r = M.size, M.rank
     b_max = r + len(tmpl.C) if row_cap is None else row_cap
-    checked = set()
+    target = _Target(M)
     for b in range(0, b_max + 1):
         f = n - b - len(tmpl.Y)
         if f < 0:
@@ -633,14 +616,7 @@ def _member_subfield(tmpl, M, row_cap, cap):
         row_opts = lay.row_options()
         for lam_pick in product(lay.lam_elems, repeat=f):
             for row_picks in combinations_with_replacement(row_opts, b):
-                N = subfield_matroid_of(lay.matrix(lam_pick, row_picks), tmpl)
-                if N.size != n or N.rank != r:
-                    continue
-                key = (N.ground, N.space.basis)
-                if key in checked:
-                    continue
-                checked.add(key)
-                if equivalent_up_to_relabel_scaling(N, M):
+                if target.matches(subfield_matroid_of(lay.matrix(lam_pick, row_picks), tmpl)):
                     return True
     return False
 
@@ -660,18 +636,18 @@ def _member_frame(tmpl, M, row_cap, cap):
     simple_target = prune_ok and is_simple(M)
     b_max = 2 * f + tmpl.delta.size if row_cap is None else row_cap
     budget = [cap]
+    target = _Target(M)
     for b in range(0, b_max + 1):
-        if _member_frame_at_rows(tmpl, M, b, f, prune_ok, simple_target, budget):
+        if _member_frame_at_rows(tmpl, target, b, f, prune_ok, simple_target, budget):
             return True
     return False
 
 
-def _member_frame_at_rows(tmpl, M, b, f, prune_ok, simple_target, budget):
+def _member_frame_at_rows(tmpl, target, b, f, prune_ok, simple_target, budget):
     lay = _FrameLayout(tmpl, b, f)
     F = tmpl.field
-    r_target = M.rank
+    r_target = target.M.rank
     normalize = normalizer(F)
-    checked = set()
 
     for delta_pick in combinations_with_replacement(range(len(lay.delta_elems)), b):
         named = lay.named_columns([lay.delta_elems[k] for k in delta_pick])
@@ -736,14 +712,7 @@ def _member_frame_at_rows(tmpl, M, b, f, prune_ok, simple_target, budget):
             return False
 
         def finish(chosen):
-            N = frame_matroid_of(lay.matrix(named, chosen), tmpl)
-            if N.size != M.size or N.rank != M.rank:
-                return False
-            key = (N.ground, N.space.basis)
-            if key in checked:
-                return False
-            checked.add(key)
-            return equivalent_up_to_relabel_scaling(N, M)
+            return target.matches(frame_matroid_of(lay.matrix(named, chosen), tmpl))
 
         if rec(0, ech, keys, frozenset(), []):
             return True

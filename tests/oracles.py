@@ -6,8 +6,9 @@ import random
 import numpy as np
 
 from matroidlab.codes import CodeView, _codeword_table
-from matroidlab.errors import CapExceeded, LabelMismatch
-from matroidlab.linalg import Matrix, Subspace, rref_rows, sort_labels
+from matroidlab.constructions import _is_gamma_frame_column
+from matroidlab.errors import BadAssignment, CapExceeded, LabelClash, LabelMismatch
+from matroidlab.linalg import Matrix, Subspace, label_key, rref_rows, sort_labels
 from matroidlab.matroid import (
     ReprMatroid,
     contract,
@@ -18,11 +19,11 @@ from matroidlab.matroid import (
     rank_of,
 )
 from matroidlab.templates import (
+    ConformanceReport,
     SubfieldTemplate,
+    _is_unit_column,
     check_frame_conforms,
     check_subfield,
-    frame_matroid_of,
-    subfield_matroid_of,
 )
 
 
@@ -275,13 +276,22 @@ def seeded(seed):
     return random.Random(seed)
 
 
+def realize_reference(A, C, D):
+    """M([I,A]) / C \\ D by the generic chain: [I,A] built as a matrix,
+    its row space reduced, then matroid.minor's contraction and deletion."""
+    identity = Matrix.identity(A.field, A.rows).data
+    full = Matrix(A.field, A.rows, A.rows + A.cols,
+                  [unit + row for unit, row in zip(identity, A.data)])
+    return minor(from_generator(full), C, D)
+
+
 def conforming_matroids_bruteforce(tmpl, rows, cols):
     """Every matrix over the template's field with the given labels, kept
-    when the conformance check passes, realized and deduplicated."""
-    if isinstance(tmpl, SubfieldTemplate):
-        check, realize = check_subfield, subfield_matroid_of
-    else:
-        check, realize = check_frame_conforms, frame_matroid_of
+    when the conformance check passes, realized by realize_reference and
+    deduplicated."""
+    subfield = isinstance(tmpl, SubfieldTemplate)
+    check = check_subfield if subfield else check_frame_conforms
+    gone = tmpl.D if subfield else [r for r in rows if r not in tmpl.X] + list(tmpl.Y1)
     F = tmpl.field
     width = len(cols)
     out = set()
@@ -289,5 +299,97 @@ def conforming_matroids_bruteforce(tmpl, rows, cols):
         A = Matrix(F, rows, cols,
                    [entries[i * width:(i + 1) * width] for i in range(len(rows))])
         if check(A, tmpl).ok:
-            out.add(realize(A, tmpl))
+            out.add(realize_reference(A, tmpl.C, gone))
     return out
+
+
+# ---------------------------------------------------------------------------
+# frame templates: the respects predicate and the conform step
+# ---------------------------------------------------------------------------
+
+def _frame_column_classes(A, tmpl, free, bottom_rows, Dsorted):
+    """Classify each free column of A' as usable in Z, outside Z, or neither."""
+    F = tmpl.field
+    z_ok, f_ok = {}, {}
+    for c in free:
+        dpart = [A.entry(r, c) for r in Dsorted]
+        bottom = [A.entry(r, c) for r in bottom_rows]
+        z_ok[c] = not any(dpart) and _is_unit_column(bottom)
+        f_ok[c] = tmpl.lam.contains(dpart) and _is_gamma_frame_column(F, tmpl.gamma, bottom)
+    return z_ok, f_ok
+
+
+def _lex_least_Z(forced, optional):
+    """Least valid Z in sorted-tuple order: all forced columns plus every
+    optional column below the largest forced one."""
+    if not forced:
+        return ()
+    top = max(label_key(x) for x in forced)
+    z = list(forced) + [o for o in optional if label_key(o) < top]
+    return sort_labels(z)
+
+
+def check_frame_respects(A: Matrix, tmpl) -> ConformanceReport:
+    """Does A respect the frame template, as an A' before the conform step?
+    Each free column is classified on its own, and the least witness Z is
+    recovered in closed form."""
+    B = A.rows
+    named_rows = set(tmpl.D) | set(tmpl.X)
+    named_cols = set(tmpl.C) | set(tmpl.Y0) | set(tmpl.Y1)
+    if not named_rows <= set(B):
+        raise LabelClash("template sets D and X must be row labels")
+    if not named_cols <= set(A.cols):
+        raise LabelClash("template sets C, Y0, Y1 must be column labels")
+    free = [c for c in A.cols if c not in named_cols]
+    bottom_rows = [r for r in B if r not in named_rows]
+    Dsorted = sort_labels(tmpl.D)
+    # clause ii: the A1 block, and zero X-rows outside it
+    for r in tuple(tmpl.D) + tuple(tmpl.X):
+        for c in named_cols:
+            if A.entry(r, c) != tmpl.A1.entry(r, c):
+                return ConformanceReport(False, "clause-ii")
+    for r in tmpl.X:
+        for c in free:
+            if A.entry(r, c):
+                return ConformanceReport(False, "clause-ii")
+    # clauses iii and iv, column by column
+    z_ok, f_ok = _frame_column_classes(A, tmpl, free, bottom_rows, Dsorted)
+    forced, optional = [], []
+    for c in free:
+        if z_ok[c] and f_ok[c]:
+            optional.append(c)
+        elif z_ok[c]:
+            forced.append(c)
+        elif not f_ok[c]:
+            bottom = [A.entry(r, c) for r in bottom_rows]
+            good_bottom = _is_gamma_frame_column(tmpl.field, tmpl.gamma, bottom)
+            return ConformanceReport(False, "clause-iv" if good_bottom else "clause-iii")
+    # clause v: rows of A'[B-(D+X), C+Y0+Y1] lie in Delta
+    CY = sort_labels(tuple(tmpl.C) + tuple(tmpl.Y0) + tuple(tmpl.Y1))
+    for r in bottom_rows:
+        row = [A.entry(r, c) for c in CY]
+        if not tmpl.delta.contains(row):
+            return ConformanceReport(False, "clause-v")
+    return ConformanceReport(True, Z=_lex_least_Z(forced, optional))
+
+
+def conform_frame(A_prime: Matrix, Z, assignment: dict) -> Matrix:
+    """Add the assigned Y1 column onto each Z column of A'."""
+    F = A_prime.field
+    Z = tuple(Z)
+    if set(assignment) != set(Z):
+        raise BadAssignment("assignment must cover exactly the Z columns")
+    for j in assignment.values():
+        if j not in A_prime.cols:
+            raise BadAssignment(f"assigned column {j!r} does not exist")
+    data = []
+    zset = set(Z)
+    for ri, r in enumerate(A_prime.rows):
+        row = []
+        for c in A_prime.cols:
+            x = A_prime.entry(r, c)
+            if c in zset:
+                x = F.add(x, A_prime.entry(r, assignment[c]))
+            row.append(x)
+        data.append(row)
+    return Matrix(F, A_prime.rows, A_prime.cols, data)

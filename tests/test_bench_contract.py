@@ -1,6 +1,7 @@
 """The benchmark's traced run (bench/run.py --trace 1) exits 2 when a layer
 that bench/tracing.py wraps gets no call from workloads.probe_layers().
-This checks the same contract in the test suite."""
+This checks the same contract in the test suite, and that the probe's
+membership query reaches the traced realizers and equivalence test."""
 
 import importlib
 import pkgutil
@@ -27,6 +28,11 @@ def test_traced_probe_calls_every_wrapped_layer(monkeypatch):
         try:
             workloads.probe_layers()
             assert tracer.idle_layers() == []
+            # membership still realizes candidates through the public
+            # realizers and compares them through the equivalence test
+            metrics = tracer.metrics()
+            assert metrics["templates.realized_per_member"] > 0
+            assert metrics["templates.equiv_per_member"] > 0
         finally:
             tracer.uninstall()
     finally:

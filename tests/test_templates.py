@@ -4,20 +4,31 @@ import random
 from itertools import combinations, product
 
 import pytest
-from oracles import conforming_matroids_bruteforce
+from oracles import (
+    check_frame_respects,
+    conform_frame,
+    conforming_matroids_bruteforce,
+    realize_reference,
+)
 
 from matroidlab.errors import BadAssignment, LabelClash, NotConforming
 from matroidlab.field import make_field, prime_subfield, subgroup_of_order
-from matroidlab.linalg import Matrix, Subspace, label_key, sort_labels
+from matroidlab.linalg import Matrix, Subspace, combine, label_key, rref_rows, sort_labels
 from matroidlab.constructions import Graph, complete_graph, graphic, pg, uniform_represented
-from matroidlab.matroid import confined_to, from_generator, isomorphic, rank_of
+from matroidlab.matroid import (
+    _profile,
+    confined_to,
+    equivalent_up_to_relabel_scaling,
+    from_generator,
+    isomorphic,
+)
 from matroidlab.templates import (
     AdditiveSpan,
     FrameTemplate,
     SubfieldTemplate,
-    check_frame_respects,
+    _parallel_invariants,
+    _realize,
     check_subfield,
-    conform_frame,
     enumerate_conforming,
     frame_matroid_of,
     member_of,
@@ -320,6 +331,94 @@ def test_x_rows_survive():
     A = Matrix(GF2, ("x", "r0"), ("e0", "e1"), [[0, 0], [1, 1]])
     M = frame_matroid_of(A, tmpl)
     assert "x" in M.ground and M.size == 3
+
+
+# ---------------------------------------------------------------------------
+# the realization kernel and the membership prefilter
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("field", [GF2, GF3, GF4], ids=repr)
+def test_realize_matches_reference_chain(field):
+    rng = random.Random(field.q)
+    seen = {"contracts": 0, "dependent": 0, "empty": 0}
+    for trial in range(300):
+        m, n = rng.randint(0, 4), rng.randint(0, 5)
+        rows = tuple(f"r{i}" for i in range(m))
+        cols = tuple(range(n))  # ints sort before the row labels
+        data = [[rng.randrange(field.q) for _ in cols] for _ in rows]
+        C = [c for c in cols if rng.random() < 0.5]
+        if len(C) >= 2 and trial % 3 == 0:
+            s = rng.randrange(field.q)  # make C dependent: one column a multiple of another
+            for row in data:
+                row[C[1]] = field.mul(s, row[C[0]])
+        rest = [e for e in rows + cols if e not in C]
+        D = [e for e in rest if rng.random() < (1.0 if trial % 10 == 0 else 0.4)]
+        A = Matrix(field, rows, cols, data)
+        got = _realize(A, C, D)
+        assert got == realize_reference(A, C, D)
+        seen["contracts"] += bool(C)
+        _, piv = rref_rows(field, [[row[c] for c in C] for row in data])
+        seen["dependent"] += len(piv) < len(C)
+        seen["empty"] += got.size == 0
+    assert min(seen.values()) >= 20, seen
+
+
+def _random_matroid(field, rng, m, n, plant):
+    """A random m x n generator matrix; with plant=True some columns are
+    replaced by zero columns (loops) or by multiples of earlier columns
+    (parallel pairs)."""
+    cols = [[rng.randrange(field.q) for _ in range(m)] for _ in range(n)]
+    for j in range(1, n if plant else 0):
+        roll = rng.random()
+        if roll < 0.15:
+            cols[j] = [0] * m
+        elif roll < 0.4:
+            s = rng.randrange(1, field.q)
+            cols[j] = [field.mul(s, x) for x in cols[rng.randrange(j)]]
+    return from_generator(Matrix(field, tuple(range(m)), tuple(range(n)),
+                                 [[col[i] for col in cols] for i in range(m)]))
+
+
+def _equivalent_copy(M, rng):
+    """M's columns relabelled, permuted and scaled, and its generator
+    multiplied by a random nonsingular matrix."""
+    F, r = M.field, M.rank
+    while True:
+        T = [[rng.randrange(F.q) for _ in range(r)] for _ in range(r)]
+        if len(rref_rows(F, T)[1]) == r:
+            break
+    mixed = [combine(F, coeffs, M.space.basis) for coeffs in T]
+    order = list(range(M.size))
+    rng.shuffle(order)
+    scales = [rng.randrange(1, F.q) for _ in order]
+    labels = [f"x{j}" for j in range(M.size)]
+    data = [[F.mul(s, row[j]) for j, s in zip(order, scales)] for row in mixed]
+    return from_generator(Matrix(F, tuple(range(r)), labels, data))
+
+
+@pytest.mark.parametrize("p", [2, 3, 4, 5])
+def test_parallel_prefilter_and_prebuilt_profile_are_sound(p):
+    field = {2: GF2, 3: GF3, 4: GF4, 5: make_field(5, 1)}[p]
+    rng = random.Random(500 + p)
+    pool = ([_random_matroid(field, rng, rng.randint(1, 4), rng.randint(2, 7), True)
+             for _ in range(60)]
+            + [_random_matroid(field, rng, 3, rng.randint(5, 6), False) for _ in range(30)])
+    outcomes = set()
+    for M in pool:
+        N = _equivalent_copy(M, rng)
+        assert _parallel_invariants(N) == _parallel_invariants(M)
+        assert equivalent_up_to_relabel_scaling(N, M, profile2=_profile(M, 12))
+        assert equivalent_up_to_relabel_scaling(N, M)
+        for other in pool:
+            if (other.size, other.rank) != (M.size, M.rank):
+                continue
+            plain = equivalent_up_to_relabel_scaling(other, M)
+            assert equivalent_up_to_relabel_scaling(other, M, profile2=_profile(M, 12)) == plain
+            if plain:
+                assert _parallel_invariants(other) == _parallel_invariants(M)
+            outcomes.add((plain, _parallel_invariants(other) == _parallel_invariants(M)))
+    # equivalent pairs, and inequivalent pairs the prefilter does and does not catch
+    assert outcomes == {(True, True), (False, True), (False, False)}, outcomes
 
 
 # ---------------------------------------------------------------------------
