@@ -411,12 +411,12 @@ def _positive_int(text):
     return value
 
 
-def _add_common(p, workers=False, cap=None):
+def _add_common(p, workers=False, cap=None, cap_help=None):
     p.add_argument("-o", "--output", help="write results here instead of stdout")
     if workers:
         p.add_argument("--workers", type=_positive_int, default=1)
     if cap is not None:
-        p.add_argument("--cap", type=_positive_int, default=cap)
+        p.add_argument("--cap", type=_positive_int, default=cap, help=cap_help)
 
 
 def build_parser():
@@ -471,7 +471,10 @@ def build_parser():
     p.add_argument("matrix")
     p.add_argument("other", help="second matrix (or the perturbation for apply)")
     p.add_argument("--exact", action="store_true")
-    _add_common(p, cap=5000)
+    _add_common(p, cap=5000, cap_help=(
+        "budget: dist builds at most this many lifts and as many hyperplanes "
+        "of each subspace it reaches and visits at most this many subspaces; "
+        "pert --exact searches at most this many subspaces (default %(default)s)"))
     p.set_defaults(fn=_cmd_perturb)
 
     p = sub.add_parser("template", help="conformance / realization / members")

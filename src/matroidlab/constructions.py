@@ -13,7 +13,7 @@ from itertools import combinations, product
 from .errors import FieldTooSmall, LabelMismatch
 from .field import FiniteField, MultSubgroup
 from .linalg import Matrix, combine, label_key, normalizer
-from .matroid import OracleMatroid, ReprMatroid, from_generator, rank_of
+from .matroid import OracleMatroid, ReprMatroid, from_generator
 
 
 # ---------------------------------------------------------------------------
@@ -272,11 +272,6 @@ def gamma_frame_full(r: int, gamma: MultSubgroup) -> ReprMatroid:
     return from_generator(Matrix(F, tuple(range(r)), tuple(range(len(cols))), rows))
 
 
-def is_frame_matrix(A: Matrix) -> bool:
-    """Every column has at most two nonzero entries."""
-    return all(sum(1 for x in A.col_vector(c) if x) <= 2 for c in A.cols)
-
-
 def _is_gamma_frame_column(F, gamma, col):
     """At most two nonzero entries: a lone one is 1, a pair is 1 and -g
     for some g in Gamma."""
@@ -288,34 +283,4 @@ def _is_gamma_frame_column(F, gamma, col):
     if len(nz) == 2:
         v1, v2 = nz
         return (v1 == 1 and F.neg(v2) in gamma) or (v2 == 1 and F.neg(v1) in gamma)
-    return True
-
-
-def is_gamma_frame_matrix(A: Matrix, gamma: MultSubgroup) -> bool:
-    """Frame matrix whose single-nonzero columns contain a 1 and whose
-    two-nonzero columns contain a 1 and, elsewhere, -g for some g in Gamma."""
-    return all(_is_gamma_frame_column(A.field, gamma, A.col_vector(c)) for c in A.cols)
-
-
-def is_frame_presentation(M_prime, B) -> bool:
-    """Check a witness for the abstract frame property: B is a basis of
-    M_prime and every other element is spanned by at most two elements
-    of B.  (The extension itself must be supplied; only the witness is
-    verified, the existential search is out of reach in general.)"""
-    B = tuple(B)
-    if rank_of(M_prime, B) != len(B) or len(B) != M_prime.rank:
-        return False
-    rest = [e for e in M_prime.ground if e not in set(B)]
-    for e in rest:
-        spanned = rank_of(M_prime, {e}) == 0  # loops are spanned by nothing
-        if not spanned:
-            for k in (1, 2):
-                for S in combinations(B, k):
-                    if rank_of(M_prime, set(S) | {e}) == rank_of(M_prime, S):
-                        spanned = True
-                        break
-                if spanned:
-                    break
-        if not spanned:
-            return False
     return True

@@ -396,7 +396,3 @@ def _embedding(sub: FiniteField, parent: FiniteField) -> SubfieldEmbedding:
 def subfield_lattice(F: FiniteField):
     """One embedded subfield per divisor of k, smallest degree first."""
     return [_embedding(make_field(F.p, d), F) for d in _divisors(F.k)]
-
-
-def prime_subfield(F: FiniteField) -> SubfieldEmbedding:
-    return _embedding(make_field(F.p, 1), F)

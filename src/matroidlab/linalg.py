@@ -203,10 +203,6 @@ class Matrix:
         return Matrix(self.field, rows, cols,
                       [[self.data[i][j] for j in cj] for i in ri])
 
-    def transpose(self):
-        return Matrix(self.field, self.cols, self.rows,
-                      [self.col_vector(c) for c in self.cols])
-
     def __eq__(self, other):
         return (isinstance(other, Matrix)
                 and (self.field, self.rows, self.cols, self.data)
@@ -278,9 +274,6 @@ class Subspace:
                     new.append(tuple(add(x, mul(s, y)) for x, y in zip(v, row)))
             out = new
         return out
-
-    def basis_matrix(self):
-        return Matrix(self.field, tuple(range(self.dim)), self.ambient, self.basis)
 
     def __eq__(self, other):
         return (isinstance(other, Subspace)

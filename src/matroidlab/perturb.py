@@ -4,8 +4,11 @@ represented matroids on a common ground set, and rank perturbations.
 Projections of M = (E, U) are exactly the (E, U') with U' a subspace of
 U of codimension at most one, and lifts are the superspaces of dimension
 at most one more; the tests check this lattice characterization against
-the definitional add-an-element-then-contract enumeration.  Distance is
-a breadth-first search in the subspace lattice.
+the definitional add-an-element-then-contract enumeration.  Each lift is
+built once, from one vector per point of F^E/U (the normalized vectors
+that vanish on U's pivot columns), and the lift budget counts those
+(q^(n-d) - 1)/(q - 1) lifts, as the projection budget counts hyperplanes.
+Distance is a breadth-first search in the subspace lattice.
 
 pert_exact reduces the minimum of rank(A1 - A2) over aligned generator
 matrices to a search over difference row spaces: a subspace V of U1+U2
@@ -62,39 +65,52 @@ class PerturbPair:
 # elementary projections and lifts
 # ---------------------------------------------------------------------------
 
+def _points(F, k):
+    """The normalized nonzero vectors of F^k (first nonzero entry 1), in
+    product order: one per 1-dimensional subspace, (q^k - 1)/(q - 1) in all."""
+    for code in product(F.elements(), repeat=k):
+        if next((x for x in code if x), None) == 1:
+            yield code
+
+
+def _check_budget(count, what, cap):
+    if count > cap:
+        raise CapExceeded(f"{count} {what} exceed the budget {cap}; "
+                          "raise it with --cap")
+
+
 def elementary_projections(M: ReprMatroid, cap=DEFAULT_LATTICE_CAP):
-    """M itself plus every (E, U') with U' a codimension-1 subspace of U."""
+    """M itself plus every (E, U') with U' a codimension-1 subspace of U:
+    one per normalized functional on U, the kernel of each."""
     F = M.field
     d = M.rank
-    count = (F.q ** d - 1) // (F.q - 1)
-    if count > cap:
-        raise CapExceeded(f"{count} hyperplanes exceeds cap {cap}")
+    _check_budget((F.q ** d - 1) // (F.q - 1), "hyperplanes", cap)
     out = [M]
     B = M.space.basis
-    for code in product(F.elements(), repeat=d):
-        lead = next((i for i, x in enumerate(code) if x), None)
-        if lead is None or code[lead] != 1:
-            continue  # one normalized functional per hyperplane
+    for code in _points(F, d):
         vecs = [combine(F, coeff, B) for coeff in null_space_rows(F, [code], d)]
         out.append(ReprMatroid(M.ground, Subspace(F, M.ground, vecs)))
     return out
 
 
 def elementary_lifts(M: ReprMatroid, cap=DEFAULT_LATTICE_CAP):
-    """M itself plus every (E, U') with U <= U' of dimension dim U + 1."""
+    """M itself plus every (E, U') with U <= U' of dimension dim U + 1.
+
+    U's basis is in RREF, so every coset of U holds exactly one vector
+    that is zero on U's pivot columns.  The lifts are therefore U + <v>
+    for the normalized v supported off the pivots, one per point of
+    F^E/U: each is built once, (q^(n-d) - 1)/(q - 1) in all."""
     F = M.field
-    n = len(M.ground)
-    if F.q ** n > cap:
-        raise CapExceeded(f"q^|E| = {F.q ** n} exceeds cap {cap}")
+    U = M.space
+    pivots = set(U.pivots)
+    free = [j for j in range(len(M.ground)) if j not in pivots]
+    _check_budget((F.q ** len(free) - 1) // (F.q - 1), "lifts", cap)
     out = [M]
-    seen = {M.space.basis}
-    for code in product(F.elements(), repeat=n):
-        if M.space.contains(code):
-            continue
-        sp = Subspace(F, M.ground, list(M.space.basis) + [code])
-        if sp.basis not in seen:
-            seen.add(sp.basis)
-            out.append(ReprMatroid(M.ground, sp))
+    for code in _points(F, len(free)):
+        v = [0] * len(M.ground)
+        for j, x in zip(free, code):
+            v[j] = x
+        out.append(ReprMatroid(M.ground, Subspace(F, M.ground, list(U.basis) + [v])))
     return out
 
 

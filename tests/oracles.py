@@ -8,6 +8,7 @@ import numpy as np
 from matroidlab.codes import CodeView, _codeword_table
 from matroidlab.constructions import _is_gamma_frame_column
 from matroidlab.errors import BadAssignment, CapExceeded, LabelClash, LabelMismatch
+from matroidlab.field import subfield_lattice
 from matroidlab.linalg import Matrix, Subspace, label_key, rref_rows, sort_labels
 from matroidlab.matroid import (
     ReprMatroid,
@@ -265,6 +266,22 @@ def pert_exact_tiny(pair, cap=1 << 20) -> int:
     return best
 
 
+def elementary_lifts_reference(M: ReprMatroid):
+    """M first, then U + <v> for every vector v of F^E outside U, in
+    product order, kept when its RREF basis is new."""
+    F = M.field
+    out = [M]
+    seen = {M.space.basis}
+    for code in product(F.elements(), repeat=len(M.ground)):
+        if M.space.contains(code):
+            continue
+        sp = Subspace(F, M.ground, list(M.space.basis) + [code])
+        if sp.basis not in seen:
+            seen.add(sp.basis)
+            out.append(ReprMatroid(M.ground, sp))
+    return out
+
+
 def _count_full_rank(q, m, d):
     out = 1
     for i in range(d):
@@ -393,3 +410,43 @@ def conform_frame(A_prime: Matrix, Z, assignment: dict) -> Matrix:
             row.append(x)
         data.append(row)
     return Matrix(F, A_prime.rows, A_prime.cols, data)
+
+
+def prime_subfield(F):
+    """The embedding of GF(p) in F: the first entry of subfield_lattice."""
+    return subfield_lattice(F)[0]
+
+
+def is_frame_matrix(A: Matrix) -> bool:
+    """Every column has at most two nonzero entries."""
+    return all(sum(1 for x in A.col_vector(c) if x) <= 2 for c in A.cols)
+
+
+def is_gamma_frame_matrix(A: Matrix, gamma) -> bool:
+    """Frame matrix whose single-nonzero columns contain a 1 and whose
+    two-nonzero columns contain a 1 and, elsewhere, -g for some g in Gamma."""
+    return all(_is_gamma_frame_column(A.field, gamma, A.col_vector(c)) for c in A.cols)
+
+
+def is_frame_presentation(M_prime, B) -> bool:
+    """Check a witness for the abstract frame property: B is a basis of
+    M_prime and every other element is spanned by at most two elements
+    of B.  (The extension itself must be supplied; only the witness is
+    verified, the existential search is out of reach in general.)"""
+    B = tuple(B)
+    if rank_of(M_prime, B) != len(B) or len(B) != M_prime.rank:
+        return False
+    rest = [e for e in M_prime.ground if e not in set(B)]
+    for e in rest:
+        spanned = rank_of(M_prime, {e}) == 0  # loops are spanned by nothing
+        if not spanned:
+            for k in (1, 2):
+                for S in combinations(B, k):
+                    if rank_of(M_prime, set(S) | {e}) == rank_of(M_prime, S):
+                        spanned = True
+                        break
+                if spanned:
+                    break
+        if not spanned:
+            return False
+    return True

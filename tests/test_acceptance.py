@@ -302,7 +302,7 @@ def test_criterion_11_determinism_across_workers(tmp_path):
     import contextlib
 
     ham = tmp_path / "hamming.mat"
-    ham.write_text(write_matrix(dual(FANO).space.basis_matrix()))
+    ham.write_text(write_matrix(dual(FANO).generator_matrix()))
     code4 = tmp_path / "gf4.mat"
     code4.write_text(write_matrix(random_matrix(GF4, 5, 11, seeded(112))))
     for argv in (["mlsim", str(ham), "--p", "0.05", "--seed", "4", "--trials", "70000"],

@@ -220,6 +220,18 @@ def test_cap_exceeded_exit_3(capsys, fano_file):
     assert main(["minor", fano_file, fano_file, "--cap", "2"]) == 3
 
 
+def test_perturb_dist_lift_budget_counts_lifts(capsys, tmp_path):
+    # GF(3)^8 has 6561 vectors, but a rank-7 space has one lift and 1093
+    # hyperplanes, all within the default budget of 5000
+    identity = Matrix.identity(make_field(3, 1), range(8))
+    rank7 = Matrix(identity.field, range(7), identity.cols,
+                   [row[:7] + (1,) for row in identity.data[:7]])
+    paths = [tmp_path / "rank7.mat", tmp_path / "identity.mat"]
+    for path, A in zip(paths, (rank7, identity)):
+        path.write_text(write_matrix(A))
+    assert run(capsys, ["perturb", "dist", *map(str, paths)]) == (0, '{"value": 1}\n')
+
+
 def test_output_flag_writes_file(tmp_path, capsys, fano_file):
     target = tmp_path / "out.json"
     code = main(["girth", fano_file, "-o", str(target)])

@@ -1,6 +1,6 @@
 import pytest
 
-from oracles import seeded
+from oracles import is_frame_matrix, is_frame_presentation, is_gamma_frame_matrix, seeded
 
 from matroidlab.errors import FieldTooSmall, LabelMismatch
 from matroidlab.field import make_field, mult_subgroups, subgroup_of_order
@@ -12,9 +12,6 @@ from matroidlab.constructions import (
     complete_graph,
     gamma_frame_full,
     graphic,
-    is_frame_matrix,
-    is_frame_presentation,
-    is_gamma_frame_matrix,
     pg,
     reid,
     uniform,

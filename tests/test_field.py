@@ -2,11 +2,12 @@ import random
 
 import pytest
 
+from oracles import prime_subfield
+
 from matroidlab.errors import CapExceeded, DegreeZero, NotASubfield, NotPrime
 from matroidlab.field import (
     make_field,
     mult_subgroups,
-    prime_subfield,
     subfield_lattice,
     subgroup_of_order,
 )

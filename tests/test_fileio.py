@@ -1,6 +1,8 @@
 import pytest
 
-from matroidlab.field import make_field, prime_subfield, subgroup_of_order
+from oracles import prime_subfield
+
+from matroidlab.field import make_field, subgroup_of_order
 from matroidlab.linalg import Matrix, Subspace
 from matroidlab.constructions import Graph, complete_graph
 from matroidlab.templates import AdditiveSpan, FrameTemplate, SubfieldTemplate

@@ -80,7 +80,7 @@ def test_rref_idempotent_and_rank_transpose(A):
     R, rank, _ = rref(A)
     R2, rank2, _ = rref(R)
     assert rank2 == rank and R2.data == R.data
-    _, rank_t, _ = rref(A.transpose())
+    _, rank_t, _ = rref(Matrix(A.field, A.cols, A.rows, [A.col_vector(c) for c in A.cols]))
     assert rank_t == rank
 
 

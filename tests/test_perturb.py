@@ -3,9 +3,9 @@ from itertools import product
 
 import pytest
 
-from oracles import pert_exact_tiny
+from oracles import elementary_lifts_reference, pert_exact_tiny
 
-from matroidlab.errors import ShapeMismatch
+from matroidlab.errors import CapExceeded, ShapeMismatch
 from matroidlab.field import make_field
 from matroidlab.linalg import Matrix, Subspace, enumerate_subspaces
 from matroidlab.matroid import ReprMatroid, contract, delete, from_generator
@@ -22,6 +22,7 @@ from matroidlab.perturb import (
 
 GF2 = make_field(2, 1)
 GF3 = make_field(3, 1)
+GF4 = make_field(2, 2)
 
 
 def mk(field, data, n=None):
@@ -79,23 +80,78 @@ def test_lift_then_project_round_trip():
 
 
 def test_projections_lifts_match_extension_definition():
-    """Definition check on GF(2), |E| <= 3: enumerate every represented
-    matroid W on E + {x} with W \\ x = M and collect W / x."""
-    for n in (1, 2, 3):
+    """Definition check on GF(2), |E| <= 3, and GF(3), |E| <= 2: enumerate
+    every represented matroid W on E + {x} with W \\ x = M and collect W / x."""
+    for field, n in [(GF2, 1), (GF2, 2), (GF2, 3), (GF3, 1), (GF3, 2)]:
         ext_labels = tuple(range(n)) + ("x",)
-        for rows in enumerate_subspaces(GF2, n):
-            M = space_matroid(GF2, n, rows)
+        for rows in enumerate_subspaces(field, n):
+            M = space_matroid(field, n, rows)
             got_proj = {P.space.basis for P in elementary_projections(M)}
             got_lift = {L.space.basis for L in elementary_lifts(M)}
             want_proj, want_lift = set(), set()
-            for wrows in enumerate_subspaces(GF2, n + 1):
-                W = ReprMatroid(ext_labels, Subspace(GF2, ext_labels, list(wrows)))
+            for wrows in enumerate_subspaces(field, n + 1):
+                W = ReprMatroid(ext_labels, Subspace(field, ext_labels, list(wrows)))
                 if delete(W, {"x"}) == M:
                     want_proj.add(contract(W, {"x"}).space.basis)
                 if contract(W, {"x"}) == M:
                     want_lift.add(delete(W, {"x"}).space.basis)
             assert got_proj == want_proj
             assert got_lift == want_lift
+
+
+def _lift_cases():
+    for field, max_n in ((GF2, 5), (GF3, 4), (GF4, 3)):
+        for n in range(1, max_n + 1):
+            for rows in enumerate_subspaces(field, n):
+                yield space_matroid(field, n, rows)
+    # labels given unsorted, strings and mixed: the pivots are positions
+    # in the sorted ground set, not in the given order
+    for labels in (("d", "b", "c", "a"), ("b", 2, "a", 0)):
+        for rows in enumerate_subspaces(GF3, len(labels)):
+            yield ReprMatroid(labels, Subspace(GF3, labels, list(rows)))
+
+
+def test_lifts_match_reference_enumeration():
+    cases = 0
+    for M in _lift_cases():
+        q, n, d = M.field.q, M.size, M.rank
+        got = [L.space.basis for L in elementary_lifts(M)]
+        want = {L.space.basis for L in elementary_lifts_reference(M)}
+        assert got[0] == M.space.basis
+        assert len(got) == len(set(got)) == 1 + (q ** (n - d) - 1) // (q - 1)
+        assert set(got) == want
+        cases += 1
+    # every subspace of GF(2)^1..5, GF(3)^1..4 and GF(4)^1..3, plus two
+    # relabelled copies of GF(3)^4's
+    assert cases == (464 + 248 + 53) + 2 * 212
+
+
+def test_lifts_build_one_subspace_per_lift(monkeypatch):
+    """A 1-dimensional U in GF(3)^4 has (3^3 - 1)/2 = 13 lifts; building a
+    subspace per vector outside U would take 3^4 - 3 = 78."""
+    M = space_matroid(GF3, 4, [(1, 2, 0, 1)])
+    built = []
+    init = Subspace.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(args)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(Subspace, "__init__", counting_init)
+    lifts = elementary_lifts(M)
+    assert len(built) == 13 == len(lifts) - 1
+
+
+def test_lattice_budgets_count_subspaces_built():
+    # 2^7 vectors but only one lift of a rank-6 space in GF(2)^7, and
+    # 63 hyperplanes of it: both within a budget of 100
+    M1 = space_matroid(GF2, 7, [tuple(int(i == j) for j in range(7)) for i in range(6)])
+    M2 = space_matroid(GF2, 7, [tuple(int(i == j) for j in range(7)) for i in range(7)])
+    assert dist(PerturbPair(M1, M2), cap=100) == 1
+    with pytest.raises(CapExceeded, match=r"^127 lifts exceed the budget 100; raise it with --cap$"):
+        elementary_lifts(space_matroid(GF2, 7, []), cap=100)
+    with pytest.raises(CapExceeded, match=r"^127 hyperplanes exceed the budget 100; raise it with --cap$"):
+        elementary_projections(M2, cap=100)
 
 
 # ---------------------------------------------------------------------------

@@ -8,11 +8,12 @@ from oracles import (
     check_frame_respects,
     conform_frame,
     conforming_matroids_bruteforce,
+    prime_subfield,
     realize_reference,
 )
 
 from matroidlab.errors import BadAssignment, LabelClash, NotConforming
-from matroidlab.field import make_field, prime_subfield, subgroup_of_order
+from matroidlab.field import make_field, subgroup_of_order
 from matroidlab.linalg import Matrix, Subspace, combine, label_key, rref_rows, sort_labels
 from matroidlab.constructions import Graph, complete_graph, graphic, pg, uniform_represented
 from matroidlab.matroid import (
