@@ -483,7 +483,11 @@ def build_parser():
     p.add_argument("matrix", nargs="?")
     p.add_argument("--rows", type=int, default=2)
     p.add_argument("--cols", type=int, default=2)
-    _add_common(p, cap=200000)
+    _add_common(p, cap=200000, cap_help=(
+        "budget: enumerate builds at most this many conforming matrices; member "
+        "searches at most this many candidate matrices per row count (frame "
+        "templates: search nodes in all) and builds no rank table of more than "
+        "this many entries, 2^|E| for |E| elements (default %(default)s)"))
     p.set_defaults(fn=_cmd_template)
 
     p = sub.add_parser("code", help="code parameters / cut-code bound")

@@ -138,9 +138,8 @@ def dist(pair: PerturbPair, cap=100000) -> int:
                     return steps
                 if nb not in seen:
                     seen.add(nb)
+                    _check_budget(len(seen), "visited subspaces", cap)
                     nxt.append(N)
-        if len(seen) > cap:
-            raise CapExceeded(f"visited over {cap} subspaces")
         frontier = nxt
     raise AssertionError("subspace lattice is connected")  # unreachable
 

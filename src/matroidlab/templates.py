@@ -18,13 +18,17 @@ sets are interchangeable (permuting them only relabels the realized
 matroid), so the search takes them canonically: row choices in
 non-decreasing order for subfield templates, first-use order within
 equal-choice groups for frame templates, with rank and simplicity pruning
-against the target whenever no contraction is involved.  Every candidate
-has its conformance checked before it is realized.  The target's rank
-profile is built once per query, and a candidate reaches the equivalence
-search only if its loop count and parallel-class sizes match the
-target's (_Target).
+against the target whenever no contraction is involved.  With no
+contraction the realized matroid is the column matroid of [I,A]'s kept
+columns, so a candidate is built, checked and realized only if the loop
+count and parallel-class sizes of those columns match the target's.
+Every candidate that is realized has its conformance checked first.  The
+target's rank profile is built once per query, within the budget of
+table entries, and a candidate reaches the equivalence search only if
+its realized matroid's parallel invariants match the target's (_Target).
 """
 
+from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations_with_replacement, product
@@ -42,7 +46,6 @@ from .linalg import (
     sort_labels,
 )
 from .matroid import (
-    DEFAULT_ISO_CAP,
     ReprMatroid,
     _parallel_classes_repr,
     _profile,
@@ -415,16 +418,28 @@ class _SubfieldLayout:
                       + [tmpl.A2.entry(r, c) for c in tmpl.Y], Dsorted.index(r))
                      for r in tmpl.D]
         self._cy = [CY.index(c) for c in tuple(tmpl.C) + tuple(tmpl.Y)]
+        self._units = [tuple(int(i == j) for i in range(len(self.rows)))
+                       for j in range(len(tmpl.D), len(self.rows))]
 
     def row_options(self):
         return [(delta, entries) for delta in self.delta_elems
                 for entries in product(self.img, repeat=self.f)]
 
-    def matrix(self, lam_pick, row_picks):
+    def entries(self, lam_pick, row_picks):
+        """The rows of A for a Lambda pick and one row pick per anonymous row."""
         top = [fixed + [vec[pos] for vec in lam_pick] for fixed, pos in self._top]
         bottom = [[delta[i] for i in self._cy] + list(entries)
                   for delta, entries in row_picks]
-        return Matrix(self.field, self.rows, self.cols, top + bottom)
+        return top + bottom
+
+    def matrix(self, data):
+        return Matrix(self.field, self.rows, self.cols, data)
+
+    def kept_columns(self, data):
+        """The columns of [I,A] outside D, over every row: the unit columns
+        of the anonymous rows, then every column of A.  When C is empty
+        their column matroid is the realized matroid."""
+        return self._units + (list(zip(*data)) if data else [()] * len(self.cols))
 
 
 class _FrameLayout:
@@ -448,6 +463,8 @@ class _FrameLayout:
         self._y1 = sort_labels(tmpl.Y1)
         Dsorted = sort_labels(tmpl.D)
         self._dpos = [Dsorted.index(d) for d in tmpl.D]
+        self._x_units = [tuple(int(i == j) for i in range(len(self.rows)))
+                         for j in range(len(tmpl.D), self.n_named)]
 
     def named_columns(self, delta_rows):
         """Named column label -> column, given each anonymous row's Delta vector."""
@@ -496,6 +513,12 @@ class _FrameLayout:
         data = [[col[ri] for col in colvecs] for ri in range(len(self.rows))]
         return Matrix(self.field, self.rows, self.cols, data)
 
+    def kept_columns(self, named, free_columns):
+        """The columns of [I,A] outside (B-X) + Y1, over every row: the unit
+        columns of X, the Y0 columns, then the free columns.  When C is
+        empty their column matroid is the realized matroid."""
+        return self._x_units + [named[y] for y in self.tmpl.Y0] + list(free_columns)
+
 
 # ---------------------------------------------------------------------------
 # bounded enumeration of conforming matroids
@@ -523,7 +546,7 @@ def _enumerate_subfield(tmpl, extra_rows, free_cols, cap):
     seen = set()
     for lam_pick in product(lay.lam_elems, repeat=free_cols):
         for row_picks in product(row_opts, repeat=extra_rows):
-            M = subfield_matroid_of(lay.matrix(lam_pick, row_picks), tmpl)
+            M = subfield_matroid_of(lay.matrix(lay.entries(lam_pick, row_picks)), tmpl)
             key = (M.ground, M.space.basis)
             if key not in seen:
                 seen.add(key)
@@ -554,7 +577,11 @@ def _enumerate_frame(tmpl, extra_rows, free_cols, cap):
 
 def member_of(tmpl, M: ReprMatroid, row_cap=None, cap=DEFAULT_ENUM_CAP) -> bool:
     """Does M, up to a label bijection and a projective transformation,
-    arise from a matrix conforming to the template?"""
+    arise from a matrix conforming to the template?
+
+    cap bounds the candidate matrices of each row count (subfield
+    templates) or the search nodes in all (frame templates), and the
+    entries of each rank table the equivalence test builds: 2^|E|."""
     if M.field != tmpl.field:
         return False
     if isinstance(tmpl, SubfieldTemplate):
@@ -573,20 +600,39 @@ def _parallel_invariants(M):
 class _Target:
     """The matroid a membership search compares its candidates with.
 
-    Its parallel invariants are computed once and compared before any
-    equivalence search; its rank profile is built once, on first use, and
-    handed to every equivalence test.  Candidates already compared are
-    skipped.
+    Its parallel invariants are computed once.  When the template
+    contracts nothing, the search compares them with those of a
+    candidate's kept columns (columns_match) before it builds the
+    candidate; every candidate is compared with them again after
+    realization, before any equivalence search.  Its rank profile is built
+    once, on first use and within cap table entries, and handed to every
+    equivalence test.  Candidates already compared are skipped.
     """
 
-    def __init__(self, M):
+    def __init__(self, M, cap):
         self.M = M
+        self.cap = cap
         self.invariants = _parallel_invariants(M)
+        self.normalize = normalizer(M.field)
         self.checked = set()
+
+    def columns_match(self, cols):
+        """Do these columns, as a column matroid, have the target's loop
+        count and parallel-class sizes?  Each distinct column is
+        normalized once."""
+        sizes = {}
+        for v, k in Counter(cols).items():
+            key = self.normalize(v)
+            sizes[key] = sizes.get(key, 0) + k
+        return (sizes.pop(None, 0), sorted(sizes.values())) == self.invariants
 
     @cached_property
     def profile(self):
-        return _profile(self.M, DEFAULT_ISO_CAP)
+        n = self.M.size
+        if 1 << n > self.cap:
+            raise CapExceeded(f"{1 << n} rank-table entries (2^{n}) exceed the budget "
+                              f"{self.cap}; raise it with --cap")
+        return _profile(self.M, n)
 
     def matches(self, N):
         M = self.M
@@ -598,13 +644,14 @@ class _Target:
         self.checked.add(key)
         if _parallel_invariants(N) != self.invariants:
             return False
-        return equivalent_up_to_relabel_scaling(N, M, profile2=self.profile)
+        return equivalent_up_to_relabel_scaling(N, M, cap=M.size, profile2=self.profile)
 
 
 def _member_subfield(tmpl, M, row_cap, cap):
     n, r = M.size, M.rank
     b_max = r + len(tmpl.C) if row_cap is None else row_cap
-    target = _Target(M)
+    target = _Target(M, cap)
+    prefilter = not tmpl.C
     for b in range(0, b_max + 1):
         f = n - b - len(tmpl.Y)
         if f < 0:
@@ -616,7 +663,10 @@ def _member_subfield(tmpl, M, row_cap, cap):
         row_opts = lay.row_options()
         for lam_pick in product(lay.lam_elems, repeat=f):
             for row_picks in combinations_with_replacement(row_opts, b):
-                if target.matches(subfield_matroid_of(lay.matrix(lam_pick, row_picks), tmpl)):
+                data = lay.entries(lam_pick, row_picks)
+                if prefilter and not target.columns_match(lay.kept_columns(data)):
+                    continue
+                if target.matches(subfield_matroid_of(lay.matrix(data), tmpl)):
                     return True
     return False
 
@@ -627,7 +677,9 @@ def _member_frame(tmpl, M, row_cap, cap):
     Anonymous rows with equal Delta choices are interchangeable, so each
     is first touched in index order.  When the template contracts nothing
     (C empty), surviving columns restrict the final matroid, which allows
-    rank and simplicity pruning against the target.
+    rank and simplicity pruning against the target, and a full candidate
+    is built only if its kept columns match the target's parallel
+    invariants.
     """
     f = M.size - len(tmpl.X) - len(tmpl.Y0)
     if f < 0:
@@ -636,11 +688,23 @@ def _member_frame(tmpl, M, row_cap, cap):
     simple_target = prune_ok and is_simple(M)
     b_max = 2 * f + tmpl.delta.size if row_cap is None else row_cap
     budget = [cap]
-    target = _Target(M)
+    target = _Target(M, cap)
     for b in range(0, b_max + 1):
         if _member_frame_at_rows(tmpl, target, b, f, prune_ok, simple_target, budget):
             return True
     return False
+
+
+def _allowed_rows(delta_pick, used):
+    """The used anonymous rows plus the first unused row of each
+    Delta-group, ascending: the rows a canonical next column may touch."""
+    out = [i for i in range(len(delta_pick)) if i in used]
+    seen_groups = set()
+    for i, g in enumerate(delta_pick):
+        if i not in used and g not in seen_groups:
+            seen_groups.add(g)
+            out.append(i)
+    return sorted(out)
 
 
 def _member_frame_at_rows(tmpl, target, b, f, prune_ok, simple_target, budget):
@@ -652,16 +716,10 @@ def _member_frame_at_rows(tmpl, target, b, f, prune_ok, simple_target, budget):
     for delta_pick in combinations_with_replacement(range(len(lay.delta_elems)), b):
         named = lay.named_columns([lay.delta_elems[k] for k in delta_pick])
         # initial survivor columns: identity columns of X, then Y0 columns
-        init_cols = []
-        for t in range(len(tmpl.X)):
-            v = [0] * len(lay.rows)
-            v[len(tmpl.D) + t] = 1
-            init_cols.append(tuple(v))
-        init_cols += [named[y] for y in tmpl.Y0]
         ech = ((), ())  # echelon (basis, pivots) of the survivor columns
         keys = set()
         ok = True
-        for v in init_cols:
+        for v in lay.kept_columns(named, ()):
             ech = extend_echelon(F, *ech, v)
             if simple_target:
                 k = normalize(v)
@@ -671,19 +729,6 @@ def _member_frame_at_rows(tmpl, target, b, f, prune_ok, simple_target, budget):
                 keys.add(k)
         if not ok or (prune_ok and len(ech[1]) > r_target):
             continue
-
-        def allowed_rows(used):
-            """Used rows plus the first unused row of each Delta-group."""
-            out = [i for i in range(b) if i in used]
-            seen_groups = set()
-            for i in range(b):
-                if i in used:
-                    continue
-                g = delta_pick[i]
-                if g not in seen_groups:
-                    seen_groups.add(g)
-                    out.append(i)
-            return sorted(out)
 
         def rec(col_idx, ech, keys, used, chosen):
             budget[0] -= 1
@@ -695,7 +740,7 @@ def _member_frame_at_rows(tmpl, target, b, f, prune_ok, simple_target, budget):
                 if prune_ok and len(ech[1]) != r_target:
                     return False
                 return finish(chosen)
-            for option in lay.options(allowed_rows(used)):
+            for option in lay.options(_allowed_rows(delta_pick, used)):
                 vec = lay.column(option, named)
                 new_ech = extend_echelon(F, *ech, vec)
                 if prune_ok and len(new_ech[1]) > r_target:
@@ -712,6 +757,8 @@ def _member_frame_at_rows(tmpl, target, b, f, prune_ok, simple_target, budget):
             return False
 
         def finish(chosen):
+            if prune_ok and not target.columns_match(lay.kept_columns(named, chosen)):
+                return False
             return target.matches(frame_matroid_of(lay.matrix(named, chosen), tmpl))
 
         if rec(0, ech, keys, frozenset(), []):

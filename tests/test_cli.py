@@ -168,6 +168,18 @@ def test_template_member_and_enumerate(capsys, tmp_path):
     assert code == 0 and json.loads(out)["member"] is True
 
 
+def test_template_member_rank_table_budget_is_cap(capsys, tmp_path):
+    # 13 parallel elements need a rank table of 2^13 = 8192 entries
+    tmpl = tmp_path / "sub.tmpl"
+    tmpl.write_text("template subfield\ngf 2 1\nsubfield 2 1\nA1\nA2\nlambda\ndelta\n")
+    ones = tmp_path / "ones.mat"
+    ones.write_text(write_matrix(Matrix(GF2, (0,), tuple(range(13)), [[1] * 13])))
+    argv = ["template", "member", str(tmpl), str(ones)]
+    assert run(capsys, argv) == (0, '{"member": true}\n')
+    assert main(argv + ["--cap", "5000"]) == 3
+    assert "8192 rank-table entries (2^13) exceed the budget 5000" in capsys.readouterr().err
+
+
 def test_perturb_commands(capsys, tmp_path, fano_file):
     code, out = run(capsys, ["perturb", "dist", fano_file, fano_file])
     assert code == 0 and json.loads(out)["value"] == 0

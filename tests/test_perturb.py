@@ -154,6 +154,17 @@ def test_lattice_budgets_count_subspaces_built():
         elementary_projections(M2, cap=100)
 
 
+def test_dist_budget_counts_visited_subspaces():
+    # span(e0, e1, e2) to span(e3, e4, e5) in GF(2)^6 is 6 steps apart; the
+    # budget is checked as each subspace is first visited, not per level
+    e = [tuple(int(i == j) for j in range(6)) for i in range(6)]
+    pair = PerturbPair(space_matroid(GF2, 6, e[:3]), space_matroid(GF2, 6, e[3:]))
+    for cap in (60, 1000):
+        with pytest.raises(CapExceeded, match=rf"^{cap + 1} visited subspaces exceed "
+                                              rf"the budget {cap}; raise it with --cap$"):
+            dist(pair, cap=cap)
+
+
 # ---------------------------------------------------------------------------
 # dist
 # ---------------------------------------------------------------------------

@@ -1,7 +1,7 @@
 import hashlib
 import json
 import random
-from itertools import combinations, product
+from itertools import combinations, combinations_with_replacement, product
 
 import pytest
 from oracles import (
@@ -12,9 +12,18 @@ from oracles import (
     realize_reference,
 )
 
-from matroidlab.errors import BadAssignment, LabelClash, NotConforming
+from matroidlab import templates
+from matroidlab.errors import BadAssignment, CapExceeded, LabelClash, NotConforming
 from matroidlab.field import make_field, subgroup_of_order
-from matroidlab.linalg import Matrix, Subspace, combine, label_key, rref_rows, sort_labels
+from matroidlab.linalg import (
+    Matrix,
+    Subspace,
+    combine,
+    label_key,
+    normalizer,
+    rref_rows,
+    sort_labels,
+)
 from matroidlab.constructions import Graph, complete_graph, graphic, pg, uniform_represented
 from matroidlab.matroid import (
     _profile,
@@ -27,8 +36,13 @@ from matroidlab.templates import (
     AdditiveSpan,
     FrameTemplate,
     SubfieldTemplate,
+    _allowed_rows,
+    _FrameLayout,
     _parallel_invariants,
     _realize,
+    _SubfieldLayout,
+    _Target,
+    check_frame_conforms,
     check_subfield,
     enumerate_conforming,
     frame_matroid_of,
@@ -517,6 +531,15 @@ def rich_frame_template_gf2():
                          AdditiveSpan(GF2, ("y0", "y1"), [(1, 1)]))
 
 
+def contracting_frame_template_gf2():
+    """rich_frame_template_gf2 with a contracted column c, which the
+    column prefilter must leave alone."""
+    A1 = Matrix(GF2, ("d", "x"), ("c", "y0", "y1"), [[1, 1, 0], [0, 1, 1]])
+    return FrameTemplate(ONE2, ("c",), ("d",), ("x",), ("y0",), ("y1",),
+                         A1, AdditiveSpan(GF2, ("d",), [(1,)]),
+                         AdditiveSpan(GF2, ("c", "y0", "y1"), [(1, 1, 0)]))
+
+
 # name -> (template, (extra rows, free columns) shapes, SHA-256 of the
 # ordered enumerations); the brute-force oracle runs on the shapes with at
 # most ORACLE_MATRICES matrices
@@ -595,3 +618,205 @@ def test_rich_frame_template_rejects_coloop_free():
     # the X row of A1 is zero, so x is a coloop of every member; the
     # triangle U_{2,3} has none
     assert not member_of(rich_frame_template_gf3(), uniform_represented(2, 3, GF3))
+
+
+def test_member_of_rank_table_budget_comes_from_cap():
+    # 13 parallel elements: the rank table has 2^13 = 8192 entries
+    M = from_generator(Matrix(GF2, (0,), tuple(range(13)), [[1] * 13]))
+    tmpl = SubfieldTemplate.empty(GF2)
+    assert member_of(tmpl, M, cap=10**9)
+    assert member_of(tmpl, M)
+    with pytest.raises(CapExceeded, match=r"^8192 rank-table entries \(2\^13\) exceed "
+                                          r"the budget 5000; raise it with --cap$"):
+        member_of(tmpl, M, cap=5000)
+
+
+def test_member_of_realizes_only_prefiltered_candidates(monkeypatch):
+    # a candidate is realized only when its kept columns have the target's
+    # parallel invariants; realizing every candidate took 265 and 1,801 calls
+    calls = []
+    for name in ("subfield_matroid_of", "frame_matroid_of"):
+        real = getattr(templates, name)
+        monkeypatch.setattr(templates, name,
+                            lambda A, tmpl, real=real: calls.append(A) or real(A, tmpl))
+    assert member_of(SubfieldTemplate.empty(GF2), graphic(complete_graph(4), GF2))
+    assert len(calls) == 1
+    calls.clear()
+    M = from_generator(Matrix(GF2, (0, 1, 2), tuple(range(6)),
+                              [[1, 1, 0, 0, 1, 1], [0, 0, 1, 0, 1, 0], [0, 0, 0, 1, 0, 1]]))
+    assert member_of(FrameTemplate.trivial(ONE2), M)
+    assert len(calls) == 1
+
+
+# ---------------------------------------------------------------------------
+# membership candidates: the column prefilter and the conformance checks
+# ---------------------------------------------------------------------------
+
+def contraction_free_subfield_template():
+    """GF(4) over GF(2) with C empty and D, Y non-empty: Lambda = {0} and
+    A2 = 1 make y the only column with an entry in row d, a coloop."""
+    return gf4_subfield_template(D=("d",), Y=("y",), lam_vectors=[], delta_vectors=[[1]],
+                                 A2=Matrix(GF4, ("d",), ("y",), [[1]]))
+
+
+def _subfield_candidates(tmpl, b, f, rng, k):
+    """Up to k seeded picks of membership's subfield search at b anonymous
+    rows and f free columns, as (layout, entries): a Lambda pick, then a
+    row multiset from combinations_with_replacement."""
+    lay = _SubfieldLayout(tmpl, b, f)
+    picks = list(product(product(lay.lam_elems, repeat=f),
+                         combinations_with_replacement(lay.row_options(), b)))
+    return [(lay, lay.entries(*pick)) for pick in rng.sample(picks, min(k, len(picks)))]
+
+
+def _frame_candidates(tmpl, b, f, rng, k):
+    """k seeded picks of membership's frame search at b anonymous rows and
+    f free columns, as (layout, named columns, free columns): Delta rows
+    from combinations_with_replacement, then each free column from
+    options(_allowed_rows(...)) given the rows used so far."""
+    lay = _FrameLayout(tmpl, b, f)
+    deltas = list(combinations_with_replacement(range(len(lay.delta_elems)), b))
+    out = []
+    for _ in range(k):
+        delta_pick = rng.choice(deltas)
+        named = lay.named_columns([lay.delta_elems[i] for i in delta_pick])
+        used, chosen = frozenset(), []
+        for _ in range(f):
+            option = rng.choice(lay.options(_allowed_rows(delta_pick, used)))
+            used |= {i for i, _ in option[2]}
+            chosen.append(lay.column(option, named))
+        out.append((lay, named, chosen))
+    return out
+
+
+# contraction-free templates and the (rows, free columns) shapes sampled
+PREFILTER_TEMPLATES = {
+    "subfield-empty-gf2": (lambda: SubfieldTemplate.empty(GF2),
+                           ((0, 3), (1, 3), (2, 3), (3, 3), (2, 4))),
+    "subfield-empty-gf3": (lambda: SubfieldTemplate.empty(GF3),
+                           ((1, 3), (2, 2), (2, 3), (3, 3))),
+    "subfield-gf4-no-C": (contraction_free_subfield_template,
+                          ((0, 2), (1, 2), (2, 2), (2, 3))),
+    "frame-gf3": (rich_frame_template_gf3, ((1, 1), (2, 2), (2, 3), (3, 3))),
+    "frame-gf2": (rich_frame_template_gf2, ((1, 2), (2, 2), (3, 2), (3, 3))),
+}
+
+
+def _candidates(tmpl, b, f, rng, k):
+    """(kept columns, realized matroid) of sampled membership candidates."""
+    if isinstance(tmpl, SubfieldTemplate):
+        return [(lay.kept_columns(data), subfield_matroid_of(lay.matrix(data), tmpl))
+                for lay, data in _subfield_candidates(tmpl, b, f, rng, k)]
+    return [(lay.kept_columns(named, chosen), frame_matroid_of(lay.matrix(named, chosen), tmpl))
+            for lay, named, chosen in _frame_candidates(tmpl, b, f, rng, k)]
+
+
+@pytest.mark.parametrize("name", sorted(PREFILTER_TEMPLATES))
+def test_kept_column_invariants_match_realized(name):
+    make, shapes = PREFILTER_TEMPLATES[name]
+    tmpl = make()
+    normalize = normalizer(tmpl.field)
+    rng = random.Random(name)
+    seen = {"loops": 0, "parallel": 0, "scaled": 0, "rejected": 0}
+    for b, f in shapes:
+        sample = _candidates(tmpl, b, f, rng, 60)
+        for (cols, N), (_, other) in zip(sample, sample[1:] + sample[:1]):
+            assert len(cols) == N.size
+            assert _Target(N, 1).columns_match(cols)
+            same = _parallel_invariants(other) == _parallel_invariants(N)
+            assert _Target(other, 1).columns_match(cols) == same
+            seen["rejected"] += not same
+            keys = [normalize(v) for v in cols]
+            seen["loops"] += None in keys
+            classes = {k for k in keys if k}
+            seen["parallel"] += len(classes) < len(keys) - keys.count(None)
+            seen["scaled"] += len(classes) < len({v for v, k in zip(cols, keys) if k})
+    assert min(seen["loops"], seen["parallel"], seen["rejected"]) >= 5, seen
+    if tmpl.field.q == 3:  # GF(2) has no other scalars; the GF(4) template is binary
+        assert seen["scaled"] >= 5, seen
+
+
+# (template, target size, row cap): the brute-force oracle covers every
+# matrix of the template with at most row-cap anonymous rows
+VERDICT_CASES = [
+    ("subfield-empty-gf2", 5, 3),
+    ("subfield-empty-gf3", 4, 2),
+    ("subfield-gf4-no-C", 4, 2),
+    ("subfield-gf4", 4, 1),
+    ("frame-gf3", 3, 1),
+    ("frame-gf3", 4, 0),
+    ("frame-gf2", 3, 2),
+    ("frame-gf2", 4, 1),
+    ("frame-gf2-C", 3, 1),
+    ("frame-gf2-C", 4, 1),
+]
+
+
+@pytest.mark.parametrize("name,n,row_cap", VERDICT_CASES)
+def test_member_of_verdicts_match_bruteforce(name, n, row_cap):
+    make = {**{k: v[0] for k, v in PREFILTER_TEMPLATES.items()},
+            "subfield-gf4": rich_subfield_template,
+            "frame-gf2-C": contracting_frame_template_gf2}[name]
+    tmpl = make()
+    F = tmpl.field
+    pool = set()
+    for b in range(row_cap + 1):
+        if isinstance(tmpl, SubfieldTemplate):
+            f = n - b - len(tmpl.Y)
+        else:
+            f = n - len(tmpl.X) - len(tmpl.Y0)
+        if f >= 0:
+            pool |= conforming_matroids_bruteforce(tmpl, *_labels(tmpl, b, f))
+    assert pool and all(K.size == n for K in pool)
+    rng = random.Random(f"{name}-{n}")
+    members = sorted(pool, key=lambda K: (K.rank, repr(K.space.basis)))
+    targets = [_equivalent_copy(K, rng) for K in rng.sample(members, min(8, len(members)))]
+    targets += [_random_matroid(F, rng, rng.randint(1, n), n, True) for _ in range(16)]
+    verdicts = []
+    for N in targets:
+        truth = any(equivalent_up_to_relabel_scaling(N, K) for K in pool
+                    if K.rank == N.rank)
+        assert member_of(tmpl, N, row_cap=row_cap) == truth
+        verdicts.append(truth)
+    # the copies of members are positives; some random targets must be negatives
+    assert verdicts.count(False) >= 3, verdicts
+
+
+# every shape of the rich templates, plus the empty and trivial templates
+CONFORMANCE_SHAPES = {
+    **{name: (make, shapes) for name, (make, shapes, _) in RICH_TEMPLATES.items()},
+    "subfield-empty-gf2": (lambda: SubfieldTemplate.empty(GF2), ((2, 2), (3, 3))),
+    "subfield-empty-gf3": (lambda: SubfieldTemplate.empty(GF3), ((2, 2), (3, 2))),
+    "frame-trivial-gf2": (lambda: FrameTemplate.trivial(ONE2), ((2, 2), (3, 3), (4, 2))),
+    "frame-trivial-gf3": (lambda: FrameTemplate.trivial(subgroup_of_order(GF3, 2)),
+                          ((2, 2), (3, 3))),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CONFORMANCE_SHAPES))
+def test_layout_candidates_conform(name):
+    # membership builds, checks and realizes only the candidates that pass
+    # the column prefilter, so every layout candidate must conform
+    make, shapes = CONFORMANCE_SHAPES[name]
+    tmpl = make()
+    rng = random.Random(name)
+    for b, f in shapes:
+        if isinstance(tmpl, SubfieldTemplate):
+            lay = _SubfieldLayout(tmpl, b, f)
+            row_opts = lay.row_options()
+            picks = [data for _, data in _subfield_candidates(tmpl, b, f, rng, 40)]
+            picks += [lay.entries(tuple(rng.choice(lay.lam_elems) for _ in range(f)),
+                                  [rng.choice(row_opts) for _ in range(b)])
+                      for _ in range(40)]  # enumeration's product picks
+            for data in picks:
+                assert check_subfield(lay.matrix(data), tmpl).ok
+        else:
+            lay = _FrameLayout(tmpl, b, f)
+            picks = [(named, chosen)
+                     for _, named, chosen in _frame_candidates(tmpl, b, f, rng, 40)]
+            options = lay.options(range(b))
+            for _ in range(40):  # enumeration's product picks
+                named = lay.named_columns([rng.choice(lay.delta_elems) for _ in range(b)])
+                picks.append((named, [lay.column(rng.choice(options), named) for _ in range(f)]))
+            for named, chosen in picks:
+                assert check_frame_conforms(lay.matrix(named, chosen), tmpl).ok
