@@ -37,7 +37,6 @@ from .constructions import (
 from .errors import CapExceeded, ToolkitError
 from .field import make_field, subgroup_of_order
 from .growth import (
-    GrowthParams,
     h_exhaustive,
     h_exponential,
     h_gamma_frame,
@@ -363,20 +362,18 @@ def _forbidden_arg(spec):
 
 def _cmd_growth(args):
     if args.action == "formula":
-        gp = GrowthParams(q=args.q, r=args.rmax, k=args.k, d=args.d,
-                          n=args.n, alpha=args.alpha, t=args.t)
         lines = ["r,value,pre_asymptotic"]
-        for r in range(1, gp.r + 1):
+        for r in range(1, args.rmax + 1):
             if args.family == "exponential":
-                out = h_exponential(gp.q, gp.k, gp.d, r)
+                out = h_exponential(args.q, args.k, args.d, r)
                 value, flag = out.value, out.pre_asymptotic
             elif args.family == "gammaframe":
-                value, flag = h_gamma_frame(gp.alpha, r), False
+                value, flag = h_gamma_frame(args.alpha, r), False
             elif args.family == "twofield":
-                out = h_nelson_two_field(gp.q, r)
+                out = h_nelson_two_field(args.q, r)
                 value, flag = out.value, out.pre_asymptotic
             else:
-                out = h_nelson_pg_excluded(gp.q, gp.n, r)
+                out = h_nelson_pg_excluded(args.q, args.n, r)
                 value, flag = out.value, out.pre_asymptotic
             lines.append(f"{r},{value},{flag}")
         _emit(args, "\n".join(lines) + "\n")

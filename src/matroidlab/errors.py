@@ -22,6 +22,14 @@ class CapExceeded(ToolkitError):
     """An enumeration or search would exceed its configured budget."""
 
 
+def check_budget(count, what, cap):
+    """Raise CapExceeded, naming the count, the budget and the flag, when
+    count exceeds cap."""
+    if count > cap:
+        raise CapExceeded(f"{count} {what} exceed the budget {cap}; "
+                          "raise it with --cap")
+
+
 class LabelMismatch(ToolkitError):
     pass
 
@@ -43,10 +51,6 @@ class LabelClash(ToolkitError):
 
 
 class NotConforming(ToolkitError):
-    pass
-
-
-class BadAssignment(ToolkitError):
     pass
 
 

@@ -31,19 +31,6 @@ class GrowthValue:
     pre_asymptotic: bool
 
 
-@dataclass(frozen=True)
-class GrowthParams:
-    """Bundle of growth-formula inputs as parsed from the command line."""
-
-    q: int
-    r: int
-    k: int = 0
-    d: int = 0
-    n: int = 3
-    alpha: int = 1
-    t: int = 0
-
-
 def h_exponential(q: int, k: int, d: int, r: int) -> GrowthValue:
     """(q^(r+k) - 1)/(q - 1) - q d, the exponentially dense form.
 
@@ -170,7 +157,6 @@ def is_alpha_t_frame(M, alpha: int, t: int, exact=False, cap=12):
             continue
         outside = [e for e in g if e not in set(B)]
         fundamental = {}
-        good_basis = True
         for e in outside:
             circ = [b for b in B if rk(tuple(set(B) - {b}) + (e,)) == r]
             fundamental[e] = set(circ)

@@ -184,17 +184,8 @@ class Matrix:
         return cls(field, labels, labels,
                    [[1 if i == j else 0 for j in range(n)] for i in range(n)])
 
-    @classmethod
-    def zero(cls, field, rows, cols):
-        rows, cols = tuple(rows), tuple(cols)
-        return cls(field, rows, cols, [[0] * len(cols) for _ in rows])
-
     def entry(self, r, c):
         return self.data[self._rindex[r]][self._cindex[c]]
-
-    def col_vector(self, c):
-        j = self._cindex[c]
-        return tuple(row[j] for row in self.data)
 
     def submatrix(self, rows, cols):
         rows, cols = tuple(rows), tuple(cols)

@@ -52,15 +52,13 @@ UNBOUNDED = _Unbounded()
 
 
 class ReprMatroid:
-    """Pair (E, U): ground label set plus a subspace of F^E."""
+    """Pair (E, U) given by a subspace U of F^E: the ground set E is U's
+    sorted ambient label set."""
 
     __slots__ = ("ground", "space")
 
-    def __init__(self, ground, space: Subspace):
-        ground = sort_labels(ground)
-        if space.ambient != ground:
-            raise LabelMismatch("subspace ambient set must equal the ground set")
-        self.ground = ground
+    def __init__(self, space: Subspace):
+        self.ground = space.ambient
         self.space = space
 
     @property
@@ -85,11 +83,10 @@ class ReprMatroid:
         return tuple(row[j] for row in self.space.basis)
 
     def __eq__(self, other):
-        return (isinstance(other, ReprMatroid)
-                and (self.ground, self.space) == (other.ground, other.space))
+        return isinstance(other, ReprMatroid) and self.space == other.space
 
     def __hash__(self):
-        return hash((self.ground, self.space))
+        return hash(self.space)
 
     def __repr__(self):
         return f"ReprMatroid(|E|={self.size}, rank={self.rank}, {self.field!r})"
@@ -162,7 +159,7 @@ class OracleMatroid:
 
 def from_generator(A: Matrix) -> ReprMatroid:
     """M(A): the represented matroid on A's columns with U = rowspace(A)."""
-    return ReprMatroid(A.cols, Subspace(A.field, A.cols, A.data))
+    return ReprMatroid(Subspace(A.field, A.cols, A.data))
 
 
 def _check_subset(M, X):
@@ -180,7 +177,7 @@ def delete(M, X):
         return OracleMatroid(keep, M.rank_of, validate=False)
     idx = [M.space.index(e) for e in keep]
     vecs = [[row[i] for i in idx] for row in M.space.basis]
-    return ReprMatroid(keep, Subspace(M.field, keep, vecs))
+    return ReprMatroid(Subspace(M.field, keep, vecs))
 
 
 def contract(M, X):
@@ -199,7 +196,7 @@ def contract(M, X):
              + [i for i, e in enumerate(M.ground) if e not in X])
     red, piv = rref_rows(M.field, [[row[i] for i in order] for row in M.space.basis])
     vecs = [row[len(X):] for row, p in zip(red, piv) if p >= len(X)]
-    return ReprMatroid(keep, Subspace(M.field, keep, vecs))
+    return ReprMatroid(Subspace(M.field, keep, vecs))
 
 
 def minor(M, contract_set, delete_set):
@@ -218,7 +215,7 @@ def dual(M):
         g = set(M.ground)
         fn = lambda S: len(S) + M.rank_of(g - set(S)) - full
         return OracleMatroid(M.ground, fn, validate=False)
-    return ReprMatroid(M.ground, orth_complement(M.space))
+    return ReprMatroid(orth_complement(M.space))
 
 
 def rank_of(M, S):
@@ -240,7 +237,7 @@ def relabel(M, mapping):
         inv = {v: k for k, v in mapping.items()}
         return OracleMatroid(new_ground, lambda S: M.rank_of({inv[x] for x in S}),
                              validate=False)
-    return ReprMatroid(new_ground, Subspace(M.field, new_ground, M.space.basis))
+    return ReprMatroid(Subspace(M.field, new_ground, M.space.basis))
 
 
 # ---------------------------------------------------------------------------

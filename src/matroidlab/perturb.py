@@ -21,7 +21,7 @@ the literal enumeration over coefficient matrices in tests/oracles.py.
 from dataclasses import dataclass
 from itertools import product
 
-from .errors import CapExceeded, LabelMismatch, ShapeMismatch
+from .errors import CapExceeded, LabelMismatch, ShapeMismatch, check_budget
 from .linalg import (
     Matrix,
     Subspace,
@@ -73,23 +73,17 @@ def _points(F, k):
             yield code
 
 
-def _check_budget(count, what, cap):
-    if count > cap:
-        raise CapExceeded(f"{count} {what} exceed the budget {cap}; "
-                          "raise it with --cap")
-
-
 def elementary_projections(M: ReprMatroid, cap=DEFAULT_LATTICE_CAP):
     """M itself plus every (E, U') with U' a codimension-1 subspace of U:
     one per normalized functional on U, the kernel of each."""
     F = M.field
     d = M.rank
-    _check_budget((F.q ** d - 1) // (F.q - 1), "hyperplanes", cap)
+    check_budget((F.q ** d - 1) // (F.q - 1), "hyperplanes", cap)
     out = [M]
     B = M.space.basis
     for code in _points(F, d):
         vecs = [combine(F, coeff, B) for coeff in null_space_rows(F, [code], d)]
-        out.append(ReprMatroid(M.ground, Subspace(F, M.ground, vecs)))
+        out.append(ReprMatroid(Subspace(F, M.ground, vecs)))
     return out
 
 
@@ -104,13 +98,13 @@ def elementary_lifts(M: ReprMatroid, cap=DEFAULT_LATTICE_CAP):
     U = M.space
     pivots = set(U.pivots)
     free = [j for j in range(len(M.ground)) if j not in pivots]
-    _check_budget((F.q ** len(free) - 1) // (F.q - 1), "lifts", cap)
+    check_budget((F.q ** len(free) - 1) // (F.q - 1), "lifts", cap)
     out = [M]
     for code in _points(F, len(free)):
         v = [0] * len(M.ground)
         for j, x in zip(free, code):
             v[j] = x
-        out.append(ReprMatroid(M.ground, Subspace(F, M.ground, list(U.basis) + [v])))
+        out.append(ReprMatroid(Subspace(F, M.ground, list(U.basis) + [v])))
     return out
 
 
@@ -138,7 +132,7 @@ def dist(pair: PerturbPair, cap=100000) -> int:
                     return steps
                 if nb not in seen:
                     seen.add(nb)
-                    _check_budget(len(seen), "visited subspaces", cap)
+                    check_budget(len(seen), "visited subspaces", cap)
                     nxt.append(N)
         frontier = nxt
     raise AssertionError("subspace lattice is connected")  # unreachable
@@ -232,4 +226,4 @@ def apply_perturbation(M: ReprMatroid, P: Matrix):
     rows = [[F.add(x, y) for x, y in zip(brow, prow)]
             for brow, prow in zip(M.space.basis, Psorted.data)]
     _, piv = rref_rows(F, Psorted.data)
-    return ReprMatroid(order, Subspace(F, order, rows)), len(piv)
+    return ReprMatroid(Subspace(F, order, rows)), len(piv)

@@ -25,7 +25,9 @@ count and parallel-class sizes of those columns match the target's.
 Every candidate that is realized has its conformance checked first.  The
 target's rank profile is built once per query, within the budget of
 table entries, and a candidate reaches the equivalence search only if
-its realized matroid's parallel invariants match the target's (_Target).
+its parallel invariants match the target's (_Target): read from its kept
+columns when nothing is contracted, from its realized matroid's columns
+otherwise.
 """
 
 from collections import Counter
@@ -34,7 +36,7 @@ from functools import cached_property
 from itertools import combinations_with_replacement, product
 from math import comb
 
-from .errors import CapExceeded, LabelClash, NotConforming
+from .errors import LabelClash, NotConforming, check_budget
 from .constructions import _is_gamma_frame_column
 from .field import FiniteField, MultSubgroup, SubfieldEmbedding, _digits, _undigits, make_field
 from .linalg import (
@@ -47,7 +49,6 @@ from .linalg import (
 )
 from .matroid import (
     ReprMatroid,
-    _parallel_classes_repr,
     _profile,
     equivalent_up_to_relabel_scaling,
     is_simple,
@@ -268,16 +269,14 @@ def check_subfield(A: Matrix, tmpl: SubfieldTemplate) -> ConformanceReport:
         skip = C if r in D else ()
         if any(x not in img for c, x in zip(A.cols, row) if c not in skip):
             return ConformanceReport(False, "clause-ii")
-    # clause iii: columns of A[D, free] lie in Lambda
-    Dsorted = sort_labels(tmpl.D)
+    # clause iii: columns of A[D, free] lie in Lambda (ambient: sorted D)
     for c in free:
-        col = [_embedded_back(emb, A.entry(r, c)) for r in Dsorted]
+        col = [_embedded_back(emb, A.entry(r, c)) for r in tmpl.lam.ambient]
         if not tmpl.lam.contains(col):
             return ConformanceReport(False, "clause-iii")
-    # clause iv: rows of A[B-D, C+Y] lie in Delta
-    CY = sort_labels(tuple(tmpl.C) + tuple(tmpl.Y))
+    # clause iv: rows of A[B-D, C+Y] lie in Delta (ambient: sorted C+Y)
     for r in rest_rows:
-        row = [_embedded_back(emb, A.entry(r, c)) for c in CY]
+        row = [_embedded_back(emb, A.entry(r, c)) for c in tmpl.delta.ambient]
         if not tmpl.delta.contains(row):
             return ConformanceReport(False, "clause-iv")
     return ConformanceReport(True)
@@ -304,7 +303,7 @@ def _realize(A: Matrix, contract_set, delete_set) -> ReprMatroid:
         raise LabelClash("row labels must be disjoint from column labels")
     C = tuple(contract_set)
     gone = set(C) | set(delete_set)
-    kept = sort_labels(e for e in A.rows + A.cols if e not in gone)
+    kept = tuple(e for e in A.rows + A.cols if e not in gone)
     col = {c: j for j, c in enumerate(A.cols)}
     unit = {r: i for i, r in enumerate(A.rows)}
     # per label of C + kept: (its column of A, None) or (None, its row of I)
@@ -314,7 +313,7 @@ def _realize(A: Matrix, contract_set, delete_set) -> ReprMatroid:
     if C:
         red, piv = rref_rows(A.field, rows)
         rows = [row[len(C):] for row, p in zip(red, piv) if p >= len(C)]
-    return ReprMatroid(kept, Subspace(A.field, kept, rows))
+    return ReprMatroid(Subspace(A.field, kept, rows))
 
 
 # ---------------------------------------------------------------------------
@@ -324,6 +323,12 @@ def _realize(A: Matrix, contract_set, delete_set) -> ReprMatroid:
 def _is_unit_column(col):
     nz = [x for x in col if x]
     return len(nz) == 1 and nz[0] == 1
+
+
+def _sorted_y1(tmpl):
+    """Y1 in label order, read off Delta's ambient set (sorted C+Y0+Y1)."""
+    y1 = set(tmpl.Y1)
+    return tuple(c for c in tmpl.delta.ambient if c in y1)
 
 
 def check_frame_conforms(A: Matrix, tmpl: FrameTemplate) -> ConformanceReport:
@@ -341,14 +346,14 @@ def check_frame_conforms(A: Matrix, tmpl: FrameTemplate) -> ConformanceReport:
     F = tmpl.field
     free = [c for c in A.cols if c not in named_cols]
     bottom_rows = [r for r in B if r not in named_rows]
-    Dsorted = sort_labels(tmpl.D)
+    Dsorted = tmpl.lam.ambient
+    Y1 = _sorted_y1(tmpl)
     for r in tuple(tmpl.D) + tuple(tmpl.X):
         for c in named_cols:
             if A.entry(r, c) != tmpl.A1.entry(r, c):
                 return ConformanceReport(False, "clause-ii")
-    CY = sort_labels(tuple(tmpl.C) + tuple(tmpl.Y0) + tuple(tmpl.Y1))
     for r in bottom_rows:
-        row = [A.entry(r, c) for c in CY]
+        row = [A.entry(r, c) for c in tmpl.delta.ambient]
         if not tmpl.delta.contains(row):
             return ConformanceReport(False, "clause-v")
     Z, assignment = [], {}
@@ -360,7 +365,7 @@ def check_frame_conforms(A: Matrix, tmpl: FrameTemplate) -> ConformanceReport:
                 and _is_gamma_frame_column(F, tmpl.gamma, bottom)):
             continue  # usable as a non-Z column of A' directly
         placed = False
-        for j in sort_labels(tmpl.Y1):
+        for j in Y1:
             dp = [F.sub(x, A.entry(r, j)) for x, r in zip(dpart, Dsorted)]
             xp = [F.sub(x, A.entry(r, j)) for x, r in zip(xpart, tmpl.X)]
             bt = [F.sub(x, A.entry(r, j)) for x, r in zip(bottom, bottom_rows)]
@@ -388,6 +393,11 @@ def frame_matroid_of(A: Matrix, tmpl: FrameTemplate) -> ReprMatroid:
 # conforming matrices: one layout per template kind
 # ---------------------------------------------------------------------------
 
+def _columns(rows, n):
+    """The n columns of a list of rows (n empty columns when there are none)."""
+    return list(zip(*rows)) if rows else [()] * n
+
+
 def _anon_labels(prefix, count):
     return tuple(f"{prefix}{i:02d}" for i in range(count))
 
@@ -411,13 +421,11 @@ class _SubfieldLayout:
         self.delta_elems = [tuple(emb.embed(x) for x in v) for v in tmpl.delta.vectors()]
         self.img = sorted(emb.image())
         self.n_row_options = len(self.delta_elems) * len(self.img) ** f
-        Dsorted = sort_labels(tmpl.D)
-        CY = sort_labels(tuple(tmpl.C) + tuple(tmpl.Y))
         # per D row: its fixed A1/A2 entries and its position in Lambda vectors
         self._top = [([tmpl.A1.entry(r, c) for c in tmpl.C]
-                      + [tmpl.A2.entry(r, c) for c in tmpl.Y], Dsorted.index(r))
+                      + [tmpl.A2.entry(r, c) for c in tmpl.Y], tmpl.lam.ambient.index(r))
                      for r in tmpl.D]
-        self._cy = [CY.index(c) for c in tuple(tmpl.C) + tuple(tmpl.Y)]
+        self._cy = [tmpl.delta.ambient.index(c) for c in tuple(tmpl.C) + tuple(tmpl.Y)]
         self._units = [tuple(int(i == j) for i in range(len(self.rows)))
                        for j in range(len(tmpl.D), len(self.rows))]
 
@@ -439,7 +447,7 @@ class _SubfieldLayout:
         """The columns of [I,A] outside D, over every row: the unit columns
         of the anonymous rows, then every column of A.  When C is empty
         their column matroid is the realized matroid."""
-        return self._units + (list(zip(*data)) if data else [()] * len(self.cols))
+        return self._units + _columns(data, len(self.cols))
 
 
 class _FrameLayout:
@@ -460,20 +468,19 @@ class _FrameLayout:
         self.lam_elems = tmpl.lam.elements()
         self.delta_elems = tmpl.delta.elements()
         self._pairs = [F.neg(g) for g in sorted(tmpl.gamma.elements)]
-        self._y1 = sort_labels(tmpl.Y1)
-        Dsorted = sort_labels(tmpl.D)
-        self._dpos = [Dsorted.index(d) for d in tmpl.D]
+        self._y1 = _sorted_y1(tmpl)
+        self._dpos = [tmpl.lam.ambient.index(d) for d in tmpl.D]
         self._x_units = [tuple(int(i == j) for i in range(len(self.rows)))
                          for j in range(len(tmpl.D), self.n_named)]
+        # per named column: its fixed A1 entries and its position in Delta vectors
+        top_rows = tuple(tmpl.D) + tuple(tmpl.X)
+        self._named = [(c, [tmpl.A1.entry(r, c) for r in top_rows],
+                        tmpl.delta.ambient.index(c)) for c in self.named_cols]
 
     def named_columns(self, delta_rows):
         """Named column label -> column, given each anonymous row's Delta vector."""
-        tmpl = self.tmpl
-        CY = sort_labels(self.named_cols)
-        top_rows = tuple(tmpl.D) + tuple(tmpl.X)
-        return {c: tuple([tmpl.A1.entry(r, c) for r in top_rows]
-                         + [delta[CY.index(c)] for delta in delta_rows])
-                for c in self.named_cols}
+        return {c: tuple(top + [delta[pos] for delta in delta_rows])
+                for c, top, pos in self._named}
 
     def options(self, rows):
         """Free-column options over the given anonymous rows (indices).
@@ -540,8 +547,7 @@ def enumerate_conforming(tmpl, extra_rows, free_cols, cap=DEFAULT_ENUM_CAP):
 def _enumerate_subfield(tmpl, extra_rows, free_cols, cap):
     lay = _SubfieldLayout(tmpl, extra_rows, free_cols)
     total = len(lay.lam_elems) ** free_cols * lay.n_row_options ** extra_rows
-    if total > cap:
-        raise CapExceeded(f"{total} conforming matrices exceeds cap {cap}")
+    check_budget(total, "conforming matrices", cap)
     row_opts = lay.row_options()
     seen = set()
     for lam_pick in product(lay.lam_elems, repeat=free_cols):
@@ -557,8 +563,7 @@ def _enumerate_frame(tmpl, extra_rows, free_cols, cap):
     lay = _FrameLayout(tmpl, extra_rows, free_cols)
     options = lay.options(range(extra_rows))
     total = len(lay.delta_elems) ** extra_rows * len(options) ** free_cols
-    if total > cap:
-        raise CapExceeded(f"{total} conforming matrices exceeds cap {cap}")
+    check_budget(total, "conforming matrices", cap)
     seen = set()
     for delta_rows in product(lay.delta_elems, repeat=extra_rows):
         named = lay.named_columns(delta_rows)
@@ -589,49 +594,45 @@ def member_of(tmpl, M: ReprMatroid, row_cap=None, cap=DEFAULT_ENUM_CAP) -> bool:
     return _member_frame(tmpl, M, row_cap, cap)
 
 
-def _parallel_invariants(M):
-    """The loop count and the sorted parallel-class sizes, which every
-    label bijection and projective transformation keeps."""
-    classes = _parallel_classes_repr(M)
-    loops = len(classes.pop(None, ()))
-    return loops, sorted(map(len, classes.values()))
-
-
 class _Target:
     """The matroid a membership search compares its candidates with.
 
-    Its parallel invariants are computed once.  When the template
-    contracts nothing, the search compares them with those of a
-    candidate's kept columns (columns_match) before it builds the
-    candidate; every candidate is compared with them again after
-    realization, before any equivalence search.  Its rank profile is built
-    once, on first use and within cap table entries, and handed to every
-    equivalence test.  Candidates already compared are skipped.
+    Its parallel invariants (loop count and parallel-class sizes, which
+    every label bijection and projective transformation keeps) are
+    computed once, from its columns.  A candidate is compared with them
+    once: on its kept columns before it is built when the template
+    contracts nothing (prefilter), on its realized matroid's columns
+    otherwise.  The rank profile is built once, on first use and within
+    cap table entries, and handed to every equivalence test.  Candidates
+    already compared are skipped.
     """
 
-    def __init__(self, M, cap):
+    def __init__(self, M, cap, prefilter):
         self.M = M
         self.cap = cap
-        self.invariants = _parallel_invariants(M)
+        self.prefilter = prefilter
         self.normalize = normalizer(M.field)
+        self.invariants = self._invariants(_columns(M.space.basis, M.size))
         self.checked = set()
 
-    def columns_match(self, cols):
-        """Do these columns, as a column matroid, have the target's loop
-        count and parallel-class sizes?  Each distinct column is
-        normalized once."""
+    def _invariants(self, cols):
+        """The loop count and sorted parallel-class sizes of the column
+        matroid of cols.  Each distinct column is normalized once."""
         sizes = {}
         for v, k in Counter(cols).items():
             key = self.normalize(v)
             sizes[key] = sizes.get(key, 0) + k
-        return (sizes.pop(None, 0), sorted(sizes.values())) == self.invariants
+        return sizes.pop(None, 0), sorted(sizes.values())
+
+    def columns_match(self, cols):
+        """Do these columns, as a column matroid, have the target's loop
+        count and parallel-class sizes?"""
+        return self._invariants(cols) == self.invariants
 
     @cached_property
     def profile(self):
         n = self.M.size
-        if 1 << n > self.cap:
-            raise CapExceeded(f"{1 << n} rank-table entries (2^{n}) exceed the budget "
-                              f"{self.cap}; raise it with --cap")
+        check_budget(1 << n, f"rank-table entries (2^{n})", self.cap)
         return _profile(self.M, n)
 
     def matches(self, N):
@@ -642,7 +643,7 @@ class _Target:
         if key in self.checked:
             return False
         self.checked.add(key)
-        if _parallel_invariants(N) != self.invariants:
+        if not self.prefilter and not self.columns_match(_columns(N.space.basis, N.size)):
             return False
         return equivalent_up_to_relabel_scaling(N, M, cap=M.size, profile2=self.profile)
 
@@ -650,21 +651,19 @@ class _Target:
 def _member_subfield(tmpl, M, row_cap, cap):
     n, r = M.size, M.rank
     b_max = r + len(tmpl.C) if row_cap is None else row_cap
-    target = _Target(M, cap)
-    prefilter = not tmpl.C
+    target = _Target(M, cap, not tmpl.C)
     for b in range(0, b_max + 1):
         f = n - b - len(tmpl.Y)
         if f < 0:
             continue
         lay = _SubfieldLayout(tmpl, b, f)
         combos = len(lay.lam_elems) ** f * comb(lay.n_row_options + b - 1, b)
-        if combos > cap:
-            raise CapExceeded(f"membership search size {combos} exceeds cap {cap}")
+        check_budget(combos, f"candidate matrices with {b} anonymous rows", cap)
         row_opts = lay.row_options()
         for lam_pick in product(lay.lam_elems, repeat=f):
             for row_picks in combinations_with_replacement(row_opts, b):
                 data = lay.entries(lam_pick, row_picks)
-                if prefilter and not target.columns_match(lay.kept_columns(data)):
+                if target.prefilter and not target.columns_match(lay.kept_columns(data)):
                     continue
                 if target.matches(subfield_matroid_of(lay.matrix(data), tmpl)):
                     return True
@@ -684,13 +683,12 @@ def _member_frame(tmpl, M, row_cap, cap):
     f = M.size - len(tmpl.X) - len(tmpl.Y0)
     if f < 0:
         return False
-    prune_ok = len(tmpl.C) == 0
-    simple_target = prune_ok and is_simple(M)
+    target = _Target(M, cap, not tmpl.C)
+    simple_target = target.prefilter and is_simple(M)
     b_max = 2 * f + tmpl.delta.size if row_cap is None else row_cap
-    budget = [cap]
-    target = _Target(M, cap)
+    nodes = [0]
     for b in range(0, b_max + 1):
-        if _member_frame_at_rows(tmpl, target, b, f, prune_ok, simple_target, budget):
+        if _member_frame_at_rows(tmpl, target, b, f, simple_target, nodes):
             return True
     return False
 
@@ -707,9 +705,10 @@ def _allowed_rows(delta_pick, used):
     return sorted(out)
 
 
-def _member_frame_at_rows(tmpl, target, b, f, prune_ok, simple_target, budget):
+def _member_frame_at_rows(tmpl, target, b, f, simple_target, nodes):
     lay = _FrameLayout(tmpl, b, f)
     F = tmpl.field
+    prune_ok = target.prefilter
     r_target = target.M.rank
     normalize = normalizer(F)
 
@@ -731,9 +730,8 @@ def _member_frame_at_rows(tmpl, target, b, f, prune_ok, simple_target, budget):
             continue
 
         def rec(col_idx, ech, keys, used, chosen):
-            budget[0] -= 1
-            if budget[0] < 0:
-                raise CapExceeded("frame membership search budget exhausted")
+            nodes[0] += 1
+            check_budget(nodes[0], "frame search nodes", target.cap)
             if prune_ok and len(ech[1]) > r_target:
                 return False
             if col_idx == f:

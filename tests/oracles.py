@@ -7,11 +7,12 @@ import numpy as np
 
 from matroidlab.codes import CodeView, _codeword_table
 from matroidlab.constructions import _is_gamma_frame_column
-from matroidlab.errors import BadAssignment, CapExceeded, LabelClash, LabelMismatch
+from matroidlab.errors import CapExceeded, LabelClash, LabelMismatch, ToolkitError
 from matroidlab.field import subfield_lattice
 from matroidlab.linalg import Matrix, Subspace, label_key, rref_rows, sort_labels
 from matroidlab.matroid import (
     ReprMatroid,
+    _parallel_classes_repr,
     contract,
     delete,
     from_generator,
@@ -278,7 +279,7 @@ def elementary_lifts_reference(M: ReprMatroid):
         sp = Subspace(F, M.ground, list(M.space.basis) + [code])
         if sp.basis not in seen:
             seen.add(sp.basis)
-            out.append(ReprMatroid(M.ground, sp))
+            out.append(ReprMatroid(sp))
     return out
 
 
@@ -390,6 +391,19 @@ def check_frame_respects(A: Matrix, tmpl) -> ConformanceReport:
     return ConformanceReport(True, Z=_lex_least_Z(forced, optional))
 
 
+def _parallel_invariants(M):
+    """The loop count and the sorted parallel-class sizes, which every
+    label bijection and projective transformation keeps: the oracle for
+    the column invariants that membership compares."""
+    classes = _parallel_classes_repr(M)
+    loops = len(classes.pop(None, ()))
+    return loops, sorted(map(len, classes.values()))
+
+
+class BadAssignment(ToolkitError):
+    """A Y1-assignment that does not cover exactly the Z columns."""
+
+
 def conform_frame(A_prime: Matrix, Z, assignment: dict) -> Matrix:
     """Add the assigned Y1 column onto each Z column of A'."""
     F = A_prime.field
@@ -417,15 +431,19 @@ def prime_subfield(F):
     return subfield_lattice(F)[0]
 
 
+def _columns(A: Matrix):
+    return [tuple(row[j] for row in A.data) for j in range(len(A.cols))]
+
+
 def is_frame_matrix(A: Matrix) -> bool:
     """Every column has at most two nonzero entries."""
-    return all(sum(1 for x in A.col_vector(c) if x) <= 2 for c in A.cols)
+    return all(sum(1 for x in col if x) <= 2 for col in _columns(A))
 
 
 def is_gamma_frame_matrix(A: Matrix, gamma) -> bool:
     """Frame matrix whose single-nonzero columns contain a 1 and whose
     two-nonzero columns contain a 1 and, elsewhere, -g for some g in Gamma."""
-    return all(_is_gamma_frame_column(A.field, gamma, A.col_vector(c)) for c in A.cols)
+    return all(_is_gamma_frame_column(A.field, gamma, col) for col in _columns(A))
 
 
 def is_frame_presentation(M_prime, B) -> bool:

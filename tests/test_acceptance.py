@@ -113,7 +113,7 @@ def test_criterion_3_perturbation_lemma_exhaustive():
     checked = 0
     for n in (3, 4):
         ground = tuple(range(n))
-        spaces = [ReprMatroid(ground, Subspace(GF2, ground, list(b)))
+        spaces = [ReprMatroid(Subspace(GF2, ground, list(b)))
                   for b in enumerate_subspaces(GF2, n)]
         assert len(spaces) == {3: 16, 4: 67}[n]
         for a in spaces:

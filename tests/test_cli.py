@@ -180,6 +180,15 @@ def test_template_member_rank_table_budget_is_cap(capsys, tmp_path):
     assert "8192 rank-table entries (2^13) exceed the budget 5000" in capsys.readouterr().err
 
 
+def test_template_member_search_budget_is_cap(capsys, tmp_path, fano_file):
+    tmpl = tmp_path / "frame.tmpl"
+    tmpl.write_text("template frame\ngf 2 1\ngamma 1\nA1\nlambda\ndelta\n")
+    assert main(["template", "member", str(tmpl), fano_file, "--cap", "100"]) == 3
+    assert capsys.readouterr() == (
+        "", "cap exceeded: 101 frame search nodes exceed the budget 100; "
+            "raise it with --cap\n")
+
+
 def test_perturb_commands(capsys, tmp_path, fano_file):
     code, out = run(capsys, ["perturb", "dist", fano_file, fano_file])
     assert code == 0 and json.loads(out)["value"] == 0
@@ -196,13 +205,19 @@ def test_perturb_commands(capsys, tmp_path, fano_file):
     assert code == 0 and read_matrix(out) == FANO
 
 
-def test_growth_formula_csv(capsys):
-    code, out = run(capsys, ["growth", "formula", "--family", "exponential",
-                             "--q", "2", "--rmax", "4"])
+@pytest.mark.parametrize("args,rows", [
+    (["exponential", "--q", "2"], ["1,1,False", "2,3,False", "3,7,False", "4,15,False"]),
+    (["exponential", "--q", "2", "--k", "1", "--d", "1"],
+     ["1,1,False", "2,5,False", "3,13,False", "4,29,False"]),
+    (["gammaframe", "--alpha", "2"], ["1,1,False", "2,4,False", "3,9,False", "4,16,False"]),
+    (["twofield", "--q", "3"], ["1,1,False", "2,10,False", "3,37,False", "4,118,False"]),
+    (["pgexcluded", "--q", "2", "--n", "4"],
+     ["1,-139,True", "2,-107,True", "3,-43,True", "4,85,False"]),
+], ids=["exponential", "exponential-k1-d1", "gammaframe", "twofield", "pgexcluded"])
+def test_growth_formula_csv(capsys, args, rows):
+    code, out = run(capsys, ["growth", "formula", "--family", *args, "--rmax", "4"])
     assert code == 0
-    lines = out.strip().splitlines()
-    assert lines[0] == "r,value,pre_asymptotic"
-    assert lines[4] == "4,15,False"
+    assert out == "\n".join(["r,value,pre_asymptotic", *rows]) + "\n"
 
 
 def test_growth_exhaustive(capsys):

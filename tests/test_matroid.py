@@ -16,7 +16,7 @@ from oracles import (
 
 from matroidlab.constructions import complete_graph, graphic, pg, uniform
 from matroidlab.errors import NotASubfield, NotSubset
-from matroidlab.field import make_field
+from matroidlab.field import make_field, subgroup_of_order
 from matroidlab.linalg import Matrix, Subspace
 from matroidlab.matroid import (
     UNBOUNDED,
@@ -42,6 +42,13 @@ from matroidlab.matroid import (
     simplify,
     smallest_circuit,
     vertical_connectivity,
+)
+from matroidlab.perturb import apply_perturbation, elementary_lifts, elementary_projections
+from matroidlab.templates import (
+    FrameTemplate,
+    SubfieldTemplate,
+    frame_matroid_of,
+    subfield_matroid_of,
 )
 
 GF2 = make_field(2, 1)
@@ -164,6 +171,22 @@ def test_dual_involution_random():
     for _ in range(50):
         M = random_matroid(GF3, 6, rng)
         assert dual(dual(M)) == M
+
+
+def test_derived_ground_is_the_subspace_ambient():
+    # a represented matroid's label order is held by its subspace alone
+    M = mk(GF3, [[1, 0, 2, 1], [0, 1, 1, 2]], cols=("d", "b", "c", "a"))
+    assert M.ground == ("a", "b", "c", "d")
+    P = Matrix(GF3, (0, 1), M.ground, [[0, 1, 0, 0], [0, 0, 0, 0]])
+    A = Matrix(GF2, ("r1", "r0"), ("c1", "c0"), [[1, 1], [0, 1]])
+    derived = [M, delete(M, {"b"}), contract(M, {"c"}), minor(M, {"a"}, {"d"}), dual(M),
+               relabel(M, {"a": 3, "b": 1, "c": 0, "d": 2}), apply_perturbation(M, P)[0],
+               *elementary_projections(M), *elementary_lifts(M),
+               subfield_matroid_of(A, SubfieldTemplate.empty(GF2)),
+               frame_matroid_of(A, FrameTemplate.trivial(subgroup_of_order(GF2, 1)))]
+    for N in derived:
+        assert N.ground is N.space.ambient
+    assert ReprMatroid(Subspace(GF3, "abcd", M.space.basis)) == M
 
 
 def test_rank_of_basics():
@@ -327,7 +350,7 @@ def test_proj_equiv_matches_bruteforce():
         M2 = random_matroid(F, 4, rng)
         if M1.size != M2.size:
             continue
-        M2 = ReprMatroid(M1.ground, Subspace(F, M1.ground, M2.space.basis))
+        M2 = ReprMatroid(Subspace(F, M1.ground, M2.space.basis))
         assert projectively_equivalent(M1, M2) == proj_equiv_bruteforce(M1, M2)
 
 

@@ -33,7 +33,7 @@ def mk(field, data, n=None):
 
 def space_matroid(field, n, basis_rows):
     ground = tuple(range(n))
-    return ReprMatroid(ground, Subspace(field, ground, list(basis_rows)))
+    return ReprMatroid(Subspace(field, ground, list(basis_rows)))
 
 
 def all_matroids(field, n):
@@ -90,7 +90,7 @@ def test_projections_lifts_match_extension_definition():
             got_lift = {L.space.basis for L in elementary_lifts(M)}
             want_proj, want_lift = set(), set()
             for wrows in enumerate_subspaces(field, n + 1):
-                W = ReprMatroid(ext_labels, Subspace(field, ext_labels, list(wrows)))
+                W = ReprMatroid(Subspace(field, ext_labels, list(wrows)))
                 if delete(W, {"x"}) == M:
                     want_proj.add(contract(W, {"x"}).space.basis)
                 if contract(W, {"x"}) == M:
@@ -108,7 +108,7 @@ def _lift_cases():
     # in the sorted ground set, not in the given order
     for labels in (("d", "b", "c", "a"), ("b", 2, "a", 0)):
         for rows in enumerate_subspaces(GF3, len(labels)):
-            yield ReprMatroid(labels, Subspace(GF3, labels, list(rows)))
+            yield ReprMatroid(Subspace(GF3, labels, list(rows)))
 
 
 def test_lifts_match_reference_enumeration():
@@ -290,7 +290,7 @@ def test_aligned_generators_span_both_spaces(p, k):
 
 def test_apply_zero_perturbation():
     M = mk(GF2, [[1, 0, 1], [0, 1, 1]])
-    P = Matrix.zero(GF2, (0, 1), (0, 1, 2))
+    P = Matrix(GF2, (0, 1), (0, 1, 2), [[0, 0, 0], [0, 0, 0]])
     out, t = apply_perturbation(M, P)
     assert out == M and t == 0
 
@@ -322,4 +322,4 @@ def test_apply_then_undo_on_nonpivot_support():
 def test_apply_shape_mismatch():
     M = mk(GF2, [[1, 0, 1], [0, 1, 1]])
     with pytest.raises(ShapeMismatch):
-        apply_perturbation(M, Matrix.zero(GF2, (0,), (0, 1, 2)))
+        apply_perturbation(M, Matrix(GF2, (0,), (0, 1, 2), [[0, 0, 0]]))

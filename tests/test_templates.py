@@ -5,6 +5,8 @@ from itertools import combinations, combinations_with_replacement, product
 
 import pytest
 from oracles import (
+    BadAssignment,
+    _parallel_invariants,
     check_frame_respects,
     conform_frame,
     conforming_matroids_bruteforce,
@@ -13,7 +15,7 @@ from oracles import (
 )
 
 from matroidlab import templates
-from matroidlab.errors import BadAssignment, CapExceeded, LabelClash, NotConforming
+from matroidlab.errors import CapExceeded, LabelClash, NotConforming
 from matroidlab.field import make_field, subgroup_of_order
 from matroidlab.linalg import (
     Matrix,
@@ -31,6 +33,7 @@ from matroidlab.matroid import (
     equivalent_up_to_relabel_scaling,
     from_generator,
     isomorphic,
+    relabel,
 )
 from matroidlab.templates import (
     AdditiveSpan,
@@ -38,7 +41,6 @@ from matroidlab.templates import (
     SubfieldTemplate,
     _allowed_rows,
     _FrameLayout,
-    _parallel_invariants,
     _realize,
     _SubfieldLayout,
     _Target,
@@ -305,9 +307,8 @@ def test_conform_frame_zero_y1_column():
 def test_conform_frame_explicit_sum():
     A = Matrix(GF2, ("r0", "r1"), ("z0", "y1", "c"), [[1, 1, 0], [0, 1, 1]])
     out = conform_frame(A, ("z0",), {"z0": "y1"})
-    assert out.col_vector("z0") == (0, 1)
-    assert out.col_vector("y1") == (1, 1)
-    assert out.col_vector("c") == (0, 1)
+    # z0 gains y1: columns z0 = (0, 1), y1 = (1, 1), c = (0, 1)
+    assert out.data == ((0, 1, 0), (1, 1, 1))
 
 
 def test_conform_frame_bad_assignment():
@@ -631,6 +632,22 @@ def test_member_of_rank_table_budget_comes_from_cap():
         member_of(tmpl, M, cap=5000)
 
 
+@pytest.mark.parametrize("search,message", [
+    (lambda: member_of(FrameTemplate.trivial(ONE2), pg(3, GF2), cap=100),
+     "101 frame search nodes exceed the budget 100"),
+    (lambda: member_of(SubfieldTemplate.empty(GF2), pg(3, GF2), cap=100),
+     "528 candidate matrices with 2 anonymous rows exceed the budget 100"),
+    (lambda: list(enumerate_conforming(SubfieldTemplate.empty(GF2), 3, 3, cap=100)),
+     "512 conforming matrices exceed the budget 100"),
+    (lambda: list(enumerate_conforming(FrameTemplate.trivial(ONE2), 3, 3, cap=100)),
+     "343 conforming matrices exceed the budget 100"),
+], ids=["member-frame", "member-subfield", "enumerate-subfield", "enumerate-frame"])
+def test_template_budgets_give_count_and_flag(search, message):
+    with pytest.raises(CapExceeded) as info:
+        search()
+    assert str(info.value) == message + "; raise it with --cap"
+
+
 def test_member_of_realizes_only_prefiltered_candidates(monkeypatch):
     # a candidate is realized only when its kept columns have the target's
     # parallel invariants; realizing every candidate took 265 and 1,801 calls
@@ -646,6 +663,60 @@ def test_member_of_realizes_only_prefiltered_candidates(monkeypatch):
                               [[1, 1, 0, 0, 1, 1], [0, 0, 1, 0, 1, 0], [0, 0, 0, 1, 0, 1]]))
     assert member_of(FrameTemplate.trivial(ONE2), M)
     assert len(calls) == 1
+
+
+def _named_order_templates(c, y0, y1):
+    """A subfield and a frame template whose Delta is not symmetric in its
+    labels, with C+Y (resp. Y0+Y1) named c, y0 (resp. y0, y1)."""
+    sub = gf4_subfield_template(C=(c,), D=("d",), Y=(y0,), lam_vectors=[[1]],
+                                delta_vectors=[[1, 0]],
+                                A1=Matrix(GF4, ("d",), (c,), [[2]]),
+                                A2=Matrix(GF4, ("d",), (y0,), [[1]]))
+    # AdditiveSpan reads generators in sorted ambient order: Delta = <y0>
+    delta = [tuple(int(lbl == y0) for lbl in sort_labels((y0, y1)))]
+    frame = FrameTemplate(subgroup_of_order(GF3, 2), (), ("d",), ("x",), (y0,), (y1,),
+                          Matrix(GF3, ("d", "x"), (y0, y1), [[1, 2], [0, 1]]),
+                          AdditiveSpan(GF3, ("d",), [(1,)]),
+                          AdditiveSpan(GF3, (y0, y1), delta))
+    return sub, frame
+
+
+def test_named_labels_out_of_sorted_order_only_relabel():
+    # the layouts place Lambda and Delta entries by the templates' sorted
+    # label orders; naming the labels so that template order and sorted
+    # order differ must only relabel the enumerated matroids
+    names = {"c": "zc", "y0": "z0", "y1": "a1"}
+    for plain, renamed, shapes in zip(_named_order_templates("c", "y0", "y1"),
+                                      _named_order_templates("zc", "z0", "a1"),
+                                      (((1, 1), (2, 1)), ((1, 1), (2, 1)))):
+        for shape in shapes:
+            got = set(enumerate_conforming(renamed, *shape))
+            want = {relabel(M, {e: names.get(e, e) for e in M.ground})
+                    for M in enumerate_conforming(plain, *shape)}
+            assert got == want and len(got) > 1
+
+
+def test_template_searches_sort_no_labels_per_candidate(monkeypatch):
+    # the searches read the D, C+Y0+Y1 and Y1 orders off Lambda's and
+    # Delta's ambient sets; sorting them per check, realization and Delta
+    # pick took 15, 134 and 7,762 calls for 1, 40 and 2,312 candidates
+    frame, rich = FrameTemplate.trivial(ONE2), rich_frame_template_gf2()
+    sorts, realized = [], []
+    monkeypatch.setattr(templates, "sort_labels",
+                        lambda labels: sorts.append(labels) or sort_labels(labels))
+    real = templates._realize
+    monkeypatch.setattr(templates, "_realize",
+                        lambda *args: realized.append(args) or real(*args))
+    counts = []
+    for search in (lambda: member_of(frame, graphic(complete_graph(4), GF2)),
+                   lambda: list(enumerate_conforming(rich, 2, 1)),
+                   lambda: list(enumerate_conforming(rich, 3, 2))):
+        sorts.clear()
+        realized.clear()
+        assert search()
+        counts.append((len(realized), len(sorts)))
+    assert counts[0][0] >= 1 and counts[1][0] < counts[2][0], counts
+    assert [n_sorts for _, n_sorts in counts] == [0, 0, 0], counts
 
 
 # ---------------------------------------------------------------------------
@@ -722,9 +793,9 @@ def test_kept_column_invariants_match_realized(name):
         sample = _candidates(tmpl, b, f, rng, 60)
         for (cols, N), (_, other) in zip(sample, sample[1:] + sample[:1]):
             assert len(cols) == N.size
-            assert _Target(N, 1).columns_match(cols)
+            assert _Target(N, 1, True).columns_match(cols)
             same = _parallel_invariants(other) == _parallel_invariants(N)
-            assert _Target(other, 1).columns_match(cols) == same
+            assert _Target(other, 1, True).columns_match(cols) == same
             seen["rejected"] += not same
             keys = [normalize(v) for v in cols]
             seen["loops"] += None in keys
