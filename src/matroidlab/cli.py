@@ -16,7 +16,6 @@ from fractions import Fraction
 from . import fileio
 from .codes import (
     THETA_GRAPHIC_STATUS,
-    ChannelParams,
     code_params,
     cut_code_distance_bound,
     ml_error_mc,
@@ -37,6 +36,7 @@ from .constructions import (
 from .errors import CapExceeded, ToolkitError
 from .field import make_field, subgroup_of_order
 from .growth import (
+    DEFAULT_SEARCH_CAP,
     h_exhaustive,
     h_exponential,
     h_gamma_frame,
@@ -45,17 +45,28 @@ from .growth import (
     is_alpha_t_frame,
 )
 from .matroid import (
+    DEFAULT_MINOR_CAP,
+    DEFAULT_VCONN_CAP,
     UNBOUNDED,
     all_subset_ranks,
     confinement_witness,
     dual,
+    from_generator,
     has_minor,
     smallest_circuit,
     smallest_cocircuit,
     vertical_connectivity,
 )
-from .perturb import PerturbPair, apply_perturbation, dist, pert_bounds, pert_exact
+from .perturb import (
+    DEFAULT_LATTICE_CAP,
+    PerturbPair,
+    apply_perturbation,
+    dist,
+    pert_bounds,
+    pert_exact,
+)
 from .templates import (
+    DEFAULT_ENUM_CAP,
     FrameTemplate,
     check_frame_conforms,
     check_subfield,
@@ -84,8 +95,6 @@ def _read_matroid(path):
 
 
 def _matroid_of(path):
-    from .matroid import from_generator
-
     return from_generator(_read_matroid(path))
 
 
@@ -329,8 +338,7 @@ def _cmd_threshold(args):
 
 def _cmd_mlsim(args):
     M = _matroid_of(args.matrix)
-    chan = ChannelParams(p=args.p, seed=args.seed, trials=args.trials)
-    est = ml_error_mc(M, chan.p, chan.seed, chan.trials, workers=args.workers)
+    est = ml_error_mc(M, args.p, args.seed, args.trials, workers=args.workers)
     lines = ["p,err,ci_lo,ci_hi,trials,seed",
              f"{est.p!r},{est.rate!r},{est.ci_lo!r},{est.ci_hi!r},"
              f"{est.trials},{est.seed}"]
@@ -353,10 +361,7 @@ def _forbidden_arg(spec):
         rank, p, k = (int(t) for t in spec[3:].split(","))
         return pg(rank, make_field(p, k))
     if spec.startswith("file:"):
-        from .matroid import from_generator
-
-        with open(spec[5:]) as fh:
-            return from_generator(fileio.read_matrix(fh.read()))
+        return _matroid_of(spec[5:])
     raise ToolkitError(f"unknown forbidden minor spec {spec!r}")
 
 
@@ -449,12 +454,12 @@ def build_parser():
     p = sub.add_parser("minor", help="minor search with witness")
     p.add_argument("matrix")
     p.add_argument("minor")
-    _add_common(p, cap=14)
+    _add_common(p, cap=DEFAULT_MINOR_CAP)
     p.set_defaults(fn=_cmd_minor)
 
     p = sub.add_parser("vconn", help="vertical connectivity")
     p.add_argument("matrix")
-    _add_common(p, cap=16)
+    _add_common(p, cap=DEFAULT_VCONN_CAP)
     p.set_defaults(fn=_cmd_vconn)
 
     p = sub.add_parser("confine", help="subfield confinement")
@@ -468,7 +473,7 @@ def build_parser():
     p.add_argument("matrix")
     p.add_argument("other", help="second matrix (or the perturbation for apply)")
     p.add_argument("--exact", action="store_true")
-    _add_common(p, cap=5000, cap_help=(
+    _add_common(p, cap=DEFAULT_LATTICE_CAP, cap_help=(
         "budget: dist builds at most this many lifts and as many hyperplanes "
         "of each subspace it reaches and visits at most this many subspaces; "
         "pert --exact searches at most this many subspaces (default %(default)s)"))
@@ -480,7 +485,7 @@ def build_parser():
     p.add_argument("matrix", nargs="?")
     p.add_argument("--rows", type=int, default=2)
     p.add_argument("--cols", type=int, default=2)
-    _add_common(p, cap=200000, cap_help=(
+    _add_common(p, cap=DEFAULT_ENUM_CAP, cap_help=(
         "budget: enumerate builds at most this many conforming matrices; member "
         "searches at most this many candidate matrices per row count (frame "
         "templates: search nodes in all) and builds no rank table of more than "
@@ -529,7 +534,7 @@ def build_parser():
     p.add_argument("--gf", type=int, nargs=2, metavar=("P", "K"), default=[2, 1])
     p.add_argument("--forbidden", default="none")
     p.add_argument("--exact", action="store_true")
-    _add_common(p, cap=1 << 18)
+    _add_common(p, cap=DEFAULT_SEARCH_CAP)
     p.set_defaults(fn=_cmd_growth)
 
     return top

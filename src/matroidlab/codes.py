@@ -49,44 +49,6 @@ class CodeParams:
     rel_dist: Fraction | None
 
 
-class CodeView:
-    """A represented matroid read as a linear code."""
-
-    def __init__(self, matroid: ReprMatroid, name=None):
-        self.matroid = matroid
-        self.name = name
-        self._params = None
-
-    def params(self, workers=1) -> CodeParams:
-        if self._params is None:
-            self._params = code_params(self.matroid, workers=workers)
-        return self._params
-
-    def __repr__(self):
-        return f"CodeView({self.name or self.matroid!r})"
-
-
-@dataclass(frozen=True)
-class ChannelParams:
-    """BSC parameters for threshold work and simulation."""
-
-    p: float
-    R: float | None = None
-    eps: float | None = None
-    seed: int = 0
-    trials: int = 10000
-
-    def __post_init__(self):
-        if not 0 <= self.p < 0.5:
-            raise DomainError("bit-error probability must lie in [0, 1/2)")
-        if self.R is not None and not 0 < self.R < 1:
-            raise DomainError("rate must lie in (0, 1)")
-        if self.eps is not None and not 0 < self.eps < 1:
-            raise DomainError("probability threshold must lie in (0, 1)")
-        if self.trials < 1:
-            raise DomainError("trial count must be positive")
-
-
 def code_params(M: ReprMatroid, workers=1) -> CodeParams:
     """(n, k, d, rate, relative distance); d is None for the zero code.
 
@@ -113,7 +75,7 @@ class ProbeVerdict:
 
 
 def good_family_probe(family, eps, horizon=10):
-    """Check rate >= eps and relative distance >= eps for each code.
+    """Check rate >= eps and relative distance >= eps for each matroid.
 
     Returns (verdicts, best_eps) where best_eps is the largest bound the
     whole sampled family sustains."""
@@ -122,8 +84,7 @@ def good_family_probe(family, eps, horizon=10):
     for i, item in enumerate(family):
         if i >= horizon:
             break
-        M = item.matroid if isinstance(item, CodeView) else item
-        cp = code_params(M)
+        cp = code_params(item)
         rel = cp.rel_dist if cp.rel_dist is not None else Fraction(0)
         good = cp.rate >= eps and rel >= eps
         verdicts.append(ProbeVerdict(i, cp.n, cp.k, cp.d, cp.rate, rel, good))
@@ -143,12 +104,12 @@ def shannon_f(p: float) -> float:
     return 1.0 + p * math.log2(p) + (1.0 - p) * math.log2(1.0 - p)
 
 
-def theta_binary(R: float, tol=1e-12) -> float:
-    """Inverse of shannon_f on (0, 1/2), by bisection to absolute tol."""
+def theta_binary(R: float) -> float:
+    """Inverse of shannon_f on (0, 1/2), by bisection to absolute 1e-12."""
     if not 0 < R < 1:
         raise DomainError("R must lie in (0, 1)")
     lo, hi = 0.0, 0.5  # f(lo+) = 1, f(hi) = 0; f decreasing
-    while hi - lo > tol:
+    while hi - lo > 1e-12:
         mid = (lo + hi) / 2
         if shannon_f(mid) > R:
             lo = mid
@@ -236,7 +197,6 @@ class MLEstimate:
     rate: float
     ci_lo: float
     ci_hi: float
-    z: float
 
 
 def _codeword_table(M: ReprMatroid, cap):
@@ -303,7 +263,7 @@ def _mc_block(words, n, true_idx, p, seed, block_idx, count):
     return hard, frac
 
 
-def ml_error_mc(code, p, seed, trials, *, workers=1, z=3.0,
+def ml_error_mc(code: ReprMatroid, p, seed, trials, *, workers=1,
                 cap=DEFAULT_CODEWORD_CAP, codeword_index=0) -> MLEstimate:
     """Empirical block-error rate of exact ML decoding on a BSC(p).
 
@@ -313,9 +273,10 @@ def ml_error_mc(code, p, seed, trials, *, workers=1, z=3.0,
     sum reduced in block order.
     """
     if not 0 <= p < 0.5:
-        raise DomainError("p must lie in [0, 1/2)")
-    M = code.matroid if isinstance(code, CodeView) else code
-    codewords = _codeword_table(M, cap)
+        raise DomainError("bit-error probability must lie in [0, 1/2)")
+    if trials < 1:
+        raise DomainError("trial count must be positive")
+    codewords = _codeword_table(code, cap)
     n = codewords.shape[1]
     words = _pack_words(codewords)
     blocks = []
@@ -338,5 +299,5 @@ def ml_error_mc(code, p, seed, trials, *, workers=1, z=3.0,
     frac = sum((r[1] for r in results), Fraction(0))
     errors = hard + float(frac)
     rate = errors / trials
-    lo, hi = wilson_interval(errors, trials, z)
-    return MLEstimate(p, trials, seed, errors, rate, lo, hi, z)
+    lo, hi = wilson_interval(errors, trials)
+    return MLEstimate(p, trials, seed, errors, rate, lo, hi)

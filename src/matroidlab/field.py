@@ -111,14 +111,14 @@ def _least_irreducible(p: int, k: int) -> tuple:
 class FiniteField:
     """GF(p^k).  Immutable; safe to share between threads."""
 
-    def __init__(self, p, k, modulus=None, order_cap=DEFAULT_ORDER_CAP):
+    def __init__(self, p, k, modulus=None):
         if k < 1:
             raise DegreeZero(f"extension degree must be >= 1, got {k}")
         if not is_prime(p):
             raise NotPrime(f"{p} is not prime")
         q = p ** k
-        if q > order_cap:
-            raise CapExceeded(f"field order {q} exceeds cap {order_cap}")
+        if q > DEFAULT_ORDER_CAP:
+            raise CapExceeded(f"field order {q} exceeds cap {DEFAULT_ORDER_CAP}")
         self.p = p
         self.k = k
         self.q = q
@@ -276,9 +276,9 @@ class FiniteField:
 
 
 @lru_cache(maxsize=None)
-def make_field(p: int, k: int, order_cap: int = DEFAULT_ORDER_CAP) -> FiniteField:
+def make_field(p: int, k: int) -> FiniteField:
     """Construct GF(p^k) with the deterministic least irreducible modulus."""
-    return FiniteField(p, k, order_cap=order_cap)
+    return FiniteField(p, k)
 
 
 # ---------------------------------------------------------------------------
@@ -366,6 +366,8 @@ class SubfieldEmbedding:
 
 def _embedding(sub: FiniteField, parent: FiniteField) -> SubfieldEmbedding:
     p = parent.p
+    if sub == parent:
+        return SubfieldEmbedding(sub, parent, tuple(parent.elements()))
     if sub.k == 1:
         # prime subfield: codes 0..p-1 already carry mod-p arithmetic
         return SubfieldEmbedding(sub, parent, tuple(range(p)))

@@ -20,7 +20,7 @@ labels exactly.
 """
 
 from .errors import LabelMismatch, ToolkitError
-from .field import FiniteField, MultSubgroup, SubfieldEmbedding, make_field
+from .field import FiniteField, MultSubgroup, _embedding, make_field
 from .linalg import Matrix, Subspace, sort_labels
 from .constructions import Graph
 from .templates import AdditiveSpan, FrameTemplate, SubfieldTemplate
@@ -212,7 +212,7 @@ def read_template(text: str):
     if kind == "subfield":
         if sub is None:
             raise ParseError("subfield template needs a 'subfield <p> <k>' line")
-        emb = _embedding_for(sub, F)
+        emb = _embedding(sub, F)
         expect("A1")
         a1, idx = _read_block(lines, idx, len(D), len(C))
         expect("A2")
@@ -245,14 +245,6 @@ def read_template(text: str):
         return FrameTemplate(gamma, C, D, X, Y0, Y1, A1, lam, delta)
 
     raise ParseError(f"unknown template kind {kind!r}")
-
-
-def _embedding_for(sub: FiniteField, F: FiniteField) -> SubfieldEmbedding:
-    if sub == F:
-        return SubfieldEmbedding(F, F, tuple(F.elements()))
-    from .field import _embedding
-
-    return _embedding(sub, F)
 
 
 def write_template(tmpl) -> str:

@@ -17,7 +17,7 @@ prunes to the candidates that can still win.
 
 from itertools import combinations, product
 
-from .errors import CapExceeded, LabelMismatch
+from .errors import CapExceeded, LabelMismatch, check_budget
 from .field import _digits, _undigits
 
 DEFAULT_WEIGHT_CAP = 1 << 24
@@ -244,13 +244,8 @@ class Subspace:
     def index(self, label):
         return self._index[label]
 
-    def contains(self, vec, labels=None):
-        """Membership test; vec is aligned with `labels` (default: ambient)."""
-        if labels is not None:
-            aligned = [0] * len(self.ambient)
-            for lbl, x in zip(labels, vec):
-                aligned[self._index[lbl]] = x
-            vec = aligned
+    def contains(self, vec):
+        """Membership test; vec is aligned with the sorted ambient labels."""
         return not any(reduce_vector(self.field, self.basis, self.pivots, vec))
 
     def vectors(self):
@@ -423,9 +418,7 @@ def enumerate_subspaces(field, n, cap=100000):
     Order: by dimension, then pivot-set lexicographic, then free-entry
     assignment.  The count is the Galois number G_n(q).
     """
-    total = subspace_count(field.q, n)
-    if total > cap:
-        raise CapExceeded(f"{total} subspaces exceeds cap {cap}")
+    check_budget(subspace_count(field.q, n), "subspaces", cap)
     out = []
     for d in range(n + 1):
         for piv in combinations(range(n), d):

@@ -37,13 +37,6 @@ DEFAULT_VCONN_CAP = 16
 class _Unbounded:
     """Marker for matroids admitting no vertical separation at all."""
 
-    _instance = None
-
-    def __new__(cls):
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
-
     def __repr__(self):
         return "Unbounded"
 

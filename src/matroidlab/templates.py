@@ -38,7 +38,8 @@ from math import comb
 
 from .errors import LabelClash, NotConforming, check_budget
 from .constructions import _is_gamma_frame_column
-from .field import FiniteField, MultSubgroup, SubfieldEmbedding, _digits, _undigits, make_field
+from .field import (FiniteField, MultSubgroup, SubfieldEmbedding, _digits, _embedding,
+                    _undigits, make_field)
 from .linalg import (
     Matrix,
     Subspace,
@@ -70,8 +71,12 @@ class AdditiveSpan:
     """
 
     def __init__(self, field: FiniteField, ambient, generators):
+        ambient = tuple(ambient)
         self.field = field
         self.ambient = sort_labels(ambient)
+        if ambient != self.ambient:  # generators follow `ambient`; permute as Subspace does
+            perm = [ambient.index(lbl) for lbl in self.ambient]
+            generators = [[g[i] for i in perm] for g in generators]
         self.space = Subspace(make_field(field.p, 1), range(len(self.ambient) * field.k),
                               [self._flatten(g) for g in generators])
 
@@ -169,7 +174,7 @@ class SubfieldTemplate:
     @classmethod
     def empty(cls, F: FiniteField):
         """All sets empty and F0 = F: everything conforms."""
-        emb = SubfieldEmbedding(F, F, tuple(F.elements()))
+        emb = _embedding(F, F)
         nil = Matrix(F, (), (), [])
         triv = Subspace(F, (), [])
         return cls(emb, (), (), (), nil, nil, triv, triv)
@@ -229,7 +234,6 @@ class ConformanceReport:
     ok: bool
     violated: str | None = None
     Z: tuple | None = None
-    assignment: dict | None = None
 
 
 # ---------------------------------------------------------------------------
@@ -356,7 +360,7 @@ def check_frame_conforms(A: Matrix, tmpl: FrameTemplate) -> ConformanceReport:
         row = [A.entry(r, c) for c in tmpl.delta.ambient]
         if not tmpl.delta.contains(row):
             return ConformanceReport(False, "clause-v")
-    Z, assignment = [], {}
+    Z = []
     for c in free:
         dpart = [A.entry(r, c) for r in Dsorted]
         xpart = [A.entry(r, c) for r in tmpl.X]
@@ -364,19 +368,16 @@ def check_frame_conforms(A: Matrix, tmpl: FrameTemplate) -> ConformanceReport:
         if (not any(xpart) and tmpl.lam.contains(dpart)
                 and _is_gamma_frame_column(F, tmpl.gamma, bottom)):
             continue  # usable as a non-Z column of A' directly
-        placed = False
         for j in Y1:
             dp = [F.sub(x, A.entry(r, j)) for x, r in zip(dpart, Dsorted)]
             xp = [F.sub(x, A.entry(r, j)) for x, r in zip(xpart, tmpl.X)]
             bt = [F.sub(x, A.entry(r, j)) for x, r in zip(bottom, bottom_rows)]
             if not any(dp) and not any(xp) and _is_unit_column(bt):
                 Z.append(c)
-                assignment[c] = j
-                placed = True
                 break
-        if not placed:
+        else:
             return ConformanceReport(False, "clause-iii")
-    return ConformanceReport(True, Z=tuple(Z), assignment=assignment)
+    return ConformanceReport(True, Z=tuple(Z))
 
 
 def frame_matroid_of(A: Matrix, tmpl: FrameTemplate) -> ReprMatroid:

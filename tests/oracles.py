@@ -5,7 +5,7 @@ import random
 
 import numpy as np
 
-from matroidlab.codes import CodeView, _codeword_table
+from matroidlab.codes import _codeword_table
 from matroidlab.constructions import _is_gamma_frame_column
 from matroidlab.errors import CapExceeded, LabelClash, LabelMismatch, ToolkitError
 from matroidlab.field import subfield_lattice
@@ -197,8 +197,7 @@ def has_minor_bruteforce(M, N, cap=8):
 def exact_ml_error(code, p, cap=1 << 20) -> float:
     """Sum the exact error contribution of every error pattern (the
     syndrome table route), with the same tie accounting as ml_error_mc."""
-    M = code.matroid if isinstance(code, CodeView) else code
-    codewords = _codeword_table(M, cap)
+    codewords = _codeword_table(code, cap)
     n = codewords.shape[1]
     if 2 ** n > cap:
         raise CapExceeded("error pattern enumeration exceeds cap")

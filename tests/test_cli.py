@@ -127,6 +127,18 @@ def test_mlsim_workers_byte_identical(capsys, tmp_path):
     assert out1 == out8
 
 
+@pytest.mark.parametrize("flag,value,message", [
+    ("--p", "0.6", "bit-error probability must lie in [0, 1/2)"),
+    ("--trials", "0", "trial count must be positive"),
+])
+def test_mlsim_input_errors_exit_2(capsys, tmp_path, flag, value, message):
+    path = tmp_path / "rep5.mat"
+    path.write_text(write_matrix(Matrix(GF2, (0,), tuple(range(5)), [[1] * 5])))
+    argv = ["mlsim", str(path), "--p", "0.1", flag, value]
+    assert main(argv) == 2
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+
+
 def test_girth_cogirth_over_gf257(capsys, tmp_path):
     # fields above order 256 have no addition table
     A = Matrix(make_field(257, 1), (0, 1), ("a", "b", "c", "d"),
@@ -203,6 +215,17 @@ def test_perturb_commands(capsys, tmp_path, fano_file):
     p_path.write_text(write_matrix(P))
     code, out = run(capsys, ["perturb", "apply", fano_file, str(p_path)])
     assert code == 0 and read_matrix(out) == FANO
+
+
+def test_perturb_pert_exact_budget_counts_subspaces(capsys, tmp_path, fano_file):
+    # Fano and span(e0, e1, e2) sum to a space of dimension 6, and the
+    # search enumerates all 2825 subspaces of GF(2)^6 before it starts
+    e3 = tmp_path / "e3.mat"
+    e3.write_text(write_matrix(Matrix(GF2, (0, 1, 2), tuple(range(7)),
+                                      [[int(i == j) for j in range(7)] for i in range(3)])))
+    assert main(["perturb", "pert", fano_file, str(e3), "--exact", "--cap", "2"]) == 3
+    assert capsys.readouterr() == (
+        "", "cap exceeded: 2825 subspaces exceed the budget 2; raise it with --cap\n")
 
 
 @pytest.mark.parametrize("args,rows", [

@@ -12,8 +12,6 @@ from matroidlab.constructions import Graph, complete_graph, graphic
 from matroidlab.matroid import dual, from_generator, girth
 from matroidlab import codes
 from matroidlab.codes import (
-    ChannelParams,
-    CodeView,
     cut_code_distance_bound,
     code_params,
     good_family_probe,
@@ -159,11 +157,12 @@ def test_threshold_domain_errors():
 
 
 def test_channel_params_validation():
-    with pytest.raises(DomainError):
-        ChannelParams(p=0.6)
-    with pytest.raises(DomainError):
-        ChannelParams(p=0.1, R=1.5)
-    ChannelParams(p=0.1, R=0.5, eps=0.01, seed=1, trials=10)
+    code = repetition(3)
+    with pytest.raises(DomainError, match=r"^bit-error probability must lie in \[0, 1/2\)$"):
+        ml_error_mc(code, 0.6, 0, 10)
+    with pytest.raises(DomainError, match="^trial count must be positive$"):
+        ml_error_mc(code, 0.1, 0, 0)
+    assert ml_error_mc(code, 0.1, 1, 10).trials == 10
 
 
 # ---------------------------------------------------------------------------
@@ -288,9 +287,3 @@ def test_wilson_interval_basic():
     assert lo < 0.5 < hi
     lo0, hi0 = wilson_interval(0, 100, z=3)
     assert lo0 == 0.0 and hi0 < 0.15
-
-
-def test_codeview_caches_params():
-    cv = CodeView(fano(), name="simplex")
-    assert cv.params().d == 4
-    assert cv.params() is cv.params()

@@ -6,6 +6,8 @@ from oracles import prime_subfield
 
 from matroidlab.errors import CapExceeded, DegreeZero, NotASubfield, NotPrime
 from matroidlab.field import (
+    FiniteField,
+    _embedding,
     make_field,
     mult_subgroups,
     subfield_lattice,
@@ -100,6 +102,16 @@ def test_embeddings_are_homomorphisms(p, k):
             for b in sub.elements():
                 assert emb.embed(sub.add(a, b)) == F.add(emb.embed(a), emb.embed(b))
                 assert emb.embed(sub.mul(a, b)) == F.mul(emb.embed(a), emb.embed(b))
+
+
+@pytest.mark.parametrize("p,k,modulus", [(2, 1, None), (3, 1, None), (5, 2, None),
+                                         (2, 3, (1, 0, 1, 1)), (2, 16, None)])
+def test_self_embedding_is_identity(p, k, modulus):
+    # template files name F0 by (p, k) only, so F0 = F reads back through
+    # this embedding; GF(2^16) must not pay for a root search
+    F = FiniteField(p, k, modulus=modulus)
+    emb = _embedding(F, F)
+    assert (emb.sub, emb.parent, emb.fwd) == (F, F, tuple(F.elements()))
 
 
 def test_mult_subgroups_gf2():

@@ -247,8 +247,6 @@ def test_subspace_contains_matches_enumeration(p, k, n, max_dim):
         probes += rng.sample(sorted(members), min(50, len(members)))
         for v in probes:
             assert U.contains(v) == (v in members)
-            # the same vector given in the caller's label order
-            assert U.contains(v[::-1], labels=ambient) == (v in members)
 
 
 @pytest.mark.parametrize("p,k,n,max_dim", KERNEL_FIELDS)

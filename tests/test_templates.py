@@ -100,6 +100,18 @@ def test_additive_span_membership_and_elements():
     assert sorted(span.elements()) == [(0,), (1,)]
 
 
+def test_additive_span_reads_generators_in_the_given_label_order():
+    # generators follow the ambient labels as given, as Subspace's vectors do;
+    # the span holds them reordered to the sorted labels
+    span = AdditiveSpan(GF3, ("z0", "a1"), [(1, 0)])
+    assert span.ambient == ("a1", "z0")
+    assert span.generators() == [(0, 1)]
+    assert span.contains((0, 1)) and not span.contains((1, 0))
+    assert Subspace(GF3, ("z0", "a1"), [(1, 0)]).basis == ((0, 1),)
+    rev = AdditiveSpan(GF4, ("c", "b", "a"), [(1, 2, 3), (0, 0, 1)])
+    assert rev == AdditiveSpan(GF4, ("a", "b", "c"), [(3, 2, 1), (1, 0, 0)])
+
+
 # (p, k, ambient size): every member of F^n is probed, at most 257^2
 SPAN_FIELDS = [(2, 1, 5), (3, 1, 4), (2, 2, 3), (3, 2, 2), (257, 1, 2)]
 
@@ -672,12 +684,10 @@ def _named_order_templates(c, y0, y1):
                                 delta_vectors=[[1, 0]],
                                 A1=Matrix(GF4, ("d",), (c,), [[2]]),
                                 A2=Matrix(GF4, ("d",), (y0,), [[1]]))
-    # AdditiveSpan reads generators in sorted ambient order: Delta = <y0>
-    delta = [tuple(int(lbl == y0) for lbl in sort_labels((y0, y1)))]
     frame = FrameTemplate(subgroup_of_order(GF3, 2), (), ("d",), ("x",), (y0,), (y1,),
                           Matrix(GF3, ("d", "x"), (y0, y1), [[1, 2], [0, 1]]),
                           AdditiveSpan(GF3, ("d",), [(1,)]),
-                          AdditiveSpan(GF3, (y0, y1), delta))
+                          AdditiveSpan(GF3, (y0, y1), [(1, 0)]))  # Delta = <y0>
     return sub, frame
 
 
