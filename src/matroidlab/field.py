@@ -368,6 +368,8 @@ def _embedding(sub: FiniteField, parent: FiniteField) -> SubfieldEmbedding:
     p = parent.p
     if sub == parent:
         return SubfieldEmbedding(sub, parent, tuple(parent.elements()))
+    if sub.p != p:
+        raise NotASubfield(f"{sub!r} does not embed in {parent!r}")
     if sub.k == 1:
         # prime subfield: codes 0..p-1 already carry mod-p arithmetic
         return SubfieldEmbedding(sub, parent, tuple(range(p)))
