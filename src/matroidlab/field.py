@@ -114,11 +114,16 @@ class FiniteField:
     def __init__(self, p, k, modulus=None):
         if k < 1:
             raise DegreeZero(f"extension degree must be >= 1, got {k}")
+        # The cap comes before the primality test, whose trial division
+        # runs to sqrt(p), and p ** k is built only for small p and k: with
+        # p >= 2, a k as long as the cap's bit length already exceeds it.
+        if p >= 2 and (p > DEFAULT_ORDER_CAP or k >= DEFAULT_ORDER_CAP.bit_length()
+                       or p ** k > DEFAULT_ORDER_CAP):
+            order = p ** k if k == 1 or (p <= DEFAULT_ORDER_CAP and k <= 64) else f"{p}^{k}"
+            raise CapExceeded(f"field order {order} exceeds cap {DEFAULT_ORDER_CAP}")
         if not is_prime(p):
             raise NotPrime(f"{p} is not prime")
         q = p ** k
-        if q > DEFAULT_ORDER_CAP:
-            raise CapExceeded(f"field order {q} exceeds cap {DEFAULT_ORDER_CAP}")
         self.p = p
         self.k = k
         self.q = q

@@ -18,8 +18,9 @@ template pieces in order; see read_template.
 
 Blank lines are ignored everywhere, so a row of width 0 has no line.
 Label tokens that look like integers are read back as integers, so files
-round-trip construction labels exactly.  Every reader either returns a
-value or raises a ToolkitError.
+round-trip construction labels exactly; the writers refuse a string label
+that would read back as an integer, such as "7".  Every reader either
+returns a value or raises a ToolkitError.
 """
 
 from .errors import LabelMismatch, ToolkitError
@@ -41,9 +42,14 @@ def _label(token: str):
 
 
 def _label_str(label) -> str:
+    """The token written for `label`; it must read back as the same label,
+    so a string that _label would read as an int ("7", "+5", "1_0") is
+    rejected."""
     s = str(label)
     if not s or any(ch.isspace() for ch in s):
         raise LabelMismatch(f"label {label!r} cannot be serialized")
+    if _label(s) != label:
+        raise LabelMismatch(f"label {label!r} would read back as {_label(s)!r}")
     return s
 
 

@@ -514,8 +514,11 @@ def all_subset_ranks(M, cap=DEFAULT_SUBSET_CAP):
 
 class _IsoProfile:
     """A rank table with the invariants the isomorphism search prunes on.
-    The pair signatures are built on first use, after the rank histograms
-    have matched."""
+    The element signatures are built on first use, after the rank
+    histograms have matched: an element's rank and the sorted ranks of the
+    pairs and of the triples through it.  In a simple matroid every pair
+    has rank 2, so only the triples (the lines through an element) tell
+    its elements apart."""
 
     def __init__(self, ground, ranks):
         self.n = len(ground)
@@ -526,9 +529,16 @@ class _IsoProfile:
     @cached_property
     def sigs(self):
         ranks, n = self.ranks, self.n
-        return [(ranks[1 << i],
-                 tuple(sorted(ranks[(1 << i) | (1 << j)] for j in range(n) if j != i)))
-                for i in range(n)]
+
+        def through(size):
+            out = [[] for _ in range(n)]
+            for S in combinations(range(n), size):
+                r = ranks[sum(1 << i for i in S)]
+                for i in S:
+                    out[i].append(r)
+            return [tuple(sorted(rs)) for rs in out]
+
+        return list(zip([ranks[1 << i] for i in range(n)], through(2), through(3)))
 
 
 def _profile(M, cap):
@@ -616,7 +626,9 @@ def has_minor(M, N, cap=DEFAULT_MINOR_CAP):
     set equals contracting a basis of it and deleting the rest), in
     sorted label order, so the witness is deterministic.  M's rank table
     is built once; each candidate's table is read from it, since
-    r(M/C\\D)(X) = r(X + C) - r(C).
+    r(M/C\\D)(X) = r(X + C) - r(C).  A candidate must first match N's
+    rank and its sorted singleton and pair ranks, read from that table,
+    before its own table and profile are built.
     Returns (found, (C, D) or None).
     """
     if M.size > cap:
@@ -630,6 +642,9 @@ def has_minor(M, N, cap=DEFAULT_MINOR_CAP):
     if d < 0:
         return False, None
     PN = _profile(N, cap=max(cap, N.size))
+    nbits = [1 << i for i in range(N.size)]
+    singles = sorted([PN.ranks[b] for b in nbits])
+    pairs = sorted([PN.ranks[a | b] for a, b in combinations(nbits, 2)])
     ranks = all_subset_ranks(M, cap=cap)
     bit = {e: 1 << i for i, e in enumerate(M.ground)}
     for C in combinations(M.ground, c):
@@ -639,9 +654,15 @@ def has_minor(M, N, cap=DEFAULT_MINOR_CAP):
         rest = [e for e in M.ground if e not in C]
         for D in combinations(rest, d):
             kept = [e for e in rest if e not in D]
+            bits = [bit[e] for e in kept]
+            if (ranks[cmask | sum(bits)] - c != N.rank
+                    or sorted([ranks[cmask | b] - c for b in bits]) != singles
+                    or sorted([ranks[cmask | a | b] - c
+                               for a, b in combinations(bits, 2)]) != pairs):
+                continue
             masks = [cmask]
-            for e in kept:
-                masks += [m | bit[e] for m in masks]
+            for b in bits:
+                masks += [m | b for m in masks]
             PC = _IsoProfile(kept, [ranks[m] - c for m in masks])
             if _iso_search(PC, PN, lambda mapping: True):
                 return True, (tuple(C), tuple(D))

@@ -1,6 +1,6 @@
 """Slow, independent reference implementations used only by the tests."""
 
-from itertools import combinations, product
+from itertools import combinations, permutations, product
 import random
 
 import numpy as np
@@ -154,6 +154,27 @@ def subset_ranks_bruteforce(M):
     g, n = M.ground, M.size
     return [rank_of(M, [g[i] for i in range(n) if mask >> i & 1])
             for mask in range(1 << n)]
+
+
+def isomorphic_bruteforce(M1, M2, cap=7):
+    """Try every bijection of the ground sets (as index permutations)
+    against the subset_ranks_bruteforce tables of both matroids."""
+    n = M1.size
+    if n > cap:
+        raise CapExceeded("brute-force isomorphism cap")
+    if M2.size != n:
+        return False
+    r1, r2 = subset_ranks_bruteforce(M1), subset_ranks_bruteforce(M2)
+    for perm in permutations(range(n)):
+        image = [0] * (1 << n)
+        for mask in range(1, 1 << n):
+            low = mask & -mask
+            image[mask] = image[mask ^ low] | 1 << perm[low.bit_length() - 1]
+            if r1[mask] != r2[image[mask]]:
+                break
+        else:
+            return True
+    return False
 
 
 def has_minor_reference(M, N):

@@ -385,3 +385,22 @@ def test_confine_perturb_reid_stdout_bytes(capsys, tmp_path, argv, expected):
         paths[name].write_text(write_matrix(A))
     argv = [str(paths[a]) if a in paths else a for a in argv]
     assert run(capsys, argv) == (0, expected)
+
+
+@pytest.mark.parametrize("p,k,order", [
+    # trial division to sqrt(p) would run for minutes
+    ("1000000000000000003", "1", "1000000000000000003"),
+    ("65537", "1", "65537"),
+    ("2", "17", "131072"),
+    ("2", "100000000000000", "2^100000000000000"),
+])
+def test_field_above_order_cap_exits_3_at_once(tmp_path, p, k, order):
+    path = tmp_path / "big.mat"
+    path.write_text(f"gf {p} {k}\nrows r\ncols c\n1\n")
+    src = os.path.dirname(os.path.dirname(matroidlab.__file__))
+    proc = subprocess.run([sys.executable, "-m", "matroidlab.cli", "dual", str(path)],
+                          capture_output=True, text=True, timeout=30,
+                          env={**os.environ, "PYTHONPATH": src})
+    assert proc.returncode == 3
+    assert proc.stdout == ""
+    assert proc.stderr == f"cap exceeded: field order {order} exceeds cap 65536\n"

@@ -5,7 +5,7 @@ import pytest
 from oracles import prime_subfield
 
 from matroidlab.cli import main
-from matroidlab.errors import NotASubfield, ToolkitError
+from matroidlab.errors import LabelMismatch, NotASubfield, ToolkitError
 from matroidlab.field import FiniteField, make_field, subgroup_of_order
 from matroidlab.linalg import Matrix, Subspace
 from matroidlab.constructions import Graph, complete_graph
@@ -40,6 +40,23 @@ def test_matrix_labels_parse_back_as_ints():
     A = Matrix(GF2, (0, 1), (10, 20), [[1, 0], [0, 1]])
     B = read_matrix(write_matrix(A))
     assert B.rows == (0, 1) and B.cols == (10, 20)
+
+
+@pytest.mark.parametrize("label", ["1_0", "+5", "7", "-3", "05"])
+def test_label_read_back_as_int_rejected(label):
+    A = Matrix(GF2, ("r",), (label,), [[1]])
+    with pytest.raises(LabelMismatch):
+        write_matrix(A)
+    with pytest.raises(LabelMismatch):
+        write_graph(Graph.from_edges([label, "v"], [(label, "v")]))
+
+
+def test_int_and_string_labels_keep_their_bytes():
+    A = Matrix(GF2, ("r", 0), (-3, 7, "a_1", "x+5", "e07x"),
+               [[1, 0, 1, 0, 1], [0, 1, 1, 1, 0]])
+    text = write_matrix(A)
+    assert text == "gf 2 1\nrows r 0\ncols -3 7 a_1 x+5 e07x\n1 0 1 0 1\n0 1 1 1 0\n"
+    assert read_matrix(text) == A
 
 
 def test_matrix_bad_body_rejected():

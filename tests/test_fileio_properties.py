@@ -11,7 +11,7 @@ from test_fileio import FANO_TEXT
 
 from matroidlab.cli import main
 from matroidlab.constructions import Graph
-from matroidlab.errors import ToolkitError
+from matroidlab.errors import LabelMismatch, ToolkitError
 from matroidlab.field import FiniteField, _embedding, make_field, mult_subgroups, subfield_lattice
 from matroidlab.fileio import (
     read_graph,
@@ -153,6 +153,30 @@ def test_template_round_trip(tmpl):
 
 
 @PROPS
+@given(st.lists(st.one_of(st.integers(-30, 30), st.text("0123456789+-_a", min_size=1,
+                                                            max_size=4)),
+                unique=True, min_size=1, max_size=4))
+def test_labels_round_trip_or_rejected(cols):
+    """A label that would read back as another value (the string "7" as
+    the int 7, "1_0" as 10) is refused; every other label round-trips."""
+    A = Matrix(FIELDS[0], ("r",), cols, [[1] * len(cols)])
+    try:
+        text = write_matrix(A)
+    except LabelMismatch:
+        assert any(isinstance(c, str) and _is_int(c) for c in cols)
+    else:
+        assert read_matrix(text) == A
+
+
+def _is_int(token):
+    try:
+        int(token)
+    except ValueError:
+        return False
+    return True
+
+
+@PROPS
 @given(mutated(matrices().map(write_matrix)))
 def test_mutated_matrix_read_or_rejected(text):
     read_or_reject(read_matrix, text)
@@ -176,12 +200,21 @@ def cli_exit(argv):
         return main(argv)
 
 
+# {m} is the mutated matrix file, {fano} a valid one
+MATRIX_COMMANDS = ("dual {m}", "girth {m}", "cogirth {m}", "vconn {m}",
+                   "confine {m} --sub 2 1", "code params {m}", "minor {fano} {m}",
+                   "minor {m} {m}")
+
+
 @PROPS
 @given(mutated(matrices().map(write_matrix)))
 def test_mutated_matrix_through_cli(tmp_path_factory, text):
-    path = tmp_path_factory.mktemp("dual") / "m.mat"
-    path.write_text(text)
-    assert cli_exit(["dual", str(path)]) in (0, 2, 3)
+    work = tmp_path_factory.mktemp("cli")
+    (work / "m.mat").write_text(text)
+    (work / "fano.mat").write_text(FANO_TEXT)
+    for command in MATRIX_COMMANDS:
+        argv = [a.format(m=work / "m.mat", fano=work / "fano.mat") for a in command.split()]
+        assert cli_exit(argv) in (0, 2, 3), command
 
 
 @PROPS

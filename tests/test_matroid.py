@@ -6,6 +6,7 @@ from oracles import (
     confined_bruteforce,
     has_minor_bruteforce,
     has_minor_reference,
+    isomorphic_bruteforce,
     proj_equiv_bruteforce,
     random_matrix,
     random_matroid,
@@ -22,6 +23,7 @@ from matroidlab.matroid import (
     UNBOUNDED,
     ReprMatroid,
     OracleMatroid,
+    _profile,
     all_subset_ranks,
     cogirth,
     confined_to,
@@ -401,6 +403,81 @@ def test_self_isomorphic():
         assert isomorphic(M, relabel(M, dict(zip(M.ground, shuffled))))
 
 
+def _transformed_copy(M, rng):
+    """M with its columns scaled by random nonzero scalars and its labels
+    permuted: a projectively transformed, relabelled copy."""
+    F = M.field
+    scales = [rng.randrange(1, F.q) for _ in M.ground]
+    rows = [[F.mul(x, s) for x, s in zip(row, scales)] for row in M.space.basis]
+    shuffled = list(M.ground)
+    rng.shuffle(shuffled)
+    return relabel(from_generator(Matrix(F, range(len(rows)), M.ground, rows)),
+                   dict(zip(M.ground, shuffled)))
+
+
+@pytest.mark.parametrize("field", [GF2, GF3, GF4])
+def test_isomorphic_matches_bruteforce(field):
+    """Against transformed copies, copies with one entry changed and random
+    matroids of the same size; sorted element signatures agree on every
+    isomorphic pair."""
+    rng = seeded(59)
+    verdicts = set()
+    for _ in range(30):
+        n = rng.randint(3, 7)
+        A = random_matrix(field, rng.randint(1, n - 1), n, rng)
+        M = from_generator(A)
+        B = [list(row) for row in A.data]
+        B[rng.randrange(len(B))][rng.randrange(n)] = rng.randrange(field.q)
+        others = [_transformed_copy(M, rng), from_generator(Matrix(field, A.rows, A.cols, B)),
+                  from_generator(random_matrix(field, len(A.rows), n, rng))]
+        for M2 in others:
+            want = isomorphic_bruteforce(M, M2)
+            assert isomorphic(M, M2) == want
+            if want:
+                assert sorted(_profile(M, 7).sigs) == sorted(_profile(M2, 7).sigs)
+            verdicts.add(want)
+    assert verdicts == {False, True}
+
+
+# Non-isomorphic pairs with equal rank histograms and equal sorted element
+# signatures, found by a seeded search over random GF(3) and GF(4)
+# matroids: only the backtracking tells them apart.
+EQUAL_INVARIANT_PAIRS = [
+    (GF4, [(1, 0, 0, 0, 0, 2, 3), (0, 1, 0, 0, 2, 3, 0), (0, 0, 1, 0, 1, 2, 0),
+           (0, 0, 0, 1, 3, 0, 3)],
+          [(1, 0, 0, 0, 0, 2, 3), (0, 1, 0, 0, 1, 2, 2), (0, 0, 1, 0, 0, 1, 3),
+           (0, 0, 0, 1, 3, 1, 1)]),
+    (GF3, [(1, 0, 0, 0, 2, 2, 1, 0), (0, 1, 0, 0, 0, 1, 0, 2), (0, 0, 1, 0, 1, 2, 1, 1),
+           (0, 0, 0, 1, 1, 1, 0, 1)],
+          [(1, 0, 0, 1, 0, 1, 0, 1), (0, 1, 0, 2, 0, 1, 0, 0), (0, 0, 1, 1, 0, 2, 2, 1),
+           (0, 0, 0, 0, 1, 2, 1, 1)]),
+]
+
+
+@pytest.mark.parametrize("field,A,B", EQUAL_INVARIANT_PAIRS)
+def test_isomorphic_backtracks_past_equal_invariants(field, A, B):
+    M1, M2 = mk(field, A), mk(field, B)
+    P1, P2 = _profile(M1, 8), _profile(M2, 8)
+    assert P1.hist == P2.hist and sorted(P1.sigs) == sorted(P2.sigs)
+    assert isomorphic(M1, M2) is isomorphic_bruteforce(M1, M2, cap=8) is False
+    copy = _transformed_copy(M1, seeded(71))
+    assert isomorphic(copy, M1) and not isomorphic(copy, M2)
+
+
+def test_element_signatures_follow_relabelling():
+    rng = seeded(61)
+    for field in (GF2, GF3, GF4):
+        for _ in range(10):
+            M = random_matroid(field, 8, rng, min_n=2)
+            shuffled = list(M.ground)
+            rng.shuffle(shuffled)
+            phi = dict(zip(M.ground, shuffled))
+            P, Q = _profile(M, 8), _profile(relabel(M, phi), 8)
+            assert sorted(P.sigs) == sorted(Q.sigs)
+            where = {e: i for i, e in enumerate(Q.ground)}
+            assert all(P.sigs[i] == Q.sigs[where[phi[e]]] for i, e in enumerate(P.ground))
+
+
 def test_equivalent_up_to_relabel_scaling():
     A = mk(GF3, [[1, 2, 0], [0, 1, 1]])
     perm = relabel(A, {0: 2, 1: 0, 2: 1})
@@ -437,6 +514,23 @@ def test_has_minor_matches_bruteforce():
             N = random_matroid(field, 4, rng)
             got, _ = has_minor(M, N)
             assert got == has_minor_bruteforce(M, N)
+
+
+@pytest.mark.parametrize("field", [GF2, GF3])
+def test_has_minor_refutations_match_bruteforce(field):
+    """U24 is never a minor of a binary matroid, so over GF(2) has_minor
+    must refute every candidate for it."""
+    rng = seeded(67)
+    targets = (uniform(2, 4), u23(), graphic(complete_graph(4), GF2))
+    verdicts = set()
+    for _ in range(8):
+        n = rng.randint(5, 8)
+        M = from_generator(random_matrix(field, rng.randint(2, n - 2), n, rng))
+        for N in targets:
+            got, _ = has_minor(M, N)
+            assert got == has_minor_bruteforce(M, N)
+            verdicts.add(got)
+    assert verdicts == {False, True}
 
 
 @pytest.mark.parametrize("field", [GF2, GF3])
