@@ -126,8 +126,6 @@ def _emit_matroid(args, M):
 
 
 def _emit_oracle(args, M, cap=12):
-    if M.size > cap:
-        raise CapExceeded(f"rank table for |E|={M.size} exceeds cap {cap}")
     ranks = all_subset_ranks(M, cap=cap)
     g = M.ground
     table = {}

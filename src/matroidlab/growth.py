@@ -12,14 +12,15 @@ from dataclasses import dataclass
 from itertools import combinations
 from math import comb
 
-from .errors import CapExceeded, DefectOutOfRange
+from .errors import DefectOutOfRange, check_budget
 from .field import FiniteField
 from .matroid import (
+    DEFAULT_MINOR_CAP,
+    _iso_search,
+    _minor_profile,
     all_subset_ranks,
     delete,
     has_minor,
-    isomorphic,
-    rank_of,
 )
 
 DEFAULT_SEARCH_CAP = 1 << 18
@@ -71,55 +72,48 @@ def h_nelson_pg_excluded(q: int, n: int, r: int) -> GrowthValue:
 # exhaustive extremal search
 # ---------------------------------------------------------------------------
 
-def h_exhaustive(F: FiniteField, r: int, forbidden=None, cap=DEFAULT_SEARCH_CAP,
-                 minor_cap=14):
+def h_exhaustive(F: FiniteField, r: int, forbidden=None, cap=DEFAULT_SEARCH_CAP):
     """Largest spanning point subset of PG(r-1, q) whose restriction has no
-    forbidden minor, with a witness.
+    `forbidden` minor, with a witness: (value, witness labels).
 
-    Scans subset sizes downward; within a size, subsets sharing the
-    pairwise line-incidence signature are bucketed and skipped only after
-    an actual isomorphism check against an already rejected representative.
-    Returns (value, witness labels).
+    With nothing forbidden this is the whole geometry.  Otherwise the
+    geometry's rank table is built once, and subsets are scanned by
+    decreasing size, in combinations order within a size; at most `cap`
+    subsets are examined.  A spanning subset's restriction profile is read
+    from the table.  Restrictions found to carry the minor are kept as
+    profiles, bucketed by rank histogram, and a restriction isomorphic to
+    one of them is skipped without a minor search.  Skipping only
+    isomorphic copies leaves the first subset without the minor, and so the
+    witness, as an unbucketed scan would find it.
     """
     from .constructions import pg
 
     geometry = pg(r, F)
     points = geometry.ground
+    if forbidden is None:
+        return len(points), points
     n = len(points)
+    ranks = all_subset_ranks(geometry, cap=DEFAULT_MINOR_CAP)
     examined = 0
     for size in range(n, r - 1, -1):
         rejected = {}
-        for S in combinations(points, size):
+        for S in combinations(range(n), size):
             examined += 1
-            if examined > cap:
-                raise CapExceeded(f"examined over {cap} subsets")
-            if rank_of(geometry, S) != r:
+            check_budget(examined, "subsets", cap)
+            mask = sum(1 << i for i in S)
+            if ranks[mask] != r:
                 continue
-            restriction = delete(geometry, set(points) - set(S))
-            if forbidden is None:
-                return size, S
-            sig = _line_signature(restriction)
-            bucket = rejected.setdefault(sig, [])
-            if any(isomorphic(restriction, seen) for seen in bucket):
+            profile = _minor_profile(ranks, S)
+            bucket = rejected.setdefault(frozenset(profile.hist.items()), [])
+            if any(_iso_search(profile, seen, lambda mapping: True) for seen in bucket):
                 continue
-            found, _ = has_minor(restriction, forbidden, cap=minor_cap)
+            witness = tuple(points[i] for i in S)
+            found, _ = has_minor(delete(geometry, set(points) - set(witness)),
+                                 forbidden)
             if not found:
-                return size, S
-            bucket.append(restriction)
+                return size, witness
+            bucket.append(profile)
     raise ValueError("every spanning restriction carries the forbidden minor")
-
-
-def _line_signature(M):
-    """Sorted multiset, over element pairs, of how many elements lie on the
-    rank-2 flat the pair spans.  Isomorphism invariant used for bucketing."""
-    g = M.ground
-    sig = []
-    for a, b in combinations(g, 2):
-        on_line = sum(
-            1 for c in g
-            if c not in (a, b) and rank_of(M, {a, b, c}) <= 2)
-        sig.append(on_line)
-    return tuple(sorted(sig))
 
 
 # ---------------------------------------------------------------------------
@@ -135,53 +129,39 @@ def is_alpha_t_frame(M, alpha: int, t: int, exact=False, cap=12):
         (exactly `alpha` when exact=True).
 
     Returns (found, (V, T) or None), first witness in enumeration order.
+    Every rank is read from M's rank table by index mask.
     """
     n = M.size
-    if n > cap:
-        raise CapExceeded(f"|E|={n} exceeds search cap {cap}")
     g = M.ground
-    pos = {e: i for i, e in enumerate(g)}
     ranks = all_subset_ranks(M, cap=cap)
     r = ranks[(1 << n) - 1]
     if t > r:
         return False, None
-
-    def rk(labels):
-        mask = 0
-        for e in labels:
-            mask |= 1 << pos[e]
-        return ranks[mask]
-
-    for B in combinations(g, r):
-        if rk(B) != r:
+    for B in combinations(range(n), r):
+        bmask = sum(1 << i for i in B)
+        if ranks[bmask] != r:
             continue
-        outside = [e for e in g if e not in set(B)]
-        fundamental = {}
-        for e in outside:
-            circ = [b for b in B if rk(tuple(set(B) - {b}) + (e,)) == r]
-            fundamental[e] = set(circ)
+        # the fundamental circuit of each element outside B, as a mask of B
+        fundamental = [sum(1 << b for b in B if ranks[bmask ^ 1 << b | 1 << e] == r)
+                       for e in range(n) if not bmask >> e & 1]
         for T in combinations(B, t):
-            V = [b for b in B if b not in set(T)]
-            if any(len(fundamental[e] & set(V)) > 2 for e in outside):
+            tmask = sum(1 << i for i in T)
+            vmask = bmask ^ tmask
+            if any((f & vmask).bit_count() > 2 for f in fundamental):
                 continue
-            ok = True
+            V = [b for b in B if vmask >> b & 1]
             for u, v in combinations(V, 2):
-                base = set(T)
-                span_uv = rk(tuple(base | {u, v}))
-                count = 0
-                for w in g:
-                    if w in base | {u, v}:
-                        continue
-                    if rk(tuple(base | {u, v, w})) != span_uv:
-                        continue
-                    if rk(tuple(base | {u, w})) == rk(tuple(base | {u})):
-                        continue
-                    if rk(tuple(base | {v, w})) == rk(tuple(base | {v})):
-                        continue
-                    count += 1
+                # elements in the span of T + {u, v} beyond the spans of
+                # T + {u} and of T + {v}
+                tu, tv = tmask | 1 << u, tmask | 1 << v
+                tuv = tu | tv
+                count = sum(1 for w in range(n)
+                            if not tuv >> w & 1
+                            and ranks[tuv | 1 << w] == ranks[tuv]
+                            and ranks[tu | 1 << w] != ranks[tu]
+                            and ranks[tv | 1 << w] != ranks[tv])
                 if (count != alpha) if exact else (count < alpha):
-                    ok = False
                     break
-            if ok:
-                return True, (tuple(V), tuple(T))
+            else:
+                return True, (tuple(g[i] for i in V), tuple(g[i] for i in T))
     return False, None

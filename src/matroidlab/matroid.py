@@ -520,9 +520,8 @@ class _IsoProfile:
     has rank 2, so only the triples (the lines through an element) tell
     its elements apart."""
 
-    def __init__(self, ground, ranks):
-        self.n = len(ground)
-        self.ground = ground
+    def __init__(self, ranks):
+        self.n = len(ranks).bit_length() - 1
         self.ranks = ranks
         self.hist = Counter(zip(map(int.bit_count, range(len(ranks))), ranks))
 
@@ -542,7 +541,18 @@ class _IsoProfile:
 
 
 def _profile(M, cap):
-    return _IsoProfile(M.ground, all_subset_ranks(M, cap=cap))
+    return _IsoProfile(all_subset_ranks(M, cap=cap))
+
+
+def _minor_profile(ranks, kept, cmask=0):
+    """The _IsoProfile of M/C\\D read from M's rank table, where cmask
+    holds C and kept lists the indices of E - C - D in increasing order:
+    r(X) = r(X + C) - r(C)."""
+    masks = [cmask]
+    for i in kept:
+        masks += [m | 1 << i for m in masks]
+    c = ranks[cmask]
+    return _IsoProfile([ranks[m] - c for m in masks])
 
 
 def _iso_search(P1, P2, accept):
@@ -613,7 +623,7 @@ def equivalent_up_to_relabel_scaling(M1: ReprMatroid, M2: ReprMatroid,
     P2 = _profile(M2, cap) if profile2 is None else profile2
 
     def accept(mapping):
-        phi = {P1.ground[i]: P2.ground[j] for i, j in enumerate(mapping)}
+        phi = {M1.ground[i]: M2.ground[j] for i, j in enumerate(mapping)}
         return projectively_equivalent(relabel(M1, phi), M2)
 
     return _iso_search(P1, P2, accept)
@@ -631,8 +641,6 @@ def has_minor(M, N, cap=DEFAULT_MINOR_CAP):
     before its own table and profile are built.
     Returns (found, (C, D) or None).
     """
-    if M.size > cap:
-        raise CapExceeded(f"|E|={M.size} exceeds minor search cap {cap}")
     if N.size > M.size or N.rank > M.rank:
         return False, None
     if (M.size - M.rank) < (N.size - N.rank):
@@ -641,31 +649,28 @@ def has_minor(M, N, cap=DEFAULT_MINOR_CAP):
     d = M.size - N.size - c
     if d < 0:
         return False, None
-    PN = _profile(N, cap=max(cap, N.size))
+    ranks = all_subset_ranks(M, cap=cap)
+    PN = _profile(N, cap)
     nbits = [1 << i for i in range(N.size)]
     singles = sorted([PN.ranks[b] for b in nbits])
     pairs = sorted([PN.ranks[a | b] for a, b in combinations(nbits, 2)])
-    ranks = all_subset_ranks(M, cap=cap)
-    bit = {e: 1 << i for i, e in enumerate(M.ground)}
-    for C in combinations(M.ground, c):
-        cmask = sum(bit[e] for e in C)
+    g = M.ground
+    for C in combinations(range(M.size), c):
+        cmask = sum(1 << i for i in C)
         if ranks[cmask] < c:
             continue
-        rest = [e for e in M.ground if e not in C]
+        rest = [i for i in range(M.size) if not cmask >> i & 1]
         for D in combinations(rest, d):
-            kept = [e for e in rest if e not in D]
-            bits = [bit[e] for e in kept]
+            kept = [i for i in rest if i not in D]
+            bits = [1 << i for i in kept]
             if (ranks[cmask | sum(bits)] - c != N.rank
                     or sorted([ranks[cmask | b] - c for b in bits]) != singles
                     or sorted([ranks[cmask | a | b] - c
                                for a, b in combinations(bits, 2)]) != pairs):
                 continue
-            masks = [cmask]
-            for b in bits:
-                masks += [m | b for m in masks]
-            PC = _IsoProfile(kept, [ranks[m] - c for m in masks])
-            if _iso_search(PC, PN, lambda mapping: True):
-                return True, (tuple(C), tuple(D))
+            if _iso_search(_minor_profile(ranks, kept, cmask), PN,
+                           lambda mapping: True):
+                return True, (tuple(g[i] for i in C), tuple(g[i] for i in D))
     return False, None
 
 
@@ -675,8 +680,6 @@ def vertical_connectivity(M, cap=DEFAULT_VCONN_CAP, with_witness=False):
     has two non-spanning sides.  With with_witness=True, also returns the
     first minimizing partition (X, Y), or None when unbounded."""
     n = M.size
-    if n > cap:
-        raise CapExceeded(f"|E|={n} exceeds partition enumeration cap {cap}")
     ranks = all_subset_ranks(M, cap=cap)
     full = (1 << n) - 1
     r = ranks[full]

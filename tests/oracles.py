@@ -6,7 +6,7 @@ import random
 import numpy as np
 
 from matroidlab.codes import _codeword_table
-from matroidlab.constructions import _is_gamma_frame_column
+from matroidlab.constructions import _is_gamma_frame_column, pg
 from matroidlab.errors import CapExceeded, LabelClash, LabelMismatch, ToolkitError
 from matroidlab.field import subfield_lattice
 from matroidlab.linalg import Matrix, Subspace, label_key, rref_rows, sort_labels
@@ -195,6 +195,76 @@ def has_minor_reference(M, N):
         for D in combinations(MC.ground, d):
             if isomorphic(delete(MC, D), N, cap=N.size):
                 return True, (tuple(C), tuple(D))
+    return False, None
+
+
+def h_exhaustive_reference(F, r, forbidden):
+    """The first spanning point subset of PG(r-1, q), by decreasing size
+    and in combinations order, whose restriction has no `forbidden` minor:
+    one rank_of and one has_minor_reference per subset, no bucketing.
+    Returns (value, witness labels)."""
+    geometry = pg(r, F)
+    points = geometry.ground
+    for size in range(len(points), r - 1, -1):
+        for S in combinations(points, size):
+            if rank_of(geometry, S) != r:
+                continue
+            if not has_minor_reference(delete(geometry, set(points) - set(S)),
+                                       forbidden)[0]:
+                return size, S
+    raise ValueError("every spanning restriction carries the forbidden minor")
+
+
+def is_alpha_t_frame_reference(M, alpha, t, exact=False):
+    """The (alpha, t)-frame search over label sets, every rank read from
+    the subset_ranks_bruteforce table: the first basis split (V, T) in
+    combinations order meeting both clauses of growth.is_alpha_t_frame."""
+    n = M.size
+    g = M.ground
+    pos = {e: i for i, e in enumerate(g)}
+    ranks = subset_ranks_bruteforce(M)
+    r = ranks[(1 << n) - 1]
+    if t > r:
+        return False, None
+
+    def rk(labels):
+        mask = 0
+        for e in labels:
+            mask |= 1 << pos[e]
+        return ranks[mask]
+
+    for B in combinations(g, r):
+        if rk(B) != r:
+            continue
+        outside = [e for e in g if e not in set(B)]
+        fundamental = {}
+        for e in outside:
+            circ = [b for b in B if rk(tuple(set(B) - {b}) + (e,)) == r]
+            fundamental[e] = set(circ)
+        for T in combinations(B, t):
+            V = [b for b in B if b not in set(T)]
+            if any(len(fundamental[e] & set(V)) > 2 for e in outside):
+                continue
+            ok = True
+            for u, v in combinations(V, 2):
+                base = set(T)
+                span_uv = rk(tuple(base | {u, v}))
+                count = 0
+                for w in g:
+                    if w in base | {u, v}:
+                        continue
+                    if rk(tuple(base | {u, v, w})) != span_uv:
+                        continue
+                    if rk(tuple(base | {u, w})) == rk(tuple(base | {u})):
+                        continue
+                    if rk(tuple(base | {v, w})) == rk(tuple(base | {v})):
+                        continue
+                    count += 1
+                if (count != alpha) if exact else (count < alpha):
+                    ok = False
+                    break
+            if ok:
+                return True, (tuple(V), tuple(T))
     return False, None
 
 

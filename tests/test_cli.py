@@ -249,6 +249,13 @@ def test_growth_exhaustive(capsys):
     assert code == 0 and json.loads(out)["value"] == 6
 
 
+def test_growth_exhaustive_subset_budget_is_cap(capsys):
+    assert main(["growth", "exhaustive", "--gf", "3", "1", "--rank", "3",
+                 "--forbidden", "kn:4", "--cap", "100"]) == 3
+    assert capsys.readouterr() == (
+        "", "cap exceeded: 101 subsets exceed the budget 100; raise it with --cap\n")
+
+
 def test_code_params_csv(capsys, fano_file):
     code, out = run(capsys, ["code", "params", fano_file])
     assert code == 0

@@ -25,7 +25,7 @@ from matroidlab.linalg import Matrix, Subspace, sort_labels
 from matroidlab.templates import AdditiveSpan, FrameTemplate, SubfieldTemplate
 
 FIELDS = (make_field(2, 1), make_field(3, 1), make_field(2, 2),
-          FiniteField(2, 3, modulus=(1, 0, 1, 1)), make_field(257, 1))
+          FiniteField(2, 3, modulus=(1, 0, 1, 1)), make_field(257, 1), make_field(2, 9))
 PROPS = settings(derandomize=True, max_examples=40, deadline=None,
                  suppress_health_check=[HealthCheck.too_slow])
 

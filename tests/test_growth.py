@@ -2,12 +2,24 @@ from itertools import combinations
 from math import comb
 
 import pytest
-from oracles import has_minor_bruteforce
+from oracles import (
+    h_exhaustive_reference,
+    has_minor_bruteforce,
+    is_alpha_t_frame_reference,
+    random_matroid,
+    seeded,
+)
 
 from matroidlab.errors import DefectOutOfRange
 from matroidlab.field import make_field, mult_subgroups, subgroup_of_order
-from matroidlab.constructions import complete_graph, gamma_frame_full, graphic, pg
-from matroidlab.matroid import delete, rank_of
+from matroidlab.constructions import (
+    complete_graph,
+    gamma_frame_full,
+    graphic,
+    pg,
+    uniform_represented,
+)
+from matroidlab.matroid import delete, dual, rank_of
 from matroidlab.growth import (
     GrowthValue,
     h_exhaustive,
@@ -96,11 +108,6 @@ def test_h_exhaustive_full_geometry():
             assert len(witness) == value
 
 
-def test_h_exhaustive_forbidden_fano():
-    value, witness = h_exhaustive(GF2, 3, forbidden=pg(3, GF2))
-    assert value == 6
-
-
 def test_h_exhaustive_forbidden_k4_matches_oracle():
     # independent oracle first: full subset enumeration with the
     # brute-force minor test
@@ -119,6 +126,32 @@ def test_h_exhaustive_forbidden_k4_matches_oracle():
             break
     value, _ = h_exhaustive(GF2, 3, forbidden=k4)
     assert value == best == 5
+
+
+FANO = pg(3, GF2)
+K4 = graphic(complete_graph(4), GF2)
+U24 = uniform_represented(2, 4, GF3)
+
+
+@pytest.mark.parametrize("forbidden,value,witness", [
+    (FANO, 6, tuple(range(6))),
+    (dual(FANO), 7, tuple(range(7))),
+    (K4, 5, tuple(range(5))),
+    (U24, 7, tuple(range(7))),
+    (uniform_represented(2, 3, GF2), 3, (0, 1, 2)),
+    (pg(2, GF3), 7, tuple(range(7))),
+], ids=["F7", "F7*", "K4", "U24", "U23", "PG13"])
+def test_h_exhaustive_gf2_matches_reference(forbidden, value, witness):
+    assert h_exhaustive(GF2, 3, forbidden=forbidden) == (value, witness)
+    assert h_exhaustive_reference(GF2, 3, forbidden) == (value, witness)
+
+
+@pytest.mark.parametrize("forbidden,value,witness", [
+    (K4, 9, tuple(range(9))),
+    (U24, 6, (0, 1, 2, 3, 6, 10)),
+], ids=["K4", "U24"])
+def test_h_exhaustive_gf3_witness_is_pinned(forbidden, value, witness):
+    assert h_exhaustive(GF3, 3, forbidden=forbidden) == (value, witness)
 
 
 def test_h_exhaustive_monotone_under_minor_order():
@@ -171,3 +204,16 @@ def test_alpha_t_frame_with_lift():
     assert is_alpha_t_frame(fano, 1, 0)[0] is False
     assert is_alpha_t_frame(fano, 1, 1)[0] is True
     assert is_alpha_t_frame(fano, 2, 0)[0] is False
+
+
+@pytest.mark.parametrize("F", [GF2, GF3], ids=["GF2", "GF3"])
+def test_alpha_t_frame_matches_reference(F):
+    rng = seeded(F.q)
+    verdicts = set()
+    for _ in range(75):
+        M = random_matroid(F, 8, rng, min_n=3)
+        alpha, t, exact = rng.randint(0, 2), rng.randint(0, 2), rng.random() < 0.5
+        got = is_alpha_t_frame(M, alpha, t, exact=exact)
+        assert got == is_alpha_t_frame_reference(M, alpha, t, exact=exact)
+        verdicts.add(got[0])
+    assert verdicts == {True, False}

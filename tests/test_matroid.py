@@ -16,7 +16,7 @@ from oracles import (
 )
 
 from matroidlab.constructions import complete_graph, graphic, pg, uniform
-from matroidlab.errors import NotASubfield, NotSubset
+from matroidlab.errors import CapExceeded, NotASubfield, NotSubset
 from matroidlab.field import make_field, subgroup_of_order
 from matroidlab.linalg import Matrix, Subspace
 from matroidlab.matroid import (
@@ -472,10 +472,11 @@ def test_element_signatures_follow_relabelling():
             shuffled = list(M.ground)
             rng.shuffle(shuffled)
             phi = dict(zip(M.ground, shuffled))
-            P, Q = _profile(M, 8), _profile(relabel(M, phi), 8)
+            N = relabel(M, phi)
+            P, Q = _profile(M, 8), _profile(N, 8)
             assert sorted(P.sigs) == sorted(Q.sigs)
-            where = {e: i for i, e in enumerate(Q.ground)}
-            assert all(P.sigs[i] == Q.sigs[where[phi[e]]] for i, e in enumerate(P.ground))
+            where = {e: i for i, e in enumerate(N.ground)}
+            assert all(P.sigs[i] == Q.sigs[where[phi[e]]] for i, e in enumerate(M.ground))
 
 
 def test_equivalent_up_to_relabel_scaling():
@@ -504,6 +505,13 @@ def test_fano_has_k4_minor():
 
 def test_u23_has_no_k4_minor():
     assert has_minor(u23(), k4()) == (False, None)
+
+
+def test_has_minor_cap_bounds_only_tables_it_builds():
+    # a minor larger than M is refuted before M's table is asked for
+    assert has_minor(pg(3, GF2), pg(4, GF2), cap=2) == (False, None)
+    with pytest.raises(CapExceeded, match=r"^\|E\|=7 exceeds subset enumeration cap 2$"):
+        has_minor(pg(3, GF2), u23(), cap=2)
 
 
 def test_has_minor_matches_bruteforce():
