@@ -129,7 +129,6 @@ def is_alpha_t_frame(M, alpha: int, t: int, exact=False, cap=12):
         (exactly `alpha` when exact=True).
 
     Returns (found, (V, T) or None), first witness in enumeration order.
-    Every rank is read from M's rank table by index mask.
     """
     n = M.size
     g = M.ground
