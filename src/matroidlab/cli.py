@@ -452,12 +452,16 @@ def build_parser():
     p = sub.add_parser("minor", help="minor search with witness")
     p.add_argument("matrix")
     p.add_argument("minor")
-    _add_common(p, cap=DEFAULT_MINOR_CAP)
+    _add_common(p, cap=DEFAULT_MINOR_CAP, cap_help=(
+        "the largest |E| of the matroid whose rank table is built "
+        "(default %(default)s)"))
     p.set_defaults(fn=_cmd_minor)
 
     p = sub.add_parser("vconn", help="vertical connectivity")
     p.add_argument("matrix")
-    _add_common(p, cap=DEFAULT_VCONN_CAP)
+    _add_common(p, cap=DEFAULT_VCONN_CAP, cap_help=(
+        "the largest |E| of the matroid whose rank table is built "
+        "(default %(default)s)"))
     p.set_defaults(fn=_cmd_vconn)
 
     p = sub.add_parser("confine", help="subfield confinement")
@@ -532,7 +536,9 @@ def build_parser():
     p.add_argument("--gf", type=int, nargs=2, metavar=("P", "K"), default=[2, 1])
     p.add_argument("--forbidden", default="none")
     p.add_argument("--exact", action="store_true")
-    _add_common(p, cap=DEFAULT_SEARCH_CAP)
+    _add_common(p, cap=DEFAULT_SEARCH_CAP, cap_help=(
+        "budget: exhaustive examines at most this many point subsets "
+        "(default %(default)s); alphat ignores it"))
     p.set_defaults(fn=_cmd_growth)
 
     return top

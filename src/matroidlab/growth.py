@@ -18,9 +18,9 @@ from .matroid import (
     DEFAULT_MINOR_CAP,
     _iso_search,
     _minor_profile,
+    _minor_search,
+    _profile,
     all_subset_ranks,
-    delete,
-    has_minor,
 )
 
 DEFAULT_SEARCH_CAP = 1 << 18
@@ -82,7 +82,8 @@ def h_exhaustive(F: FiniteField, r: int, forbidden=None, cap=DEFAULT_SEARCH_CAP)
     subsets are examined.  A spanning subset's restriction profile is read
     from the table.  Restrictions found to carry the minor are kept as
     profiles, bucketed by rank histogram, and a restriction isomorphic to
-    one of them is skipped without a minor search.  Skipping only
+    one of them is skipped without a minor search, which otherwise runs in
+    the restriction's table read from the geometry's.  Skipping only
     isomorphic copies leaves the first subset without the minor, and so the
     witness, as an unbucketed scan would find it.
     """
@@ -94,6 +95,8 @@ def h_exhaustive(F: FiniteField, r: int, forbidden=None, cap=DEFAULT_SEARCH_CAP)
         return len(points), points
     n = len(points)
     ranks = all_subset_ranks(geometry, cap=DEFAULT_MINOR_CAP)
+    # a minor larger than the geometry is in no restriction: build no table
+    PN = _profile(forbidden, DEFAULT_MINOR_CAP) if forbidden.size <= n else None
     examined = 0
     for size in range(n, r - 1, -1):
         rejected = {}
@@ -107,11 +110,8 @@ def h_exhaustive(F: FiniteField, r: int, forbidden=None, cap=DEFAULT_SEARCH_CAP)
             bucket = rejected.setdefault(frozenset(profile.hist.items()), [])
             if any(_iso_search(profile, seen, lambda mapping: True) for seen in bucket):
                 continue
-            witness = tuple(points[i] for i in S)
-            found, _ = has_minor(delete(geometry, set(points) - set(witness)),
-                                 forbidden)
-            if not found:
-                return size, witness
+            if PN is None or _minor_search(profile.ranks, PN) is None:
+                return size, tuple(points[i] for i in S)
             bucket.append(profile)
     raise ValueError("every spanning restriction carries the forbidden minor")
 

@@ -163,42 +163,42 @@ def _check_subset(M, X):
 
 
 def delete(M, X):
-    """M \\ X: restrict U to the coordinates E - X."""
-    X = _check_subset(M, X)
-    keep = [e for e in M.ground if e not in X]
-    if isinstance(M, OracleMatroid):
-        return OracleMatroid(keep, M.rank_of, validate=False)
-    idx = [M.space.index(e) for e in keep]
-    vecs = [[row[i] for i in idx] for row in M.space.basis]
-    return ReprMatroid(Subspace(M.field, keep, vecs))
+    """M \\ X."""
+    return minor(M, (), X)
 
 
 def contract(M, X):
-    """M / X: vectors of U vanishing on X, restricted to E - X.
-
-    In an RREF of U with the X columns first, the rows pivoting outside X
-    vanish on X and span every vector of U that does.
-    """
-    X = _check_subset(M, X)
-    keep = [e for e in M.ground if e not in X]
-    if isinstance(M, OracleMatroid):
-        base = M.rank_of(X)
-        fn = lambda S: M.rank_of(set(S) | X) - base
-        return OracleMatroid(keep, fn, validate=False)
-    order = ([i for i, e in enumerate(M.ground) if e in X]
-             + [i for i, e in enumerate(M.ground) if e not in X])
-    red, piv = rref_rows(M.field, [[row[i] for i in order] for row in M.space.basis])
-    vecs = [row[len(X):] for row, p in zip(red, piv) if p >= len(X)]
-    return ReprMatroid(Subspace(M.field, keep, vecs))
+    """M / X."""
+    return minor(M, X, ())
 
 
 def minor(M, contract_set, delete_set):
+    """M / C \\ D; for oracle matroids r(S) = r(S + C) - r(C)."""
     C, D = set(contract_set), set(delete_set)
     if C & D:
         raise NotSubset("contract and delete sets must be disjoint")
-    if not C:  # contracting nothing leaves M as it is
-        return delete(M, D)
-    return delete(contract(M, C), D)
+    _check_subset(M, C)
+    _check_subset(M, D)
+    if isinstance(M, OracleMatroid):
+        base = M.rank_of(C)
+        keep = [e for e in M.ground if e not in C and e not in D]
+        return OracleMatroid(keep, lambda S: M.rank_of(C.union(S)) - base,
+                             validate=False)
+    return _minor_of_rows(M.field, M.ground, M.space.basis, C, D)
+
+
+def _minor_of_rows(F, labels, rows, C, D):
+    """M / C \\ D for the matroid on `labels` whose space is spanned by
+    `rows`, in one row reduction: with the columns of C first, the rows
+    that pivot outside C vanish on C and span every vector that does."""
+    first = [i for i, e in enumerate(labels) if e in C]
+    kept = [i for i, e in enumerate(labels) if e not in C and e not in D]
+    order = first + kept
+    rows = [[row[i] for i in order] for row in rows]
+    if first:
+        red, piv = rref_rows(F, rows)
+        rows = [row[len(first):] for row, p in zip(red, piv) if p >= len(first)]
+    return ReprMatroid(Subspace(F, [labels[i] for i in kept], rows))
 
 
 def dual(M):
@@ -630,48 +630,52 @@ def equivalent_up_to_relabel_scaling(M1: ReprMatroid, M2: ReprMatroid,
 
 
 def has_minor(M, N, cap=DEFAULT_MINOR_CAP):
-    """Search for disjoint (C, D) with M/C\\D isomorphic to N.
+    """Search for disjoint (C, D) with M/C\\D isomorphic to N, in M's rank
+    table (_minor_search).  Returns (found, (C, D) or None)."""
+    if N.size > M.size or N.rank > M.rank or M.size - M.rank < N.size - N.rank:
+        return False, None
+    hit = _minor_search(all_subset_ranks(M, cap=cap), _profile(N, cap))
+    if hit is None:
+        return False, None
+    return True, tuple(tuple(M.ground[i] for i in X) for X in hit)
+
+
+def _minor_search(ranks, PN):
+    """The first (C, D), as index tuples, with M/C\\D isomorphic to N,
+    given M's rank table and N's profile; None if there is none.
 
     C runs over independent sets of the right size only (contracting any
     set equals contracting a basis of it and deleting the rest), in
-    sorted label order, so the witness is deterministic.  M's rank table
-    is built once; each candidate's table is read from it, since
-    r(M/C\\D)(X) = r(X + C) - r(C).  A candidate must first match N's
-    rank and its sorted singleton and pair ranks, read from that table,
-    before its own table and profile are built.
-    Returns (found, (C, D) or None).
+    combinations order, so the witness is deterministic.  A candidate's
+    table is read from M's, r(X) = r(X + C) - r(C), and is built only
+    after its rank and its sorted singleton and pair ranks match N's.
     """
-    if N.size > M.size or N.rank > M.rank:
-        return False, None
-    if (M.size - M.rank) < (N.size - N.rank):
-        return False, None
-    c = M.rank - N.rank
-    d = M.size - N.size - c
-    if d < 0:
-        return False, None
-    ranks = all_subset_ranks(M, cap=cap)
-    PN = _profile(N, cap)
-    nbits = [1 << i for i in range(N.size)]
+    n = len(ranks).bit_length() - 1
+    rank = PN.ranks[-1]
+    c = ranks[-1] - rank
+    d = n - PN.n - c
+    if c < 0 or d < 0:
+        return None
+    nbits = [1 << i for i in range(PN.n)]
     singles = sorted([PN.ranks[b] for b in nbits])
     pairs = sorted([PN.ranks[a | b] for a, b in combinations(nbits, 2)])
-    g = M.ground
-    for C in combinations(range(M.size), c):
+    for C in combinations(range(n), c):
         cmask = sum(1 << i for i in C)
         if ranks[cmask] < c:
             continue
-        rest = [i for i in range(M.size) if not cmask >> i & 1]
+        rest = [i for i in range(n) if not cmask >> i & 1]
         for D in combinations(rest, d):
             kept = [i for i in rest if i not in D]
             bits = [1 << i for i in kept]
-            if (ranks[cmask | sum(bits)] - c != N.rank
+            if (ranks[cmask | sum(bits)] - c != rank
                     or sorted([ranks[cmask | b] - c for b in bits]) != singles
                     or sorted([ranks[cmask | a | b] - c
                                for a, b in combinations(bits, 2)]) != pairs):
                 continue
             if _iso_search(_minor_profile(ranks, kept, cmask), PN,
                            lambda mapping: True):
-                return True, (tuple(g[i] for i in C), tuple(g[i] for i in D))
-    return False, None
+                return C, D
+    return None
 
 
 def vertical_connectivity(M, cap=DEFAULT_VCONN_CAP, with_witness=False):

@@ -7,8 +7,7 @@ matroid it realizes is M([I,A]) after the prescribed contraction and
 deletion.  Both conformance predicates decompose per column, which the
 checkers exploit: each free column is classified independently, and the
 existential witness column set Z is recovered in closed form.  A
-conforming matrix is realized by one row reduction of [I,A]'s columns in
-the contracted set followed by the kept ones (_realize).
+conforming matrix is realized by matroid's minor kernel (_realize).
 
 Enumeration and membership draw their matrices from one layout per
 template kind (_SubfieldLayout, _FrameLayout): the labels, the option
@@ -45,11 +44,11 @@ from .linalg import (
     Subspace,
     extend_echelon,
     normalizer,
-    rref_rows,
     sort_labels,
 )
 from .matroid import (
     ReprMatroid,
+    _minor_of_rows,
     _profile,
     equivalent_up_to_relabel_scaling,
     is_simple,
@@ -295,29 +294,14 @@ def subfield_matroid_of(A: Matrix, tmpl: SubfieldTemplate) -> ReprMatroid:
 
 
 def _realize(A: Matrix, contract_set, delete_set) -> ReprMatroid:
-    """M([I,A]) / C \\ D in one row reduction.
-
-    The rows of [I,A] restricted to C followed by the kept labels span the
-    restriction of its row space.  Row-reduced with C first, the rows
-    pivoting outside C span the vectors that vanish on C (the rule of
-    matroid.contract), and RREF is canonical, so the result equals the
-    contract-then-delete chain.
-    """
+    """M([I,A]) / C \\ D, by the minor kernel's one row reduction."""
     if set(A.rows) & set(A.cols):
         raise LabelClash("row labels must be disjoint from column labels")
-    C = tuple(contract_set)
-    gone = set(C) | set(delete_set)
-    kept = tuple(e for e in A.rows + A.cols if e not in gone)
-    col = {c: j for j, c in enumerate(A.cols)}
-    unit = {r: i for i, r in enumerate(A.rows)}
-    # per label of C + kept: (its column of A, None) or (None, its row of I)
-    picks = [(col[e], None) if e in col else (None, unit[e]) for e in C + kept]
-    rows = [[row[j] if i is None else int(i == ri) for j, i in picks]
+    m = len(A.rows)
+    rows = [[0] * ri + [1] + [0] * (m - ri - 1) + list(row)
             for ri, row in enumerate(A.data)]
-    if C:
-        red, piv = rref_rows(A.field, rows)
-        rows = [row[len(C):] for row, p in zip(red, piv) if p >= len(C)]
-    return ReprMatroid(Subspace(A.field, kept, rows))
+    return _minor_of_rows(A.field, A.rows + A.cols, rows, set(contract_set),
+                          set(delete_set))
 
 
 # ---------------------------------------------------------------------------

@@ -15,6 +15,7 @@ from matroidlab.matroid import (
     _parallel_classes_repr,
     contract,
     delete,
+    dual,
     from_generator,
     isomorphic,
     minor,
@@ -385,12 +386,13 @@ def seeded(seed):
 
 
 def realize_reference(A, C, D):
-    """M([I,A]) / C \\ D by the generic chain: [I,A] built as a matrix,
-    its row space reduced, then matroid.minor's contraction and deletion."""
+    """M([I,A]) / C \\ D by duality, (M\\D)/C = ((M\\D)*\\C)*: the
+    contraction comes from orthogonal complements, not from the pivot rule
+    that _realize and matroid.minor share."""
     identity = Matrix.identity(A.field, A.rows).data
     full = Matrix(A.field, A.rows, A.rows + A.cols,
                   [unit + row for unit, row in zip(identity, A.data)])
-    return minor(from_generator(full), C, D)
+    return dual(delete(dual(delete(from_generator(full), D)), C))
 
 
 def conforming_matroids_bruteforce(tmpl, rows, cols):

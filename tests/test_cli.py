@@ -256,6 +256,21 @@ def test_growth_exhaustive_subset_budget_is_cap(capsys):
         "", "cap exceeded: 101 subsets exceed the budget 100; raise it with --cap\n")
 
 
+@pytest.mark.parametrize("command,text", [
+    ("minor", "--cap CAP the largest |E| of the matroid whose rank table is built "
+              "(default 14)"),
+    ("vconn", "--cap CAP the largest |E| of the matroid whose rank table is built "
+              "(default 16)"),
+    ("growth", "--cap CAP budget: exhaustive examines at most this many point "
+               "subsets (default 262144); alphat ignores it"),
+])
+def test_cap_help_says_what_it_bounds(capsys, command, text):
+    with pytest.raises(SystemExit) as exit_info:
+        main([command, "--help"])
+    assert exit_info.value.code == 0
+    assert text in " ".join(capsys.readouterr().out.split())
+
+
 def test_code_params_csv(capsys, fano_file):
     code, out = run(capsys, ["code", "params", fano_file])
     assert code == 0

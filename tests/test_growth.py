@@ -10,7 +10,7 @@ from oracles import (
     seeded,
 )
 
-from matroidlab.errors import DefectOutOfRange
+from matroidlab.errors import CapExceeded, DefectOutOfRange
 from matroidlab.field import make_field, mult_subgroups, subgroup_of_order
 from matroidlab.constructions import (
     complete_graph,
@@ -140,7 +140,8 @@ U24 = uniform_represented(2, 4, GF3)
     (U24, 7, tuple(range(7))),
     (uniform_represented(2, 3, GF2), 3, (0, 1, 2)),
     (pg(2, GF3), 7, tuple(range(7))),
-], ids=["F7", "F7*", "K4", "U24", "U23", "PG13"])
+    (pg(4, GF2), 7, tuple(range(7))),  # larger than the geometry
+], ids=["F7", "F7*", "K4", "U24", "U23", "PG13", "PG32"])
 def test_h_exhaustive_gf2_matches_reference(forbidden, value, witness):
     assert h_exhaustive(GF2, 3, forbidden=forbidden) == (value, witness)
     assert h_exhaustive_reference(GF2, 3, forbidden) == (value, witness)
@@ -152,6 +153,14 @@ def test_h_exhaustive_gf2_matches_reference(forbidden, value, witness):
 ], ids=["K4", "U24"])
 def test_h_exhaustive_gf3_witness_is_pinned(forbidden, value, witness):
     assert h_exhaustive(GF3, 3, forbidden=forbidden) == (value, witness)
+
+
+def test_h_exhaustive_geometry_table_gate_comes_first():
+    # the forbidden minor is larger than PG(3, 2), but the 15-point
+    # geometry's rank table is over its size limit before that matters
+    with pytest.raises(CapExceeded,
+                       match=r"^\|E\|=15 exceeds subset enumeration cap 14$"):
+        h_exhaustive(GF2, 4, forbidden=pg(5, GF2))
 
 
 def test_h_exhaustive_monotone_under_minor_order():

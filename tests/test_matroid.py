@@ -126,6 +126,20 @@ def test_delete_rejects_foreign_labels():
         delete(u23(), {99})
 
 
+@pytest.mark.parametrize("C,D,message", [
+    ({0, 1}, {1}, "contract and delete sets must be disjoint"),
+    ({0, 99}, {98}, "{99} not in ground set"),
+    ({0}, {98, 2}, "{98} not in ground set"),
+    ((), {97}, "{97} not in ground set"),
+])
+@pytest.mark.parametrize("kind", ["repr", "oracle"])
+def test_minor_subset_errors_keep_their_messages(kind, C, D, message):
+    M = u23() if kind == "repr" else OracleMatroid(range(3), lambda S: min(len(S), 2))
+    with pytest.raises(NotSubset) as err:
+        minor(M, C, D)
+    assert str(err.value) == message
+
+
 def test_contract_one_of_u23():
     M = contract(u23(), {0})
     assert M.rank == 1 and M.size == 2
@@ -149,11 +163,14 @@ def test_deletion_contraction_duality_random():
 @pytest.mark.parametrize("p,k", [(2, 1), (3, 1), (2, 2), (3, 2), (257, 1)])
 def test_contract_is_dual_of_deletion_in_dual(p, k):
     F = make_field(p, k)
-    rng = seeded(p * 10 + k)
+    rng, rng_d = seeded(p * 10 + k), seeded(p * 10 + k + 1)
     for _ in range(60):
         M = random_matroid(F, 7, rng)
         X = {e for e in M.ground if rng.random() < 0.4}
         assert contract(M, X) == dual(delete(dual(M), X))
+        # M/X\D = (M\D)/X = ((M\D)*\X)*, with no row reduction on X first
+        D = {e for e in M.ground if e not in X and rng_d.random() < 0.4}
+        assert minor(M, X, D) == dual(delete(dual(delete(M, D)), X))
 
 
 def test_dual_of_free_matroid():
@@ -643,3 +660,9 @@ def test_oracle_minors_and_duality():
     N = contract(M, {0})
     assert N.rank == 1 and N.size == 3
     assert rank_of(delete(M, {3}), {0, 1}) == 2
+    # both sets non-empty: r(S) = r(S + C) - r(C)
+    W = OracleMatroid(range(5), lambda S: min(len(S), 3))
+    K = minor(W, {0}, {4})
+    assert K.ground == (1, 2, 3)
+    for S in ((), (1,), (1, 2), (1, 2, 3)):
+        assert K.rank_of(S) == W.rank_of({0, *S}) - W.rank_of({0})
