@@ -15,6 +15,7 @@ from fractions import Fraction
 
 from . import fileio
 from .codes import (
+    DEFAULT_CODEWORD_CAP,
     THETA_GRAPHIC_STATUS,
     code_params,
     cut_code_distance_bound,
@@ -336,7 +337,8 @@ def _cmd_threshold(args):
 
 def _cmd_mlsim(args):
     M = _matroid_of(args.matrix)
-    est = ml_error_mc(M, args.p, args.seed, args.trials, workers=args.workers)
+    est = ml_error_mc(M, args.p, args.seed, args.trials, workers=args.workers,
+                      cap=args.cap)
     lines = ["p,err,ci_lo,ci_hi,trials,seed",
              f"{est.p!r},{est.rate!r},{est.ci_lo!r},{est.ci_hi!r},"
              f"{est.trials},{est.seed}"]
@@ -516,7 +518,9 @@ def build_parser():
     p.add_argument("--p", type=float, required=True)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--trials", type=int, default=10000)
-    _add_common(p, workers=True)
+    _add_common(p, workers=True, cap=DEFAULT_CODEWORD_CAP, cap_help=(
+        "budget: decode against at most this many codewords, 2^k for a "
+        "k-dimensional code (default %(default)s)"))
     p.set_defaults(fn=_cmd_mlsim)
 
     p = sub.add_parser("growth", help="growth-rate formulas and searches")

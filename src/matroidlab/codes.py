@@ -25,11 +25,11 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import (
-    CapExceeded,
     Disconnected,
     DomainError,
     EmptyCode,
     NotBinary,
+    check_budget,
 )
 from .field import make_field
 from .linalg import min_weight
@@ -203,8 +203,7 @@ def _codeword_table(M: ReprMatroid, cap):
     if M.field.q != 2:
         raise NotBinary("the simulated channel is binary")
     k, n = M.rank, M.size
-    if 2 ** k > cap:
-        raise CapExceeded(f"2^{k} codewords exceeds cap {cap}")
+    check_budget(2 ** k, "codewords", cap)
     G = np.array([list(row) for row in M.space.basis], dtype=np.uint8)
     G = G.reshape(k, n)
     msgs = np.arange(2 ** k, dtype=np.uint32)

@@ -279,14 +279,27 @@ def orth_complement(U: Subspace) -> Subspace:
     return Subspace(U.field, U.ambient, comp)
 
 
-def sum_spaces(U: Subspace, V: Subspace) -> Subspace:
+def _check_common(U: Subspace, V: Subspace):
     if U.field != V.field or U.ambient != V.ambient:
         raise LabelMismatch("sum needs identical field and ambient set")
+
+
+def sum_spaces(U: Subspace, V: Subspace) -> Subspace:
+    _check_common(U, V)
     return Subspace(U.field, U.ambient, list(U.basis) + list(V.basis))
 
 
 def intersect_spaces(U: Subspace, V: Subspace) -> Subspace:
-    return orth_complement(sum_spaces(orth_complement(U), orth_complement(V)))
+    """The intersection of U and V by Zassenhaus' method: one RREF of the
+    rows (u | u) and (v | 0).  A row with zero left half is (u + v | u)
+    with u = -v, so the right halves of the rows that pivot in the right
+    half span the intersection."""
+    _check_common(U, V)
+    n = len(U.ambient)
+    rows = [u + u for u in U.basis] + [v + (0,) * n for v in V.basis]
+    red, piv = rref_rows(U.field, rows)
+    return Subspace(U.field, U.ambient,
+                    [row[n:] for row, p in zip(red, piv) if p >= n])
 
 
 # ---------------------------------------------------------------------------

@@ -8,7 +8,10 @@ the definitional add-an-element-then-contract enumeration.  Each lift is
 built once, from one vector per point of F^E/U (the normalized vectors
 that vanish on U's pivot columns), and the lift budget counts those
 (q^(n-d) - 1)/(q - 1) lifts, as the projection budget counts hyperplanes.
-Distance is a breadth-first search in the subspace lattice.
+Distance is an A* search in the subspace lattice, guided by the
+subspace distance 2 dim(U + U2) - dim U - dim U2 of Koetter and
+Kschischang, which every step changes by exactly 1; the tests compare it
+with the breadth-first search in tests/oracles.py.
 
 pert_exact reduces the minimum of rank(A1 - A2) over aligned generator
 matrices to a search over difference row spaces: a subspace V of U1+U2
@@ -19,7 +22,8 @@ the literal enumeration over coefficient matrices in tests/oracles.py.
 """
 
 from dataclasses import dataclass
-from itertools import product
+from heapq import heappop, heappush
+from itertools import count, product
 
 from .errors import LabelMismatch, ShapeMismatch, check_budget
 from .linalg import (
@@ -111,29 +115,44 @@ def elementary_lifts(M: ReprMatroid, cap=DEFAULT_LATTICE_CAP):
 # lattice distance
 # ---------------------------------------------------------------------------
 
+def _subspace_distance(U: Subspace, W: Subspace) -> int:
+    """2 dim(U + W) - dim U - dim W: zero iff U = W, and changed by exactly
+    1 by every elementary projection or lift of U, which changes dim U by
+    1 and dim(U + W) by 0 or 1 in the same direction."""
+    return 2 * sum_spaces(U, W).dim - U.dim - W.dim
+
+
 def dist(pair: PerturbPair, cap=100000) -> int:
     """Minimum number of elementary projections and lifts from M1 to M2:
-    a shortest path in the subspace lattice of F^E, explored lazily by
-    breadth-first search (cap bounds the subspaces visited)."""
-    goal = pair.m2.space.basis
+    a shortest path in the subspace lattice of F^E, found by A* search
+    under the consistent heuristic _subspace_distance to U2, deepest
+    first among equal estimates (cap bounds the subspaces visited)."""
+    U2 = pair.m2.space
+    goal = U2.basis
     if pair.m1.space.basis == goal:
         return 0
-    seen = {pair.m1.space.basis}
-    frontier = [pair.m1]
-    steps = 0
-    while frontier:
-        steps += 1
-        nxt = []
-        for M in frontier:
-            for N in elementary_projections(M, cap) + elementary_lifts(M, cap):
-                nb = N.space.basis
-                if nb == goal:
-                    return steps
-                if nb not in seen:
-                    seen.add(nb)
-                    check_budget(len(seen), "visited subspaces", cap)
-                    nxt.append(N)
-        frontier = nxt
+    best = {pair.m1.space.basis: 0}
+    order = count()
+    queue = [(_subspace_distance(pair.m1.space, U2), 0, next(order), pair.m1)]
+    while queue:
+        _, neg_g, _, M = heappop(queue)
+        g = -neg_g
+        if g > best[M.space.basis]:
+            continue  # stale: M was pushed again with a shorter path
+        # a goal next to M means M's estimate is g + 1, the least in the
+        # queue, so no path to the goal is shorter
+        for N in elementary_projections(M, cap) + elementary_lifts(M, cap):
+            nb = N.space.basis
+            if nb == goal:
+                return g + 1
+            if nb in best:
+                if best[nb] <= g + 1:
+                    continue
+            else:
+                check_budget(len(best) + 1, "visited subspaces", cap)
+            best[nb] = g + 1
+            heappush(queue, (g + 1 + _subspace_distance(N.space, U2),
+                             -(g + 1), next(order), N))
     raise AssertionError("subspace lattice is connected")  # unreachable
 
 
@@ -195,7 +214,10 @@ def pert_exact(pair: PerturbPair, cap=DEFAULT_LATTICE_CAP) -> int:
     if U1 == U2:
         return 0
     S = sum_spaces(U1, U2)
+    lo = S.dim - min(U1.dim, U2.dim)  # U1 <= U2 + V needs dim V >= s - dim U2
     for vb in enumerate_subspaces(F, S.dim, cap=cap):  # ascending dimension
+        if len(vb) < lo:
+            continue
         V_rows = [combine(F, c, S.basis) for c in vb]
         up2 = Subspace(F, pair.ground, list(U2.basis) + V_rows)
         if not all(up2.contains(r) for r in U1.basis):

@@ -7,9 +7,23 @@ import numpy as np
 
 from matroidlab.codes import _codeword_table
 from matroidlab.constructions import _is_gamma_frame_column, pg
-from matroidlab.errors import CapExceeded, LabelClash, LabelMismatch, ToolkitError
+from matroidlab.errors import (
+    CapExceeded,
+    LabelClash,
+    LabelMismatch,
+    ToolkitError,
+    check_budget,
+)
 from matroidlab.field import subfield_lattice
-from matroidlab.linalg import Matrix, Subspace, label_key, rref_rows, sort_labels
+from matroidlab.linalg import (
+    Matrix,
+    Subspace,
+    label_key,
+    orth_complement,
+    rref_rows,
+    sort_labels,
+    sum_spaces,
+)
 from matroidlab.matroid import (
     ReprMatroid,
     _parallel_classes_repr,
@@ -21,6 +35,7 @@ from matroidlab.matroid import (
     minor,
     rank_of,
 )
+from matroidlab.perturb import elementary_lifts, elementary_projections
 from matroidlab.templates import (
     ConformanceReport,
     SubfieldTemplate,
@@ -372,6 +387,37 @@ def elementary_lifts_reference(M: ReprMatroid):
             seen.add(sp.basis)
             out.append(ReprMatroid(sp))
     return out
+
+
+def dist_bfs(pair, cap=100000) -> int:
+    """Breadth-first search of the subspace lattice from M1 to M2, level by
+    level; cap bounds the subspaces visited, counted as each is first seen."""
+    goal = pair.m2.space.basis
+    if pair.m1.space.basis == goal:
+        return 0
+    seen = {pair.m1.space.basis}
+    frontier = [pair.m1]
+    steps = 0
+    while frontier:
+        steps += 1
+        nxt = []
+        for M in frontier:
+            for N in elementary_projections(M, cap) + elementary_lifts(M, cap):
+                nb = N.space.basis
+                if nb == goal:
+                    return steps
+                if nb not in seen:
+                    seen.add(nb)
+                    check_budget(len(seen), "visited subspaces", cap)
+                    nxt.append(N)
+        frontier = nxt
+    raise AssertionError("subspace lattice is connected")
+
+
+def intersect_spaces_reference(U: Subspace, V: Subspace) -> Subspace:
+    """The intersection of U and V as the orthogonal complement of
+    U^perp + V^perp."""
+    return orth_complement(sum_spaces(orth_complement(U), orth_complement(V)))
 
 
 def _count_full_rank(q, m, d):

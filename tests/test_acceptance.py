@@ -11,6 +11,7 @@ from fractions import Fraction
 from itertools import combinations
 
 from oracles import (
+    dist_bfs,
     exact_ml_error,
     has_minor_bruteforce,
     random_matrix,
@@ -111,24 +112,26 @@ def test_criterion_2_girth_oracle_equivalence():
 def test_criterion_3_perturbation_lemma_exhaustive():
     start = time.monotonic()
     checked = 0
-    for n in (3, 4):
+    for field, n, count in ((GF2, 3, 16), (GF2, 4, 67), (GF3, 3, 28), (GF4, 2, 7)):
         ground = tuple(range(n))
-        spaces = [ReprMatroid(Subspace(GF2, ground, list(b)))
-                  for b in enumerate_subspaces(GF2, n)]
-        assert len(spaces) == {3: 16, 4: 67}[n]
+        spaces = [ReprMatroid(Subspace(field, ground, list(b)))
+                  for b in enumerate_subspaces(field, n)]
+        assert len(spaces) == count
         for a in spaces:
             for b in spaces:
                 pair = PerturbPair(a, b)
                 p = pert_exact(pair)
                 d = dist(pair)
+                assert d == dist_bfs(pair)
                 lo, hi = pert_bounds(pair)
                 assert lo <= p <= hi
                 assert p <= d <= 2 * p
                 checked += 1
     elapsed = time.monotonic() - start
-    assert checked == 16 * 16 + 67 * 67
+    assert checked == 16 * 16 + 67 * 67 + 28 * 28 + 7 * 7
     assert elapsed < 600.0
-    print(f"\n[criterion 3] PASS pert<=dist<=2pert on {checked} pairs in {elapsed:.1f}s")
+    print(f"\n[criterion 3] PASS dist == BFS and pert<=dist<=2pert on {checked} pairs "
+          f"in {elapsed:.1f}s")
 
 
 def test_criterion_4_counts():

@@ -139,6 +139,21 @@ def test_mlsim_input_errors_exit_2(capsys, tmp_path, flag, value, message):
     assert capsys.readouterr() == ("", f"error: {message}\n")
 
 
+def test_mlsim_cap_bounds_the_codeword_table(capsys, tmp_path):
+    # the binary [16, 15] parity code has 2^15 codewords
+    parity = Matrix(GF2, tuple(range(15)), tuple(range(16)),
+                    [[int(i == j) for j in range(15)] + [1] for i in range(15)])
+    path = tmp_path / "parity16.mat"
+    path.write_text(write_matrix(parity))
+    argv = ["mlsim", str(path), "--p", "0.01", "--trials", "100"]
+    assert main(argv) == 3
+    assert capsys.readouterr() == (
+        "", "cap exceeded: 32768 codewords exceed the budget 16384; raise it with --cap\n")
+    code, out = run(capsys, argv + ["--cap", "40000"])
+    assert code == 0
+    assert out.strip().splitlines()[1].endswith(",100,0")
+
+
 def test_girth_cogirth_over_gf257(capsys, tmp_path):
     # fields above order 256 have no addition table
     A = Matrix(make_field(257, 1), (0, 1), ("a", "b", "c", "d"),
@@ -263,6 +278,8 @@ def test_growth_exhaustive_subset_budget_is_cap(capsys):
               "(default 16)"),
     ("growth", "--cap CAP budget: exhaustive examines at most this many point "
                "subsets (default 262144); alphat ignores it"),
+    ("mlsim", "--cap CAP budget: decode against at most this many codewords, 2^k "
+              "for a k-dimensional code (default 16384)"),
 ])
 def test_cap_help_says_what_it_bounds(capsys, command, text):
     with pytest.raises(SystemExit) as exit_info:

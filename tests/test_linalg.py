@@ -1,7 +1,13 @@
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import min_weight_bruteforce, min_weight_reference, row_space_equal, seeded
+from oracles import (
+    intersect_spaces_reference,
+    min_weight_bruteforce,
+    min_weight_reference,
+    row_space_equal,
+    seeded,
+)
 
 from matroidlab.errors import CapExceeded, LabelMismatch
 from matroidlab.field import make_field
@@ -227,6 +233,35 @@ def test_sum_intersection_dimension_formula(A, B):
     assert S.dim + I.dim == U.dim + V.dim
     for v in I.basis:
         assert U.contains(v) and V.contains(v)
+
+
+@pytest.mark.parametrize("p,k", [(2, 1), (3, 1), (2, 2), (5, 1), (3, 2)])
+def test_intersect_spaces_matches_reference(p, k):
+    F = make_field(p, k)
+    rng = seeded(100 * p + k)
+
+    def random_space(ambient):
+        n = len(ambient)
+        return Subspace(F, ambient, [tuple(rng.randrange(F.q) for _ in range(n))
+                                     for _ in range(rng.randint(0, n + 1))])
+
+    for n in range(6):
+        ambient = tuple(f"x{i}" for i in reversed(range(n)))  # not in sorted order
+        zero = Subspace(F, ambient, [])
+        full = Subspace(F, ambient, [tuple(int(i == j) for j in range(n)) for i in range(n)])
+        for _ in range(6):
+            U, V = random_space(ambient), random_space(ambient)
+            for A, B in ((U, V), (U, U), (U, zero), (zero, V), (U, full), (full, V)):
+                I = intersect_spaces(A, B)
+                assert I == intersect_spaces_reference(A, B)
+                assert I.dim == A.dim + B.dim - sum_spaces(A, B).dim
+
+
+def test_intersect_spaces_label_mismatch():
+    U = Subspace(GF2, (0, 1), [(1, 0)])
+    for V in (Subspace(GF3, (0, 1), [(1, 0)]), Subspace(GF2, (0, 2), [(1, 0)])):
+        with pytest.raises(LabelMismatch, match=r"^sum needs identical field and ambient set$"):
+            intersect_spaces(U, V)
 
 
 # (p, k, n, largest dim): every q^dim enumeration stays at most 257^2

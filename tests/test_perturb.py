@@ -3,7 +3,7 @@ from itertools import product
 
 import pytest
 
-from oracles import elementary_lifts_reference, pert_exact_tiny
+from oracles import dist_bfs, elementary_lifts_reference, pert_exact_tiny
 
 from matroidlab.errors import CapExceeded, ShapeMismatch
 from matroidlab.field import make_field
@@ -12,6 +12,7 @@ from matroidlab.matroid import ReprMatroid, contract, delete, from_generator
 from matroidlab.perturb import (
     PerturbPair,
     _aligned_generators,
+    _subspace_distance,
     apply_perturbation,
     dist,
     elementary_lifts,
@@ -154,15 +155,56 @@ def test_lattice_budgets_count_subspaces_built():
         elementary_projections(M2, cap=100)
 
 
-def test_dist_budget_counts_visited_subspaces():
-    # span(e0, e1, e2) to span(e3, e4, e5) in GF(2)^6 is 6 steps apart; the
-    # budget is checked as each subspace is first visited, not per level
+def _six_steps_apart():
+    # span(e0, e1, e2) to span(e3, e4, e5) in GF(2)^6 is 6 steps apart
     e = [tuple(int(i == j) for j in range(6)) for i in range(6)]
-    pair = PerturbPair(space_matroid(GF2, 6, e[:3]), space_matroid(GF2, 6, e[3:]))
-    for cap in (60, 1000):
+    return PerturbPair(space_matroid(GF2, 6, e[:3]), space_matroid(GF2, 6, e[3:]))
+
+
+def test_dist_budget_counts_visited_subspaces():
+    # the budget is checked as each subspace is first visited; A* visits
+    # 151 subspaces on this pair, so 151 is its least sufficient budget
+    pair = _six_steps_apart()
+    for cap in (60, 150):
         with pytest.raises(CapExceeded, match=rf"^{cap + 1} visited subspaces exceed "
                                               rf"the budget {cap}; raise it with --cap$"):
             dist(pair, cap=cap)
+    assert dist(pair, cap=151) == 6
+
+
+def test_dist_bfs_budget_counts_visited_subspaces():
+    # the breadth-first oracle checks its budget per visit, not per level
+    pair = _six_steps_apart()
+    for cap in (60, 1000):
+        with pytest.raises(CapExceeded, match=rf"^{cap + 1} visited subspaces exceed "
+                                              rf"the budget {cap}; raise it with --cap$"):
+            dist_bfs(pair, cap=cap)
+
+
+@pytest.mark.parametrize("p,k,n", [(2, 1, 4), (3, 1, 3)])
+def test_subspace_distance_is_a_consistent_heuristic(p, k, n):
+    """The A* heuristic is 0 exactly at the target, and every elementary
+    projection or lift changes it by exactly 1."""
+    spaces = all_matroids(make_field(p, k), n)
+    targets = random.Random(15).sample(spaces, 6)
+    for M in spaces:
+        steps = elementary_projections(M)[1:] + elementary_lifts(M)[1:]
+        for T in targets:
+            h = _subspace_distance(M.space, T.space)
+            assert (h == 0) == (M == T)
+            for N in steps:
+                assert abs(_subspace_distance(N.space, T.space) - h) == 1
+
+
+@pytest.mark.parametrize("p,k,n,seed", [(2, 1, 5, 0), (3, 1, 4, 1), (2, 2, 3, 2)])
+def test_dist_matches_bfs_on_seeded_pairs(p, k, n, seed):
+    spaces = all_matroids(make_field(p, k), n)
+    rng = random.Random(seed)
+    for _ in range(12):
+        pair = PerturbPair(rng.choice(spaces), rng.choice(spaces))
+        d = dist(pair)
+        assert d == dist_bfs(pair)
+        assert d == _subspace_distance(pair.m1.space, pair.m2.space)
 
 
 # ---------------------------------------------------------------------------
