@@ -44,6 +44,7 @@ from .linalg import (
     Subspace,
     extend_echelon,
     normalizer,
+    rref_rows,
     sort_labels,
 )
 from .matroid import (
@@ -521,7 +522,11 @@ def enumerate_conforming(tmpl, extra_rows, free_cols, cap=DEFAULT_ENUM_CAP):
     structural equality) in enumeration order.
 
     extra_rows counts the rows of B beyond the template's named rows and
-    free_cols the columns beyond its named columns.
+    free_cols the columns beyond its named columns.  For a frame template
+    with C empty, duplicates are detected on the kept columns before
+    realization, so each distinct matroid is realized once.  Every
+    matroid yielded is still checked for conformance and realized by the
+    minor kernel.
     """
     if isinstance(tmpl, SubfieldTemplate):
         yield from _enumerate_subfield(tmpl, extra_rows, free_cols, cap)
@@ -554,11 +559,17 @@ def _enumerate_frame(tmpl, extra_rows, free_cols, cap):
         named = lay.named_columns(delta_rows)
         columns = [lay.column(option, named) for option in options]
         for picks in product(columns, repeat=free_cols):
-            M = frame_matroid_of(lay.matrix(named, picks), tmpl)
-            key = (M.ground, M.space.basis)
+            if tmpl.C:
+                M = frame_matroid_of(lay.matrix(named, picks), tmpl)
+                key = (M.ground, M.space.basis)
+            else:
+                # the kept columns' row space, in the layout's fixed column
+                # order, determines the realized matroid
+                kept = lay.kept_columns(named, picks)
+                key = tuple(rref_rows(lay.field, list(zip(*kept)))[0])
             if key not in seen:
                 seen.add(key)
-                yield M
+                yield M if tmpl.C else frame_matroid_of(lay.matrix(named, picks), tmpl)
 
 
 # ---------------------------------------------------------------------------
@@ -714,6 +725,8 @@ def _member_frame_at_rows(tmpl, target, b, f, simple_target, nodes):
         if not ok or (prune_ok and len(ech[1]) > r_target):
             continue
 
+        columns = {}  # option -> (its column, the column's simplicity key)
+
         def rec(col_idx, ech, keys, used, chosen):
             nodes[0] += 1
             check_budget(nodes[0], "frame search nodes", target.cap)
@@ -724,16 +737,18 @@ def _member_frame_at_rows(tmpl, target, b, f, simple_target, nodes):
                     return False
                 return finish(chosen)
             for option in lay.options(_allowed_rows(delta_pick, used)):
-                vec = lay.column(option, named)
-                new_ech = extend_echelon(F, *ech, vec)
-                if prune_ok and len(new_ech[1]) > r_target:
-                    continue
+                if option not in columns:
+                    vec = lay.column(option, named)
+                    columns[option] = vec, normalize(vec)
+                vec, k = columns[option]
                 new_keys = keys
                 if simple_target:
-                    k = normalize(vec)
                     if k is None or k in keys:
                         continue
                     new_keys = keys | {k}
+                new_ech = extend_echelon(F, *ech, vec)
+                if prune_ok and len(new_ech[1]) > r_target:
+                    continue
                 touched = frozenset(i for i, _ in option[2])
                 if rec(col_idx + 1, new_ech, new_keys, used | touched, chosen + [vec]):
                     return True

@@ -39,9 +39,11 @@ from matroidlab.perturb import elementary_lifts, elementary_projections
 from matroidlab.templates import (
     ConformanceReport,
     SubfieldTemplate,
+    _FrameLayout,
     _is_unit_column,
     check_frame_conforms,
     check_subfield,
+    frame_matroid_of,
 )
 
 
@@ -457,6 +459,24 @@ def conforming_matroids_bruteforce(tmpl, rows, cols):
         if check(A, tmpl).ok:
             out.add(realize_reference(A, tmpl.C, gone))
     return out
+
+
+def enumerate_frame_realizing_all(tmpl, extra_rows, free_cols):
+    """enumerate_conforming for a frame template by realizing every layout
+    candidate and keeping the first occurrence of each realized
+    (ground, basis) key."""
+    lay = _FrameLayout(tmpl, extra_rows, free_cols)
+    options = lay.options(range(extra_rows))
+    seen = set()
+    for delta_rows in product(lay.delta_elems, repeat=extra_rows):
+        named = lay.named_columns(delta_rows)
+        columns = [lay.column(option, named) for option in options]
+        for picks in product(columns, repeat=free_cols):
+            M = frame_matroid_of(lay.matrix(named, picks), tmpl)
+            key = (M.ground, M.space.basis)
+            if key not in seen:
+                seen.add(key)
+                yield M
 
 
 # ---------------------------------------------------------------------------
