@@ -522,11 +522,11 @@ def enumerate_conforming(tmpl, extra_rows, free_cols, cap=DEFAULT_ENUM_CAP):
     structural equality) in enumeration order.
 
     extra_rows counts the rows of B beyond the template's named rows and
-    free_cols the columns beyond its named columns.  For a frame template
-    with C empty, duplicates are detected on the kept columns before
-    realization, so each distinct matroid is realized once.  Every
-    matroid yielded is still checked for conformance and realized by the
-    minor kernel.
+    free_cols the columns beyond its named columns.  A frame candidate is
+    realized only if the row space of its C and kept columns is new; with
+    C empty that row space determines the matroid, so each distinct
+    matroid is realized once.  Every matroid yielded is still checked for
+    conformance and realized by the minor kernel.
     """
     if isinstance(tmpl, SubfieldTemplate):
         yield from _enumerate_subfield(tmpl, extra_rows, free_cols, cap)
@@ -554,22 +554,24 @@ def _enumerate_frame(tmpl, extra_rows, free_cols, cap):
     options = lay.options(range(extra_rows))
     total = len(lay.delta_elems) ** extra_rows * len(options) ** free_cols
     check_budget(total, "conforming matrices", cap)
-    seen = set()
+    seen, seen_rows = set(), set()
     for delta_rows in product(lay.delta_elems, repeat=extra_rows):
         named = lay.named_columns(delta_rows)
         columns = [lay.column(option, named) for option in options]
+        c_cols = [named[c] for c in tmpl.C]
         for picks in product(columns, repeat=free_cols):
-            if tmpl.C:
-                M = frame_matroid_of(lay.matrix(named, picks), tmpl)
-                key = (M.ground, M.space.basis)
-            else:
-                # the kept columns' row space, in the layout's fixed column
-                # order, determines the realized matroid
-                kept = lay.kept_columns(named, picks)
-                key = tuple(rref_rows(lay.field, list(zip(*kept)))[0])
+            # the row space of the C and kept columns, in the layout's fixed
+            # column order, determines the realized matroid M / C \ D
+            rows = list(zip(*(c_cols + lay.kept_columns(named, picks))))
+            rows_key = tuple(rref_rows(lay.field, rows)[0])
+            if rows_key in seen_rows:
+                continue
+            seen_rows.add(rows_key)
+            M = frame_matroid_of(lay.matrix(named, picks), tmpl)
+            key = (M.ground, M.space.basis)
             if key not in seen:
                 seen.add(key)
-                yield M if tmpl.C else frame_matroid_of(lay.matrix(named, picks), tmpl)
+                yield M
 
 
 # ---------------------------------------------------------------------------
@@ -725,7 +727,7 @@ def _member_frame_at_rows(tmpl, target, b, f, simple_target, nodes):
         if not ok or (prune_ok and len(ech[1]) > r_target):
             continue
 
-        columns = {}  # option -> (its column, the column's simplicity key)
+        columns = {}  # option -> (its column, its simplicity key or None)
 
         def rec(col_idx, ech, keys, used, chosen):
             nodes[0] += 1
@@ -739,7 +741,7 @@ def _member_frame_at_rows(tmpl, target, b, f, simple_target, nodes):
             for option in lay.options(_allowed_rows(delta_pick, used)):
                 if option not in columns:
                     vec = lay.column(option, named)
-                    columns[option] = vec, normalize(vec)
+                    columns[option] = vec, normalize(vec) if simple_target else None
                 vec, k = columns[option]
                 new_keys = keys
                 if simple_target:

@@ -647,9 +647,11 @@ def test_frame_enumeration_matches_realize_then_dedupe(name):
 
 
 def test_frame_enumeration_realizes_each_matroid_once(monkeypatch):
-    # with C empty, a candidate whose kept columns span a row space already
-    # seen is not realized (realizing every candidate took 2,401 calls for
-    # these 66 matroids); with C non-empty, every candidate is realized
+    # a candidate whose C and kept columns span a row space already seen is
+    # not realized.  With C empty that row space is the realized matroid's
+    # (realizing every candidate took 2,401 calls for these 66 matroids);
+    # with C non-empty it is finer, so some realizations repeat a matroid
+    # (13 calls for 6 matroids among 400 candidates)
     calls = []
     real = templates.frame_matroid_of
     monkeypatch.setattr(templates, "frame_matroid_of",
@@ -660,7 +662,8 @@ def test_frame_enumeration_realizes_each_matroid_once(monkeypatch):
     tmpl = contracting_frame_template_gf2()
     lay = _FrameLayout(tmpl, 2, 2)
     out = list(enumerate_conforming(tmpl, 2, 2))
-    assert len(calls) == len(lay.delta_elems) ** 2 * len(lay.options(range(2))) ** 2 > len(out)
+    candidates = len(lay.delta_elems) ** 2 * len(lay.options(range(2))) ** 2
+    assert len(out) <= len(calls) < candidates
 
 
 def test_rich_subfield_template_rejects_u24():
