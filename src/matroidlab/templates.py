@@ -17,21 +17,29 @@ sets are interchangeable (permuting them only relabels the realized
 matroid), so the search takes them canonically: row choices in
 non-decreasing order for subfield templates, first-use order within
 equal-choice groups for frame templates, with rank and simplicity pruning
-against the target whenever no contraction is involved.  With no
-contraction the realized matroid is the column matroid of [I,A]'s kept
-columns, so a candidate is built, checked and realized only if the loop
-count and parallel-class sizes of those columns match the target's.
+against the target whenever no contraction is involved.  Two arguments
+bound the anonymous row count b.  M([I,A]) / C \\ D has rank at most |B|,
+so a target of rank r needs b >= r - |D| (subfield) or b >= r - |D| - |X|
+(frame), and smaller b is never searched.  A frame row whose Delta vector
+is zero and which no free column touches is a zero row of A with a
+deleted unit column; dropping it realizes the same matroid with b - 1
+rows, already searched or below that floor, so such candidates are cut.
+With no contraction the realized matroid is the column matroid of [I,A]'s
+kept columns, so a candidate is built, checked and realized only if the
+loop count and parallel-class sizes of those columns match the target's.
 Every candidate that is realized has its conformance checked first.  The
 target's rank profile is built once per query, within the budget of
 table entries, and a candidate reaches the equivalence search only if
 its parallel invariants match the target's (_Target): read from its kept
 columns when nothing is contracted, from its realized matroid's columns
-otherwise.
+otherwise.  The membership budget cap counts the candidate matrices of
+each row count searched (subfield) or the search nodes of all row counts
+together (frame), and the entries of each rank table.
 """
 
 from collections import Counter
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 from itertools import combinations_with_replacement, product
 from math import comb
 
@@ -582,8 +590,14 @@ def member_of(tmpl, M: ReprMatroid, row_cap=None, cap=DEFAULT_ENUM_CAP) -> bool:
     """Does M, up to a label bijection and a projective transformation,
     arise from a matrix conforming to the template?
 
-    cap bounds the candidate matrices of each row count (subfield
-    templates) or the search nodes in all (frame templates), and the
+    The anonymous row count b runs from the rank floor r - |D| (subfield)
+    or r - |D| - |X| (frame), since the realized matroid has rank at most
+    |B|, up to row_cap (default r + |C| for subfield templates, 2f + |Delta|
+    for frame templates with f free columns).  A frame matrix with an
+    anonymous zero row realizes a matroid that one row fewer already
+    gives, so the frame search skips it.  cap bounds the
+    candidate matrices of each row count searched (subfield templates) or
+    the search nodes over all row counts (frame templates), and the
     entries of each rank table the equivalence test builds: 2^|E|."""
     if M.field != tmpl.field:
         return False
@@ -600,26 +614,24 @@ class _Target:
     computed once, from its columns.  A candidate is compared with them
     once: on its kept columns before it is built when the template
     contracts nothing (prefilter), on its realized matroid's columns
-    otherwise.  The rank profile is built once, on first use and within
-    cap table entries, and handed to every equivalence test.  Candidates
-    already compared are skipped.
+    otherwise.  key(v) is v normalized (None for a zero column), computed
+    once per distinct column over the whole query.  The rank profile is
+    built once, on first use and within cap table entries, and handed to
+    every equivalence test.  Candidates already compared are skipped.
     """
 
     def __init__(self, M, cap, prefilter):
         self.M = M
         self.cap = cap
         self.prefilter = prefilter
-        self.normalize = normalizer(M.field)
+        self.key = cache(normalizer(M.field))
         self.invariants = self._invariants(_columns(M.space.basis, M.size))
         self.checked = set()
 
     def _invariants(self, cols):
         """The loop count and sorted parallel-class sizes of the column
-        matroid of cols.  Each distinct column is normalized once."""
-        sizes = {}
-        for v, k in Counter(cols).items():
-            key = self.normalize(v)
-            sizes[key] = sizes.get(key, 0) + k
+        matroid of cols."""
+        sizes = Counter(map(self.key, cols))
         return sizes.pop(None, 0), sorted(sizes.values())
 
     def columns_match(self, cols):
@@ -650,7 +662,8 @@ def _member_subfield(tmpl, M, row_cap, cap):
     n, r = M.size, M.rank
     b_max = r + len(tmpl.C) if row_cap is None else row_cap
     target = _Target(M, cap, not tmpl.C)
-    for b in range(0, b_max + 1):
+    # the realized matroid has rank at most |B| = |D| + b
+    for b in range(max(0, r - len(tmpl.D)), b_max + 1):
         f = n - b - len(tmpl.Y)
         if f < 0:
             continue
@@ -672,11 +685,19 @@ def _member_frame(tmpl, M, row_cap, cap):
     """Canonical column-by-column search over conforming matrices.
 
     Anonymous rows with equal Delta choices are interchangeable, so each
-    is first touched in index order.  When the template contracts nothing
-    (C empty), surviving columns restrict the final matroid, which allows
-    rank and simplicity pruning against the target, and a full candidate
-    is built only if its kept columns match the target's parallel
-    invariants.
+    is first touched in index order.  The row count b starts at the rank
+    floor r - |D| - |X|: the realized matroid has rank at most |B|.  A
+    zero-Delta row that no free column touches is a zero row of A whose
+    unit column is deleted, so dropping it gives the same matroid at b - 1
+    rows, which was searched before or lies below the floor.  Under
+    first-use order each column touches at most one new zero-Delta row, so
+    a Delta pick with more zero rows than the f free columns is skipped,
+    and a node is cut when its untouched zero rows outnumber the columns
+    still to pick.  When the template contracts nothing (C empty),
+    surviving columns restrict the final matroid, which allows rank and
+    simplicity pruning against the target, and a full candidate is built
+    only if its kept columns match the target's parallel invariants.  The
+    node budget cap counts the nodes of every row count together.
     """
     f = M.size - len(tmpl.X) - len(tmpl.Y0)
     if f < 0:
@@ -685,7 +706,8 @@ def _member_frame(tmpl, M, row_cap, cap):
     simple_target = target.prefilter and is_simple(M)
     b_max = 2 * f + tmpl.delta.size if row_cap is None else row_cap
     nodes = [0]
-    for b in range(0, b_max + 1):
+    # the realized matroid has rank at most |B| = |D| + |X| + b
+    for b in range(max(0, M.rank - len(tmpl.D) - len(tmpl.X)), b_max + 1):
         if _member_frame_at_rows(tmpl, target, b, f, simple_target, nodes):
             return True
     return False
@@ -708,9 +730,14 @@ def _member_frame_at_rows(tmpl, target, b, f, simple_target, nodes):
     F = tmpl.field
     prune_ok = target.prefilter
     r_target = target.M.rank
-    normalize = normalizer(F)
+    key = target.key
+    zero = next(k for k, delta in enumerate(lay.delta_elems) if not any(delta))
 
     for delta_pick in combinations_with_replacement(range(len(lay.delta_elems)), b):
+        # each free column touches at most one new zero-Delta row
+        zero_rows = frozenset(i for i, k in enumerate(delta_pick) if k == zero)
+        if len(zero_rows) > f:
+            continue
         named = lay.named_columns([lay.delta_elems[k] for k in delta_pick])
         # initial survivor columns: identity columns of X, then Y0 columns
         ech = ((), ())  # echelon (basis, pivots) of the survivor columns
@@ -719,7 +746,7 @@ def _member_frame_at_rows(tmpl, target, b, f, simple_target, nodes):
         for v in lay.kept_columns(named, ()):
             ech = extend_echelon(F, *ech, v)
             if simple_target:
-                k = normalize(v)
+                k = key(v)
                 if k is None or k in keys:
                     ok = False
                     break
@@ -727,22 +754,32 @@ def _member_frame_at_rows(tmpl, target, b, f, simple_target, nodes):
         if not ok or (prune_ok and len(ech[1]) > r_target):
             continue
 
-        columns = {}  # option -> (its column, its simplicity key or None)
+        columns = {}  # option -> (its column, its simplicity key or None, rows it touches)
+        steps = {}  # used rows -> the columns a next free column may take
+
+        def step(used):
+            if used not in steps:
+                out = steps[used] = []
+                for option in lay.options(_allowed_rows(delta_pick, used)):
+                    if option not in columns:
+                        vec = lay.column(option, named)
+                        columns[option] = (vec, key(vec) if simple_target else None,
+                                           frozenset(i for i, _ in option[2]))
+                    out.append(columns[option])
+            return steps[used]
 
         def rec(col_idx, ech, keys, used, chosen):
             nodes[0] += 1
             check_budget(nodes[0], "frame search nodes", target.cap)
             if prune_ok and len(ech[1]) > r_target:
                 return False
+            if len(zero_rows - used) > f - col_idx:
+                return False
             if col_idx == f:
                 if prune_ok and len(ech[1]) != r_target:
                     return False
                 return finish(chosen)
-            for option in lay.options(_allowed_rows(delta_pick, used)):
-                if option not in columns:
-                    vec = lay.column(option, named)
-                    columns[option] = vec, normalize(vec) if simple_target else None
-                vec, k = columns[option]
+            for vec, k, touched in step(used):
                 new_keys = keys
                 if simple_target:
                     if k is None or k in keys:
@@ -751,7 +788,6 @@ def _member_frame_at_rows(tmpl, target, b, f, simple_target, nodes):
                 new_ech = extend_echelon(F, *ech, vec)
                 if prune_ok and len(new_ech[1]) > r_target:
                     continue
-                touched = frozenset(i for i, _ in option[2])
                 if rec(col_idx + 1, new_ech, new_keys, used | touched, chosen + [vec]):
                     return True
             return False

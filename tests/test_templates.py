@@ -693,11 +693,14 @@ def test_member_of_rank_table_budget_comes_from_cap():
 @pytest.mark.parametrize("search,message", [
     (lambda: member_of(FrameTemplate.trivial(ONE2), pg(3, GF2), cap=100),
      "101 frame search nodes exceed the budget 100"),
-    # rejecting Fano takes 1,725 nodes; pruning must not change that count
-    (lambda: member_of(FrameTemplate.trivial(ONE2), pg(3, GF2), cap=1724),
-     "1725 frame search nodes exceed the budget 1724"),
+    # rejecting Fano takes 510 nodes: the rank floor starts the search at
+    # b = 3 rows and the zero-row bound ends it at b = 7, the free column
+    # count (1,725 nodes over b = 0..15 without either)
+    (lambda: member_of(FrameTemplate.trivial(ONE2), pg(3, GF2), cap=509),
+     "510 frame search nodes exceed the budget 509"),
+    # the rank floor skips b = 0..2, so the first budget check is at b = 3
     (lambda: member_of(SubfieldTemplate.empty(GF2), pg(3, GF2), cap=100),
-     "528 candidate matrices with 2 anonymous rows exceed the budget 100"),
+     "816 candidate matrices with 3 anonymous rows exceed the budget 100"),
     (lambda: list(enumerate_conforming(SubfieldTemplate.empty(GF2), 3, 3, cap=100)),
      "512 conforming matrices exceed the budget 100"),
     (lambda: list(enumerate_conforming(FrameTemplate.trivial(ONE2), 3, 3, cap=100)),
@@ -725,6 +728,43 @@ def test_member_of_realizes_only_prefiltered_candidates(monkeypatch):
                               [[1, 1, 0, 0, 1, 1], [0, 0, 1, 0, 1, 0], [0, 0, 0, 1, 0, 1]]))
     assert member_of(FrameTemplate.trivial(ONE2), M)
     assert len(calls) == 1
+
+
+def test_membership_skips_row_counts_that_cannot_match(monkeypatch):
+    # the realized matroid has rank at most |B|, so subfield membership
+    # builds no layout below b = r - |D|; and a zero-Delta row that no free
+    # column touches can be dropped, while under first-use order each column
+    # touches at most one new one, so the frame search visits no Delta pick
+    # with more zero rows than free columns
+    built = []
+    real = templates._SubfieldLayout
+    monkeypatch.setattr(templates, "_SubfieldLayout",
+                        lambda tmpl, b, f: built.append(b) or real(tmpl, b, f))
+    # y is a coloop of every member and U_{3,4} has none: b runs to r + |C| = 3
+    assert not member_of(contraction_free_subfield_template(), uniform_represented(3, 4, GF4))
+    assert built == [2, 3]
+    built.clear()
+    assert member_of(SubfieldTemplate.empty(GF2), graphic(complete_graph(4), GF2))
+    assert built == [3]
+
+    visited = []
+    named_columns = _FrameLayout.named_columns
+
+    def record(lay, delta_rows):
+        visited.append((len(lay.rows) - lay.n_named, sum(not any(d) for d in delta_rows)))
+        return named_columns(lay, delta_rows)
+
+    monkeypatch.setattr(_FrameLayout, "named_columns", record)
+    # every Delta vector of the trivial template is zero; f = 7 free columns
+    assert not member_of(FrameTemplate.trivial(ONE2), pg(3, GF2))
+    assert {b for b, _ in visited} == {3, 4, 5, 6, 7}
+    assert all(zeros == b for b, zeros in visited)
+    visited.clear()
+    # f = 1 free column; at b = 3 only the picks with at most one zero row
+    tmpl = rich_frame_template_gf2()
+    assert not member_of(tmpl, uniform_represented(1, 3, GF2), row_cap=3)
+    assert max(zeros for _, zeros in visited) == 1
+    assert sorted(zeros for b, zeros in visited if b == 3) == [0, 1]
 
 
 def _named_order_templates(c, y0, y1):
@@ -873,10 +913,12 @@ VERDICT_CASES = [
     ("subfield-empty-gf2", 5, 3),
     ("subfield-empty-gf3", 4, 2),
     ("subfield-gf4-no-C", 4, 2),
+    ("subfield-gf4-no-C", 3, 2),  # rank r > |D| = 1: the rank floor skips b < r - 1
     ("subfield-gf4", 4, 1),
     ("frame-gf3", 3, 1),
     ("frame-gf3", 4, 0),
     ("frame-gf2", 3, 2),
+    ("frame-gf2", 3, 3),  # b = 2, 3 > f = 1: Delta picks with 2+ zero rows are skipped
     ("frame-gf2", 4, 1),
     ("frame-gf2-C", 3, 1),
     ("frame-gf2-C", 4, 1),
