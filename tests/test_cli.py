@@ -380,7 +380,9 @@ def test_minor_and_vconn_stdout_bytes(capsys, tmp_path):
 GF3, GF4, GF8 = make_field(3, 1), make_field(2, 2), make_field(2, 3)
 # inputs whose outputs go through projective scalings, aligned generators,
 # the lattice search and line spans; the bytes are those printed before
-# these paths moved onto the shared echelon kernel
+# these paths moved onto the shared echelon kernel.  The girth, cogirth,
+# code, threshold, mlsim, growth formula and rank-table construct bytes
+# are those printed before their handlers shared one emitter per shape
 PINNED_INPUTS = {
     "conf4": Matrix(GF4, (0, 1), ("a", "b", "c", "d"), [[1, 0, 2, 3], [0, 1, 2, 3]]),
     "conf4n": Matrix(GF4, (0, 1), ("a", "b", "c", "d"), [[1, 0, 2, 2], [0, 1, 2, 3]]),
@@ -392,6 +394,7 @@ PINNED_INPUTS = {
                  [[1, 0, 1, 2, 0], [0, 0, 0, 1, 1], [0, 1, 2, 0, 0]]),
     "d1": Matrix(GF2, (0,), tuple(range(4)), [[1, 0, 0, 0]]),
     "d2": Matrix(GF2, (0, 1), tuple(range(4)), [[0, 1, 0, 0], [0, 0, 1, 1]]),
+    "fano": FANO,
 }
 PINNED_STDOUT = [
     (["confine", "conf4", "--sub", "2", "1"],
@@ -412,6 +415,47 @@ PINNED_STDOUT = [
     (["construct", "reid", "--gf", "2", "2"],
      "gf 2 2\npoly 1 1 1\nrows 0 1 2\ncols 0 1 2 3 4 5 6 7 8 9 10\n"
      "1 0 1 2 3 0 0 0 0 1 1\n0 1 1 1 1 0 1 1 1 0 1\n0 0 0 0 0 1 1 2 3 1 1\n"),
+    (["girth", "fano"], '{"value": 3, "witness": [0, 5, 6]}\n'),
+    (["cogirth", "fano"], '{"value": 4, "witness": [0, 3, 4, 6]}\n'),
+    (["code", "params", "fano"], "n,k,d,rate,rel_dist\n7,3,4,3/7,4/7\n"),
+    (["code", "cut", "--kn", "4"],
+     "vertices,edges,distance,min_degree,rate_cut,rate_cycle,"
+     "delta_stated,delta_degree,holds\n"
+     "4,6,3,3,1/2,1/2,1.0,3.0,True\n"),
+    (["threshold", "--R", "0.25", "--R", "0.5"],
+     "R,theta_binary,theta_graphic,theta_graphic_status\n"
+     "0.25,0.2145017448597173,0.1,conjectured\n"
+     "0.5,0.1100278644385071,0.028595479208968308,conjectured\n"),
+    (["threshold", "--grid", "3", "--rational"],
+     "R,theta_binary,theta_graphic,theta_graphic_status\n"
+     "0.25,0.2145017448597173,1/10,conjectured\n"
+     "0.5,0.1100278644385071,0.028595479208968308,conjectured\n"
+     "0.75,0.04169269027397604,0.005128340694606492,conjectured\n"),
+    (["mlsim", "fano", "--p", "0.1", "--trials", "2000", "--seed", "3"],
+     "p,err,ci_lo,ci_hi,trials,seed\n"
+     "0.1,0.10876190476190475,0.08960250658992946,0.1314266716318819,2000,3\n"),
+    (["growth", "formula", "--rmax", "4"],
+     "r,value,pre_asymptotic\n1,1,False\n2,3,False\n3,7,False\n4,15,False\n"),
+    (["construct", "uniform", "--m", "2", "--n", "4"],
+     '{"ground": [0, 1, 2, 3], "ranks": {"": 0, "0": 1, "0,1": 2, '
+     '"0,1,2": 2, "0,1,2,3": 2, "0,1,3": 2, "0,2": 2, "0,2,3": 2, '
+     '"0,3": 2, "1": 1, "1,2": 2, "1,2,3": 2, "1,3": 2, "2": 1, '
+     '"2,3": 2, "3": 1}}\n'),
+    (["construct", "bicircular", "--kn", "4"],
+     '{"ground": [0, 1, 2, 3, 4, 5], "ranks": {"": 0, "0": 1, "0,1": '
+     '2, "0,1,2": 3, "0,1,2,3": 4, "0,1,2,3,4": 4, "0,1,2,3,4,5": 4, '
+     '"0,1,2,3,5": 4, "0,1,2,4": 4, "0,1,2,4,5": 4, "0,1,2,5": 4, '
+     '"0,1,3": 3, "0,1,3,4": 4, "0,1,3,4,5": 4, "0,1,3,5": 4, '
+     '"0,1,4": 3, "0,1,4,5": 4, "0,1,5": 3, "0,2": 2, "0,2,3": 3, '
+     '"0,2,3,4": 4, "0,2,3,4,5": 4, "0,2,3,5": 4, "0,2,4": 3, '
+     '"0,2,4,5": 4, "0,2,5": 3, "0,3": 2, "0,3,4": 3, "0,3,4,5": 4, '
+     '"0,3,5": 3, "0,4": 2, "0,4,5": 3, "0,5": 2, "1": 1, "1,2": 2, '
+     '"1,2,3": 3, "1,2,3,4": 4, "1,2,3,4,5": 4, "1,2,3,5": 4, '
+     '"1,2,4": 3, "1,2,4,5": 4, "1,2,5": 3, "1,3": 2, "1,3,4": 3, '
+     '"1,3,4,5": 4, "1,3,5": 3, "1,4": 2, "1,4,5": 3, "1,5": 2, "2": '
+     '1, "2,3": 2, "2,3,4": 3, "2,3,4,5": 4, "2,3,5": 3, "2,4": 2, '
+     '"2,4,5": 3, "2,5": 2, "3": 1, "3,4": 2, "3,4,5": 3, "3,5": 2, '
+     '"4": 1, "4,5": 2, "5": 1}}\n'),
 ]
 
 
