@@ -90,6 +90,13 @@ def _json(obj):
     return json.dumps(obj, sort_keys=True) + "\n"
 
 
+def _emit_csv(args, header, rows):
+    """A header line, then one line per row: its values as str, joined by
+    commas."""
+    lines = [header] + [",".join(map(str, row)) for row in rows]
+    _emit(args, "\n".join(lines) + "\n")
+
+
 def _read_matroid(path):
     with open(path) as fh:
         return fileio.read_matrix(fh.read())
@@ -126,8 +133,8 @@ def _emit_matroid(args, M):
     _emit(args, fileio.write_matrix(M.generator_matrix()))
 
 
-def _emit_oracle(args, M, cap=12):
-    ranks = all_subset_ranks(M, cap=cap)
+def _emit_oracle(args, M):
+    ranks = all_subset_ranks(M, cap=12)
     g = M.ground
     table = {}
     for mask, r in enumerate(ranks):
@@ -170,17 +177,9 @@ def _cmd_construct(args):
 # ---------------------------------------------------------------------------
 
 def _cmd_girth(args):
-    M = _matroid_of(args.matrix)
-    hit = smallest_circuit(M, workers=args.workers)
-    value, witness = (None, None) if hit is None else hit
-    _emit(args, _json({"value": value,
-                       "witness": None if witness is None else list(witness)}))
-    return 0
-
-
-def _cmd_cogirth(args):
-    M = _matroid_of(args.matrix)
-    hit = smallest_cocircuit(M, workers=args.workers)
+    """girth and cogirth: args.search is smallest_circuit or
+    smallest_cocircuit."""
+    hit = args.search(_matroid_of(args.matrix), workers=args.workers)
     value, witness = (None, None) if hit is None else hit
     _emit(args, _json({"value": value,
                        "witness": None if witness is None else list(witness)}))
@@ -302,19 +301,15 @@ def _cmd_template(args):
 def _cmd_code(args):
     if args.action == "params":
         cp = code_params(_matroid_of(args.matrix), workers=args.workers)
-        lines = ["n,k,d,rate,rel_dist",
-                 f"{cp.n},{cp.k},{cp.d},{cp.rate},{cp.rel_dist}"]
-        _emit(args, "\n".join(lines) + "\n")
+        _emit_csv(args, "n,k,d,rate,rel_dist",
+                  [(cp.n, cp.k, cp.d, cp.rate, cp.rel_dist)])
     else:  # cut
         rep = cut_code_distance_bound(_graph_arg(args), args.R)
-        lines = [
-            "vertices,edges,distance,min_degree,rate_cut,rate_cycle,"
-            "delta_stated,delta_degree,holds",
-            f"{rep.n_vertices},{rep.n_edges},{rep.distance},{rep.min_degree},"
-            f"{rep.rate_cut},{rep.rate_cycle},{rep.delta_stated!r},"
-            f"{rep.delta_degree!r},{rep.holds}",
-        ]
-        _emit(args, "\n".join(lines) + "\n")
+        _emit_csv(args, "vertices,edges,distance,min_degree,rate_cut,rate_cycle,"
+                  "delta_stated,delta_degree,holds",
+                  [(rep.n_vertices, rep.n_edges, rep.distance, rep.min_degree,
+                    rep.rate_cut, rep.rate_cycle, rep.delta_stated,
+                    rep.delta_degree, rep.holds)])
     return 0
 
 
@@ -324,14 +319,11 @@ def _cmd_threshold(args):
         rs += [i / (args.grid + 1) for i in range(1, args.grid + 1)]
     if not rs:
         raise ToolkitError("give --R values or --grid")
-    lines = ["R,theta_binary,theta_graphic,theta_graphic_status"]
-    for R in rs:
-        tb = theta_binary(R)
-        tg = theta_graphic(Fraction(R).limit_denominator(10 ** 9)
-                           if args.rational else R)
-        tg_txt = str(tg) if isinstance(tg, Fraction) else repr(float(tg))
-        lines.append(f"{R!r},{tb!r},{tg_txt},{THETA_GRAPHIC_STATUS}")
-    _emit(args, "\n".join(lines) + "\n")
+    rows = [(R, theta_binary(R),
+             theta_graphic(Fraction(R).limit_denominator(10 ** 9)
+                           if args.rational else R),
+             THETA_GRAPHIC_STATUS) for R in rs]
+    _emit_csv(args, "R,theta_binary,theta_graphic,theta_graphic_status", rows)
     return 0
 
 
@@ -339,10 +331,8 @@ def _cmd_mlsim(args):
     M = _matroid_of(args.matrix)
     est = ml_error_mc(M, args.p, args.seed, args.trials, workers=args.workers,
                       cap=args.cap)
-    lines = ["p,err,ci_lo,ci_hi,trials,seed",
-             f"{est.p!r},{est.rate!r},{est.ci_lo!r},{est.ci_hi!r},"
-             f"{est.trials},{est.seed}"]
-    _emit(args, "\n".join(lines) + "\n")
+    _emit_csv(args, "p,err,ci_lo,ci_hi,trials,seed",
+              [(est.p, est.rate, est.ci_lo, est.ci_hi, est.trials, est.seed)])
     return 0
 
 
@@ -367,7 +357,7 @@ def _forbidden_arg(spec):
 
 def _cmd_growth(args):
     if args.action == "formula":
-        lines = ["r,value,pre_asymptotic"]
+        rows = []
         for r in range(1, args.rmax + 1):
             if args.family == "exponential":
                 out = h_exponential(args.q, args.k, args.d, r)
@@ -380,8 +370,8 @@ def _cmd_growth(args):
             else:
                 out = h_nelson_pg_excluded(args.q, args.n, r)
                 value, flag = out.value, out.pre_asymptotic
-            lines.append(f"{r},{value},{flag}")
-        _emit(args, "\n".join(lines) + "\n")
+            rows.append((r, value, flag))
+        _emit_csv(args, "r,value,pre_asymptotic", rows)
     elif args.action == "exhaustive":
         value, witness = h_exhaustive(_field_arg(args.gf), args.rank,
                                       forbidden=_forbidden_arg(args.forbidden),
@@ -440,11 +430,11 @@ def build_parser():
     _add_common(c)
     c.set_defaults(fn=_cmd_construct)
 
-    for name, fn in (("girth", _cmd_girth), ("cogirth", _cmd_cogirth)):
+    for name, search in (("girth", smallest_circuit), ("cogirth", smallest_cocircuit)):
         p = sub.add_parser(name, help=f"{name} with witness")
         p.add_argument("matrix")
         _add_common(p, workers=True)
-        p.set_defaults(fn=fn)
+        p.set_defaults(fn=_cmd_girth, search=search)
 
     p = sub.add_parser("dual", help="dual matroid as a matrix file")
     p.add_argument("matrix")

@@ -60,25 +60,33 @@ class Graph:
         return min(self.degree(v) for v in self.vertices) if self.vertices else 0
 
     def components(self):
-        parent = {v: v for v in self.vertices}
-
-        def find(x):
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
-        for u, v in self.edges:
-            ru, rv = find(u), find(v)
-            if ru != rv:
-                parent[ru] = rv
-        groups = {}
-        for v in self.vertices:
-            groups.setdefault(find(v), set()).add(v)
-        return list(groups.values())
+        return [vs for vs, _ in _components(self.vertices, self.edges)]
 
     def is_connected(self):
         return len(self.components()) <= 1
+
+
+def _components(vertices, edges):
+    """The components of the graph (vertices, edges), as (vertex set, edge
+    list) pairs in the order of their first vertex."""
+    parent = {v: v for v in vertices}
+
+    def find(x):
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    for u, v in edges:
+        ru, rv = find(u), find(v)
+        if ru != rv:
+            parent[ru] = rv
+    comps = {}
+    for v in vertices:
+        comps.setdefault(find(v), (set(), []))[0].add(v)
+    for e in edges:
+        comps[find(e[0])][1].append(e)
+    return list(comps.values())
 
 
 def complete_graph(n):
@@ -180,34 +188,15 @@ def graphic(G: Graph, F: FiniteField) -> ReprMatroid:
 
 def bicircular(G: Graph) -> OracleMatroid:
     """BM(G): a set of edges is independent iff every component of the
-    subgraph it spans contains at most one cycle."""
+    subgraph it spans contains at most one cycle.  So a component of that
+    subgraph adds |V_c| to the rank if it has a cycle and |E_c| = |V_c| - 1
+    if it is a tree: min(|V_c|, |E_c|) either way."""
     edges = G.edges
 
     def rank_fn(S):
         chosen = [edges[i] for i in S]
         verts = {v for e in chosen for v in e}
-        parent = {v: v for v in verts}
-
-        def find(x):
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
-        extra = 0  # edges beyond a spanning forest
-        for u, v in chosen:
-            ru, rv = find(u), find(v)
-            if ru == rv:
-                extra += 1
-            else:
-                parent[ru] = rv
-        comps = {}
-        for v in verts:
-            comps.setdefault(find(v), [0, 0])[0] += 1
-        for u, v in chosen:
-            comps[find(u)][1] += 1
-        acyclic = sum(1 for nv, ne in comps.values() if ne == nv - 1)
-        return len(verts) - acyclic
+        return sum(min(len(vs), len(es)) for vs, es in _components(verts, chosen))
 
     return OracleMatroid(range(len(edges)), rank_fn)
 

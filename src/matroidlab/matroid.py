@@ -8,8 +8,11 @@ generator matrix); cogirth is the minimum weight of the row space
 itself.  The tests compare both with a circuit enumeration in
 tests/oracles.py.
 
-Rank-oracle matroids host the abstract matroids (graphic, bicircular,
-uniform) that have no preferred representation.
+Minors, duality, relabelling, girth, cogirth and simplicity take
+represented matroids.  Rank-oracle matroids host the abstract matroids
+(bicircular, uniform) that have no preferred representation, and enter
+only the queries that read a rank table (all_subset_ranks): isomorphic,
+has_minor and vertical_connectivity.
 """
 
 from collections import Counter
@@ -86,17 +89,17 @@ class ReprMatroid:
 
 
 class OracleMatroid:
-    """Ground set plus a rank oracle, for matroids used abstractly."""
+    """Ground set plus a rank function, for matroids used abstractly.  The
+    rank axioms are checked on construction when |E| <= 12; the library
+    reads such a matroid only through all_subset_ranks."""
 
     __slots__ = ("ground", "_rank_fn", "_memo")
 
-    def __init__(self, ground, rank_fn, validate=None):
+    def __init__(self, ground, rank_fn):
         self.ground = sort_labels(ground)
         self._rank_fn = rank_fn
         self._memo = {}
-        if validate is None:
-            validate = len(self.ground) <= 12
-        if validate:
+        if len(self.ground) <= 12:
             self._validate()
 
     @property
@@ -173,17 +176,12 @@ def contract(M, X):
 
 
 def minor(M, contract_set, delete_set):
-    """M / C \\ D; for oracle matroids r(S) = r(S + C) - r(C)."""
+    """M / C \\ D."""
     C, D = set(contract_set), set(delete_set)
     if C & D:
         raise NotSubset("contract and delete sets must be disjoint")
     _check_subset(M, C)
     _check_subset(M, D)
-    if isinstance(M, OracleMatroid):
-        base = M.rank_of(C)
-        keep = [e for e in M.ground if e not in C and e not in D]
-        return OracleMatroid(keep, lambda S: M.rank_of(C.union(S)) - base,
-                             validate=False)
     return _minor_of_rows(M.field, M.ground, M.space.basis, C, D)
 
 
@@ -202,18 +200,11 @@ def _minor_of_rows(F, labels, rows, C, D):
 
 
 def dual(M):
-    """M* = (E, U-perp); for oracle matroids, r*(S) = |S| + r(E-S) - r(M)."""
-    if isinstance(M, OracleMatroid):
-        full = M.rank
-        g = set(M.ground)
-        fn = lambda S: len(S) + M.rank_of(g - set(S)) - full
-        return OracleMatroid(M.ground, fn, validate=False)
+    """M* = (E, U-perp)."""
     return ReprMatroid(orth_complement(M.space))
 
 
 def rank_of(M, S):
-    if isinstance(M, OracleMatroid):
-        return M.rank_of(S)
     S = _check_subset(M, S)
     idx = [M.space.index(e) for e in M.ground if e in S]
     rows = [[row[i] for i in idx] for row in M.space.basis]
@@ -226,10 +217,6 @@ def relabel(M, mapping):
     new_ground = [mapping[e] for e in M.ground]
     if len(set(new_ground)) != len(new_ground):
         raise LabelMismatch("relabelling is not injective")
-    if isinstance(M, OracleMatroid):
-        inv = {v: k for k, v in mapping.items()}
-        return OracleMatroid(new_ground, lambda S: M.rank_of({inv[x] for x in S}),
-                             validate=False)
     return ReprMatroid(Subspace(M.field, new_ground, M.space.basis))
 
 
@@ -237,49 +224,37 @@ def relabel(M, mapping):
 # girth and cogirth
 # ---------------------------------------------------------------------------
 
-def smallest_circuit(M, cap=DEFAULT_SUBSET_CAP, workers=1):
-    """(size, sorted labels) of a smallest circuit, or None if M is free.
-
-    For represented matroids this is the minimum-weight kernel vector;
-    its support is a circuit.  Oracle matroids fall back to subset
-    enumeration by increasing size.  `workers` is accepted for callers
-    that pass it and changes nothing: the search runs in one thread.
-    """
-    if isinstance(M, ReprMatroid):
-        w, witness = min_weight(orth_complement(M.space))
-        if w is None:
-            return None
-        support = tuple(e for e, x in zip(M.ground, witness) if x)
-        return w, support
-    if M.size > cap:
-        raise CapExceeded(f"|E|={M.size} exceeds circuit enumeration cap {cap}")
-    for s in range(1, M.size + 1):
-        for S in combinations(M.ground, s):
-            if M.rank_of(S) < s:
-                return s, S
-    return None
+def _min_support(M, U):
+    """(weight, support labels) of a minimum-weight vector of U, a
+    subspace on M's ground set, or None if U is zero."""
+    w, witness = min_weight(U)
+    if w is None:
+        return None
+    return w, tuple(e for e, x in zip(M.ground, witness) if x)
 
 
-def girth(M, cap=DEFAULT_SUBSET_CAP, workers=1):
-    hit = smallest_circuit(M, cap=cap, workers=workers)
+def smallest_circuit(M, workers=1):
+    """(size, sorted labels) of a smallest circuit, or None if M is free:
+    the support of a minimum-weight vector of U-perp.  `workers` is
+    accepted for callers that pass it and changes nothing: the search
+    runs in one thread."""
+    return _min_support(M, orth_complement(M.space))
+
+
+def girth(M, workers=1):
+    hit = smallest_circuit(M, workers=workers)
     return None if hit is None else hit[0]
 
 
-def smallest_cocircuit(M, cap=DEFAULT_SUBSET_CAP, workers=1):
+def smallest_cocircuit(M, workers=1):
     """(size, sorted labels) of a smallest cocircuit, or None if M has
-    rank 0; the minimum-weight row-space vector for represented matroids.
-    `workers` changes nothing, as in smallest_circuit."""
-    if isinstance(M, ReprMatroid):
-        w, witness = min_weight(M.space)
-        if w is None:
-            return None
-        support = tuple(e for e, x in zip(M.ground, witness) if x)
-        return w, support
-    return smallest_circuit(dual(M), cap=cap, workers=workers)
+    rank 0: the support of a minimum-weight vector of U.  `workers`
+    changes nothing, as in smallest_circuit."""
+    return _min_support(M, M.space)
 
 
-def cogirth(M, cap=DEFAULT_SUBSET_CAP, workers=1):
-    hit = smallest_cocircuit(M, cap=cap, workers=workers)
+def cogirth(M, workers=1):
+    hit = smallest_cocircuit(M, workers=workers)
     return None if hit is None else hit[0]
 
 
@@ -298,44 +273,17 @@ def _parallel_classes_repr(M):
 
 
 def is_simple(M) -> bool:
-    if isinstance(M, ReprMatroid):
-        classes = _parallel_classes_repr(M)
-        if None in classes:
-            return False
-        return all(len(v) == 1 for v in classes.values())
-    nonloops = [e for e in M.ground if M.rank_of({e}) == 1]
-    if len(nonloops) != M.size:
-        return False
-    for e, f in combinations(nonloops, 2):
-        if M.rank_of({e, f}) == 1:
-            return False
-    return True
+    classes = _parallel_classes_repr(M)
+    return None not in classes and all(len(v) == 1 for v in classes.values())
 
 
 def simplify(M):
     """Delete loops and all but the least-labelled element per parallel class."""
-    if isinstance(M, ReprMatroid):
-        classes = _parallel_classes_repr(M)
-        drop = list(classes.pop(None, []))
-        for members in classes.values():
-            drop.extend(members[1:])  # ground is sorted, so members[0] is least
-        return delete(M, drop)
-    drop = [e for e in M.ground if M.rank_of({e}) == 0]
-    kept = []
-    for e in M.ground:
-        if M.rank_of({e}) == 0:
-            continue
-        if any(M.rank_of({e, f}) == 1 for f in kept):
-            drop.append(e)
-        else:
-            kept.append(e)
+    classes = _parallel_classes_repr(M)
+    drop = list(classes.pop(None, []))
+    for members in classes.values():
+        drop.extend(members[1:])  # ground is sorted, so members[0] is least
     return delete(M, drop)
-
-
-def loops(M):
-    if isinstance(M, ReprMatroid):
-        return tuple(e for e in M.ground if not any(M.column(e)))
-    return tuple(e for e in M.ground if M.rank_of({e}) == 0)
 
 
 # ---------------------------------------------------------------------------

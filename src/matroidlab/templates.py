@@ -771,8 +771,6 @@ def _member_frame_at_rows(tmpl, target, b, f, simple_target, nodes):
         def rec(col_idx, ech, keys, used, chosen):
             nodes[0] += 1
             check_budget(nodes[0], "frame search nodes", target.cap)
-            if prune_ok and len(ech[1]) > r_target:
-                return False
             if len(zero_rows - used) > f - col_idx:
                 return False
             if col_idx == f:

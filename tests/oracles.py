@@ -25,6 +25,7 @@ from matroidlab.linalg import (
     sum_spaces,
 )
 from matroidlab.matroid import (
+    OracleMatroid,
     ReprMatroid,
     _parallel_classes_repr,
     contract,
@@ -168,10 +169,45 @@ def smallest_circuit_bruteforce(M, cap=16):
 
 def subset_ranks_bruteforce(M):
     """ranks[mask] over the sorted ground set (bit i is ground[i]), one
-    `rank_of` call per subset: an RREF of its columns, or the rank oracle."""
+    rank read per subset: `rank_of` (an RREF of its columns) for a
+    represented matroid, its own rank function for an OracleMatroid."""
     g, n = M.ground, M.size
-    return [rank_of(M, [g[i] for i in range(n) if mask >> i & 1])
+    read = M.rank_of if isinstance(M, OracleMatroid) else lambda S: rank_of(M, S)
+    return [read([g[i] for i in range(n) if mask >> i & 1])
             for mask in range(1 << n)]
+
+
+def _at_most_one_cycle_each(edges):
+    """True iff every component of the graph these edges span has at most
+    as many edges as vertices."""
+    adj = {}
+    for u, v in edges:
+        adj.setdefault(u, []).append(v)
+        adj.setdefault(v, []).append(u)
+    seen = set()
+    for start in adj:
+        if start in seen:
+            continue
+        comp, stack = set(), [start]
+        while stack:
+            x = stack.pop()
+            if x not in comp:
+                comp.add(x)
+                stack.extend(adj[x])
+        seen |= comp
+        if sum(1 for u, _ in edges if u in comp) > len(comp):
+            return False
+    return True
+
+
+def bicircular_rank_bruteforce(G, S):
+    """The rank of the edge indices S in BM(G), by definition: the size of
+    the largest subset of S in which no component of the spanned subgraph
+    has more edges than vertices."""
+    for size in range(len(S), -1, -1):
+        for T in combinations(sorted(S), size):
+            if _at_most_one_cycle_each([G.edges[i] for i in T]):
+                return size
 
 
 def isomorphic_bruteforce(M1, M2, cap=7):

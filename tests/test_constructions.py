@@ -1,6 +1,12 @@
 import pytest
 
-from oracles import is_frame_matrix, is_frame_presentation, is_gamma_frame_matrix, seeded
+from oracles import (
+    bicircular_rank_bruteforce,
+    is_frame_matrix,
+    is_frame_presentation,
+    is_gamma_frame_matrix,
+    seeded,
+)
 
 from matroidlab.errors import FieldTooSmall, LabelMismatch
 from matroidlab.field import make_field, mult_subgroups, subgroup_of_order
@@ -95,7 +101,7 @@ def test_uniform_u23_matches_represented():
 
 def test_uniform_free():
     M = uniform(4, 4)
-    assert M.rank == 4 and girth(M) is None
+    assert M.rank == M.size == 4
 
 
 def test_uniform_u24_not_binary():
@@ -173,12 +179,12 @@ def test_graph_rejects_loops_and_duplicates():
 def test_bicircular_tree_is_free():
     G = Graph.from_edges(range(4), [(0, 1), (1, 2), (2, 3)])
     M = bicircular(G)  # rank axioms validated on construction
-    assert M.rank == 3 and girth(M) is None
+    assert M.rank == M.size == 3
 
 
 def test_bicircular_k3_is_free():
     M = bicircular(complete_graph(3))
-    assert M.rank == 3 and girth(M) is None
+    assert M.rank == M.size == 3
 
 
 def test_bicircular_k4_is_u46():
@@ -194,6 +200,19 @@ def test_bicircular_axioms_small_graphs():
         rng.shuffle(pool)
         edges = pool[: min(6, len(pool))]
         bicircular(Graph.from_edges(range(n), edges))  # validates internally
+
+
+def test_bicircular_rank_matches_definition():
+    rng = seeded(18)
+    for _ in range(30):
+        n = rng.randint(2, 6)
+        pool = [(i, j) for i in range(n) for j in range(i + 1, n)]
+        edges = rng.sample(pool, min(len(pool), rng.randint(1, 8)))
+        G = Graph.from_edges(range(n), edges)
+        M = bicircular(G)
+        for mask in range(1 << len(edges)):
+            S = [i for i in range(len(edges)) if mask >> i & 1]
+            assert M.rank_of(S) == bicircular_rank_bruteforce(G, S)
 
 
 # ---------------------------------------------------------------------------

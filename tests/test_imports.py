@@ -1,6 +1,9 @@
-"""Every name a library module imports is used in that module.
+"""Every name a library module imports is used in that module, and every
+function and class a library module defines has a caller outside the
+tests.
 
-__init__.py is skipped: its imports are the package's public API.
+__init__.py is skipped by the import check: its imports are the
+package's public API.
 """
 
 import ast
@@ -10,8 +13,11 @@ import pytest
 
 import matroidlab
 
-MODULES = sorted(p for p in Path(matroidlab.__file__).parent.glob("*.py")
-                 if p.name != "__init__.py")
+PACKAGE = Path(matroidlab.__file__).parent
+MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+# the scripts and the benchmark call the library as users do
+CALLERS = sorted(p for d in ("scripts", "bench")
+                 for p in (Path(__file__).resolve().parent.parent / d).glob("*.py"))
 
 
 def unused_imports(source):
@@ -34,3 +40,54 @@ def test_check_finds_an_unused_import():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_module_uses_every_import(path):
     assert unused_imports(path.read_text()) == []
+
+
+def names_used(tree):
+    """Every name the code in tree refers to, as a loaded or imported name or
+    as an attribute."""
+    out = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            out.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            out.add(node.attr)
+        elif isinstance(node, ast.alias):
+            out.add(node.name)
+    return out
+
+
+def uncalled_definitions(library, callers):
+    """(module, name) of each top-level function or class of a library
+    module that nothing refers to: not another library module (the
+    imports of __init__.py, the package's API, count), not its own module
+    outside the definition, and no source in callers.  library maps
+    module names to sources."""
+    parts = {mod: [(node, names_used(node)) for node in ast.parse(src).body]
+             for mod, src in library.items()}
+    used = {mod: set().union(*(u for _, u in nodes)) for mod, nodes in parts.items()}
+    outside = set().union(*(names_used(ast.parse(src)) for src in callers))
+    out = []
+    for mod, nodes in parts.items():
+        known = outside.union(*(u for m, u in used.items() if m != mod))
+        for node, _ in nodes:
+            own = set().union(*(u for n, u in nodes if n is not node))
+            if (isinstance(node, (ast.FunctionDef, ast.ClassDef))
+                    and node.name not in known | own):
+                out.append((mod, node.name))
+    return out
+
+
+def test_check_finds_an_uncalled_definition():
+    library = {
+        "a.py": "def used():\n    return kept()\n\ndef kept():\n    return kept()\n"
+                "\ndef alone():\n    return alone()\n\nclass Api:\n    pass\n",
+        "b.py": "from .a import used\n",
+        "__init__.py": "from .a import Api\n",
+    }
+    assert uncalled_definitions(library, ["import a\na.b.used()\n"]) == [("a.py", "alone")]
+
+
+def test_every_library_definition_has_a_caller():
+    library = {p.name: p.read_text() for p in sorted(PACKAGE.glob("*.py"))}
+    callers = [p.read_text() for p in CALLERS]
+    assert uncalled_definitions(library, callers) == []
