@@ -50,6 +50,7 @@ from .matroid import (
     DEFAULT_VCONN_CAP,
     UNBOUNDED,
     all_subset_ranks,
+    check_subset_cap,
     confinement_witness,
     dual,
     from_generator,
@@ -76,6 +77,8 @@ from .templates import (
     member_of,
     subfield_matroid_of,
 )
+
+_RANK_TABLE_CAP = 12  # elements of a rank table that construct prints
 
 
 def _emit(args, text):
@@ -134,7 +137,7 @@ def _emit_matroid(args, M):
 
 
 def _emit_oracle(args, M):
-    ranks = all_subset_ranks(M, cap=12)
+    ranks = all_subset_ranks(M, cap=_RANK_TABLE_CAP)
     g = M.ground
     table = {}
     for mask, r in enumerate(ranks):
@@ -156,6 +159,8 @@ def _cmd_construct(args):
         if args.gf:
             _emit_matroid(args, uniform_represented(args.m, args.n, _field_arg(args.gf)))
         else:
+            if 0 <= args.m <= args.n:  # else uniform reports the bad m
+                check_subset_cap(args.n, _RANK_TABLE_CAP)
             _emit_oracle(args, uniform(args.m, args.n))
     elif kind == "kn":
         _require(args, "n", "gf")

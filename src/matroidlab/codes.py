@@ -9,18 +9,22 @@ dimension the rank.
 
 The ML simulation transmits the zero codeword (linearity makes the error
 rate codeword-independent; the tests check this statistically), flips
-bits i.i.d., and decodes to the nearest codeword by exhaustive search.
-Ties are scored fractionally: a tie among t codewords that includes the
-transmitted one counts (t-1)/t of an error, which is the exact error
-probability of a uniform tie-breaking ML decoder.  Randomness is
-counter-based: block b of trials uses Philox key (seed, b), so any
-partition of blocks over workers reproduces the same stream.
+bits i.i.d., and decodes to the nearest codeword by exhaustive search,
+once per distinct error pattern of a block (the pattern fixes the
+outcome), weighted by how often the pattern was drawn.  Ties are scored
+fractionally: a tie among t codewords that includes the transmitted one
+counts (t-1)/t of an error, which is the exact error probability of a
+uniform tie-breaking ML decoder.  Randomness is counter-based: block b
+of trials uses Philox key (seed, b), so any partition of blocks over
+workers reproduces the same stream.
 """
 
 import math
+from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import islice
 
 import numpy as np
 
@@ -223,9 +227,10 @@ def wilson_interval(x: float, n: int, z: float = 3.0):
 
 
 def _pack_words(bits):
-    """Rows of 0/1 entries as little-endian uint64 words."""
+    """Rows of 0/1 entries as little-endian uint64 words, at least one."""
     packed = np.packbits(bits, axis=1, bitorder="little")
-    pad = -packed.shape[1] % 8
+    nbytes = packed.shape[1]
+    pad = -nbytes % 8 if nbytes else 8  # rows of length 0 still sort and XOR
     return np.pad(packed, ((0, 0), (0, pad))).view(np.uint64)
 
 
@@ -234,19 +239,29 @@ def _mc_block(words, n, true_idx, p, seed, block_idx, count):
 
     `words` is the codeword table packed by _pack_words.  The flips are
     drawn and packed in slices of at most MC_CHUNK_WORDS draws (consecutive
-    draws concatenate to one draw of the whole block), and the codeword
-    axis is walked in chunks of at most MC_CHUNK_WORDS XOR words, keeping
-    each trial's least distance and the number of codewords at it.
+    draws concatenate to one draw of the whole block).  The decision
+    depends only on the error pattern, so equal packed rows are collapsed
+    (lexsort over all their words) into distinct patterns with
+    multiplicities, and only the distinct patterns walk the codeword axis,
+    in chunks of at most MC_CHUNK_WORDS XOR words, keeping each pattern's
+    least distance and the number of codewords at it.  Every count is
+    weighted by its multiplicity.
     """
     rng = np.random.Generator(np.random.Philox(key=[seed, block_idx]))
     step = max(1, MC_CHUNK_WORDS // max(1, n))
     flips = np.concatenate([_pack_words(rng.random((min(step, count - lo), n)) < p)
                             for lo in range(0, count, step)])
+    flips = flips[np.lexsort(flips.T)]
+    first = np.ones(count, dtype=bool)
+    first[1:] = (flips[1:] != flips[:-1]).any(axis=1)
+    starts = np.flatnonzero(first)
+    mult = np.diff(starts, append=count)
+    flips = flips[starts]
     received = words[true_idx] ^ flips
     dtrue = np.bitwise_count(flips).sum(axis=1, dtype=np.int32)
-    dmin = np.full(count, n + 1, dtype=np.int32)
-    ties = np.zeros(count, dtype=np.int32)
-    chunk = max(1, MC_CHUNK_WORDS // (count * max(1, words.shape[1])))
+    dmin = np.full(len(flips), n + 1, dtype=np.int32)
+    ties = np.zeros(len(flips), dtype=np.int32)
+    chunk = max(1, MC_CHUNK_WORDS // (len(flips) * words.shape[1]))
     for lo in range(0, len(words), chunk):
         dists = np.bitwise_count(received[:, None, :] ^ words[None, lo:lo + chunk, :])
         dists = dists.sum(axis=2, dtype=np.int32)
@@ -254,12 +269,34 @@ def _mc_block(words, n, true_idx, p, seed, block_idx, count):
         cties = (dists == cmin[:, None]).sum(axis=1, dtype=np.int32)
         ties = np.where(cmin < dmin, cties, ties + np.where(cmin == dmin, cties, 0))
         dmin = np.minimum(dmin, cmin)
-    hard = int((dtrue > dmin).sum())
-    tied = ties[(dtrue == dmin) & (ties > 1)]
+    hard = int(mult[dtrue > dmin].sum())
+    tied = (dtrue == dmin) & (ties > 1)
+    times = np.bincount(ties[tied], weights=mult[tied])
     frac = Fraction(0)
-    for t, times in zip(*np.unique(tied, return_counts=True)):
-        frac += Fraction(int(times) * (int(t) - 1), int(t))
+    for t in np.flatnonzero(times):
+        frac += Fraction(int(times[t]) * (int(t) - 1), int(t))
     return hard, frac
+
+
+def _window_map(pool, fn, items, width):
+    """pool.map over a lazy iterable, in order, with at most width + 1
+    items submitted and not yet consumed."""
+    items = iter(items)
+    pending = deque(pool.submit(fn, x) for x in islice(items, width))
+    while pending:
+        done = pending.popleft()
+        pending.extend(pool.submit(fn, x) for x in islice(items, 1))
+        yield done.result()
+
+
+def _sum_blocks(results):
+    """Exact error count of (hard, tie fraction) block results, reduced in
+    the order they arrive."""
+    hard, frac = 0, Fraction(0)
+    for h, f in results:
+        hard += h
+        frac += f
+    return hard + float(frac)
 
 
 def ml_error_mc(code: ReprMatroid, p, seed, trials, *, workers=1,
@@ -269,7 +306,9 @@ def ml_error_mc(code: ReprMatroid, p, seed, trials, *, workers=1,
     Deterministic for fixed (seed, trials) independently of `workers`:
     trials are split into fixed-size blocks with per-block counter-based
     generators, and the error count is an exact integer-plus-fractions
-    sum reduced in block order.
+    sum reduced in block order.  Blocks are generated lazily and reduced
+    as their results arrive, with at most `workers` + 1 blocks submitted
+    and not yet reduced, so memory does not grow with `trials`.
     """
     if not 0 <= p < 0.5:
         raise DomainError("bit-error probability must lie in [0, 1/2)")
@@ -278,25 +317,17 @@ def ml_error_mc(code: ReprMatroid, p, seed, trials, *, workers=1,
     codewords = _codeword_table(code, cap)
     n = codewords.shape[1]
     words = _pack_words(codewords)
-    blocks = []
-    done = 0
-    idx = 0
-    while done < trials:
-        count = min(MC_BLOCK, trials - done)
-        blocks.append((idx, count))
-        done += count
-        idx += 1
-    if workers > 1 and len(blocks) > 1:
+    blocks = ((b, min(MC_BLOCK, trials - lo))
+              for b, lo in enumerate(range(0, trials, MC_BLOCK)))
+
+    def run(block):
+        return _mc_block(words, n, codeword_index, p, seed, *block)
+
+    if workers > 1 and trials > MC_BLOCK:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(
-                lambda b: _mc_block(words, n, codeword_index, p, seed, b[0], b[1]),
-                blocks))
+            errors = _sum_blocks(_window_map(pool, run, blocks, workers))
     else:
-        results = [_mc_block(words, n, codeword_index, p, seed, b, c)
-                   for b, c in blocks]
-    hard = sum(r[0] for r in results)
-    frac = sum((r[1] for r in results), Fraction(0))
-    errors = hard + float(frac)
+        errors = _sum_blocks(map(run, blocks))
     rate = errors / trials
     lo, hi = wilson_interval(errors, trials)
     return MLEstimate(p, trials, seed, errors, rate, lo, hi)

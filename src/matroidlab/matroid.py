@@ -430,6 +430,13 @@ def _column_reducer(M):
     return [col if any(col) else () for col in cols], reduce_by
 
 
+def check_subset_cap(n, cap):
+    """Raise CapExceeded when a table over all subsets of n elements
+    exceeds the element cap."""
+    if n > cap:
+        raise CapExceeded(f"|E|={n} exceeds subset enumeration cap {cap}")
+
+
 def all_subset_ranks(M, cap=DEFAULT_SUBSET_CAP):
     """ranks[mask] over the sorted ground set; bit i is ground[i].
 
@@ -439,8 +446,7 @@ def all_subset_ranks(M, cap=DEFAULT_SUBSET_CAP):
     and a child does one elimination per remaining column.
     """
     n = M.size
-    if n > cap:
-        raise CapExceeded(f"|E|={n} exceeds subset enumeration cap {cap}")
+    check_subset_cap(n, cap)
     if isinstance(M, OracleMatroid):
         g = M.ground
         return [M.rank_of([g[i] for i in range(n) if mask >> i & 1])

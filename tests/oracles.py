@@ -1,5 +1,6 @@
 """Slow, independent reference implementations used only by the tests."""
 
+from fractions import Fraction
 from itertools import combinations, permutations, product
 import random
 
@@ -340,8 +341,9 @@ def has_minor_bruteforce(M, N, cap=8):
 
 
 def exact_ml_error(code, p, cap=1 << 20) -> float:
-    """Sum the exact error contribution of every error pattern (the
-    syndrome table route), with the same tie accounting as ml_error_mc."""
+    """Sum the exact error contribution of every error pattern, each
+    decoded against every codeword, with the same tie accounting as
+    ml_error_mc."""
     codewords = _codeword_table(code, cap)
     n = codewords.shape[1]
     if 2 ** n > cap:
@@ -362,6 +364,27 @@ def exact_ml_error(code, p, cap=1 << 20) -> float:
             if t > 1:
                 total += prob * (t - 1) / t
     return total
+
+
+def mc_block_per_trial(words, n, true_idx, p, seed, block_idx, count):
+    """codes._mc_block by the definition: the block's flips drawn in one
+    piece, every trial decoded against every codeword at once, and one
+    tie fraction per distinct tie count."""
+    rng = np.random.Generator(np.random.Philox(key=[seed, block_idx]))
+    flips = np.packbits(rng.random((count, n)) < p, axis=1, bitorder="little")
+    flips = np.pad(flips, ((0, 0), (0, words.shape[1] * 8 - flips.shape[1])))
+    flips = flips.view(np.uint64)
+    dists = np.bitwise_count((words[true_idx] ^ flips)[:, None, :] ^ words[None, :, :])
+    dists = dists.sum(axis=2)
+    dmin = dists.min(axis=1)
+    ties = (dists == dmin[:, None]).sum(axis=1)
+    dtrue = dists[:, true_idx]
+    hard = int((dtrue > dmin).sum())
+    tied = ties[(dtrue == dmin) & (ties > 1)]
+    frac = Fraction(0)
+    for t, times in zip(*np.unique(tied, return_counts=True)):
+        frac += Fraction(int(times) * (int(t) - 1), int(t))
+    return hard, frac
 
 
 def pert_exact_tiny(pair, cap=1 << 20) -> int:

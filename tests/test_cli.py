@@ -6,6 +6,7 @@ import sys
 import pytest
 
 import matroidlab
+from matroidlab import cli
 from matroidlab.cli import main
 from matroidlab.fileio import read_matrix, write_matrix
 from matroidlab.linalg import Matrix
@@ -382,7 +383,9 @@ GF3, GF4, GF8 = make_field(3, 1), make_field(2, 2), make_field(2, 3)
 # the lattice search and line spans; the bytes are those printed before
 # these paths moved onto the shared echelon kernel.  The girth, cogirth,
 # code, threshold, mlsim, growth formula and rank-table construct bytes
-# are those printed before their handlers shared one emitter per shape
+# are those printed before their handlers shared one emitter per shape;
+# the three-block mlsim bytes, with one and two workers, are those printed
+# before each block decoded its distinct error patterns once
 PINNED_INPUTS = {
     "conf4": Matrix(GF4, (0, 1), ("a", "b", "c", "d"), [[1, 0, 2, 3], [0, 1, 2, 3]]),
     "conf4n": Matrix(GF4, (0, 1), ("a", "b", "c", "d"), [[1, 0, 2, 2], [0, 1, 2, 3]]),
@@ -395,6 +398,9 @@ PINNED_INPUTS = {
     "d1": Matrix(GF2, (0,), tuple(range(4)), [[1, 0, 0, 0]]),
     "d2": Matrix(GF2, (0, 1), tuple(range(4)), [[0, 1, 0, 0], [0, 0, 1, 1]]),
     "fano": FANO,
+    "fano_dual": Matrix(GF2, (0, 1, 2, 3), tuple(range(7)),
+                        [[1, 0, 0, 0, 0, 1, 1], [0, 1, 0, 0, 1, 0, 1],
+                         [0, 0, 1, 0, 1, 1, 1], [0, 0, 0, 1, 1, 1, 0]]),
 }
 PINNED_STDOUT = [
     (["confine", "conf4", "--sub", "2", "1"],
@@ -434,6 +440,14 @@ PINNED_STDOUT = [
     (["mlsim", "fano", "--p", "0.1", "--trials", "2000", "--seed", "3"],
      "p,err,ci_lo,ci_hi,trials,seed\n"
      "0.1,0.10876190476190475,0.08960250658992946,0.1314266716318819,2000,3\n"),
+    (["mlsim", "fano_dual", "--workers", "1", "--p", "0.1", "--trials", "40000",
+      "--seed", "5"],
+     "p,err,ci_lo,ci_hi,trials,seed\n"
+     "0.1,0.1503,0.14501821201721213,0.15573911758362766,40000,5\n"),
+    (["mlsim", "fano_dual", "--workers", "2", "--p", "0.1", "--trials", "40000",
+      "--seed", "5"],
+     "p,err,ci_lo,ci_hi,trials,seed\n"
+     "0.1,0.1503,0.14501821201721213,0.15573911758362766,40000,5\n"),
     (["growth", "formula", "--rmax", "4"],
      "r,value,pre_asymptotic\n1,1,False\n2,3,False\n3,7,False\n4,15,False\n"),
     (["construct", "uniform", "--m", "2", "--n", "4"],
@@ -468,6 +482,16 @@ def test_confine_perturb_reid_stdout_bytes(capsys, tmp_path, argv, expected):
         paths[name].write_text(write_matrix(A))
     argv = [str(paths[a]) if a in paths else a for a in argv]
     assert run(capsys, argv) == (0, expected)
+
+
+def test_construct_uniform_refuses_large_n_before_building(capsys, monkeypatch):
+    def build(m, n):
+        raise AssertionError("uniform built before the cap check")
+
+    monkeypatch.setattr(cli, "uniform", build)
+    code = main(["construct", "uniform", "--m", "3", "--n", "3000000"])
+    assert code == 3
+    assert "|E|=3000000 exceeds subset enumeration cap 12" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("p,k,order", [

@@ -1,9 +1,15 @@
 import math
+import tracemalloc
 from fractions import Fraction
 
 import pytest
 
-from oracles import exact_ml_error, random_matroid, seeded
+from oracles import (
+    exact_ml_error,
+    mc_block_per_trial,
+    random_matroid,
+    seeded,
+)
 
 from matroidlab.errors import Disconnected, DomainError, EmptyCode, NotBinary
 from matroidlab.field import make_field
@@ -39,6 +45,15 @@ def fano():
 
 def repetition(n):
     return mk(GF2, [[1] * n])
+
+
+def ten_five():
+    # a [10,5] code whose ML decoder ties
+    return mk(GF2, [[1, 0, 0, 0, 0, 1, 1, 0, 1, 0],
+                    [0, 1, 0, 0, 0, 0, 1, 1, 0, 1],
+                    [0, 0, 1, 0, 0, 1, 0, 1, 1, 0],
+                    [0, 0, 0, 1, 0, 0, 1, 0, 1, 1],
+                    [0, 0, 0, 0, 1, 1, 0, 1, 0, 1]])
 
 
 # ---------------------------------------------------------------------------
@@ -244,13 +259,8 @@ def test_ml_workers_deterministic():
 def test_ml_chunked_codeword_axis_is_identical(monkeypatch):
     # rep5 and Hamming(7,4) are perfect codes and never tie; rep4 and the
     # [10,5] code do, so the merged tie counts are checked too
-    ten = mk(GF2, [[1, 0, 0, 0, 0, 1, 1, 0, 1, 0],
-                   [0, 1, 0, 0, 0, 0, 1, 1, 0, 1],
-                   [0, 0, 1, 0, 0, 1, 0, 1, 1, 0],
-                   [0, 0, 0, 1, 0, 0, 1, 0, 1, 1],
-                   [0, 0, 0, 0, 1, 1, 0, 1, 0, 1]])
     cases = [(repetition(5), 0.1, 11, 50000), (dual(fano()), 0.05, 3, 40000),
-             (repetition(4), 0.1, 6, 40000), (ten, 0.1, 7, 40000)]
+             (repetition(4), 0.1, 6, 40000), (ten_five(), 0.1, 7, 40000)]
     whole = [ml_error_mc(M, p=p, seed=s, trials=t) for M, p, s, t in cases]
     assert all(est.errors != int(est.errors) for est in whole[2:])
     # one codeword per chunk and one trial per flip slice; then flip slices
@@ -259,6 +269,61 @@ def test_ml_chunked_codeword_axis_is_identical(monkeypatch):
     for words in (1, 1000, 3 * codes.MC_BLOCK):
         monkeypatch.setattr(codes, "MC_CHUNK_WORDS", words)
         assert [ml_error_mc(M, p=p, seed=s, trials=t) for M, p, s, t in cases] == whole
+
+
+def test_ml_block_matches_per_trial_oracle(monkeypatch):
+    # each distinct pattern decoded once, weighted by its multiplicity,
+    # against every trial decoded on its own: rep4 and the [10,5] code
+    # tie, Hamming(7,4) sends codeword 9, and the 70-bit code packs each
+    # pattern into two words, with its two short codewords in and across
+    # the second, so that patterns equal in their first word decode
+    # differently; at p = 0.01 most trials repeat a pattern, at p = 0.45
+    # nearly none do
+    rng = seeded(70)
+    seventy = mk(GF2, [[int(j in (64, 65, 66, 67)) for j in range(70)],
+                       [int(j in (60, 62, 65, 69)) for j in range(70)]]
+                 + [[rng.randrange(2) for _ in range(70)] for _ in range(4)])
+    cases = [(repetition(4), 0), (ten_five(), 0), (dual(fano()), 9), (seventy, 0)]
+    default = codes.MC_CHUNK_WORDS
+    for M, sent in cases:
+        words = codes._pack_words(codes._codeword_table(M, 1 << 14))
+        for p in (0.01, 0.1, 0.45):
+            for block, count in ((0, codes.MC_BLOCK), (3, 701)):
+                args = (words, M.size, sent, p, 29, block, count)
+                expected = mc_block_per_trial(*args)
+                # one draw and one codeword per chunk only on the short block
+                for chunk_words in (1, 1000, default)[count > 701:]:
+                    monkeypatch.setattr(codes, "MC_CHUNK_WORDS", chunk_words)
+                    assert codes._mc_block(*args) == expected
+
+
+class _ThirdBlock(Exception):
+    pass
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_ml_blocks_are_walked_lazily(monkeypatch, workers):
+    # a million one-trial blocks; a block list built up front takes about
+    # 100 MB before the first block runs
+    calls = []
+
+    def block(words, n, true_idx, p, seed, block_idx, count):
+        calls.append(block_idx)
+        if len(calls) == 3:
+            raise _ThirdBlock
+        return 0, Fraction(0)
+
+    monkeypatch.setattr(codes, "MC_BLOCK", 1)
+    monkeypatch.setattr(codes, "_mc_block", block)
+    tracemalloc.start()
+    try:
+        with pytest.raises(_ThirdBlock):
+            ml_error_mc(fano(), p=0.1, seed=1, trials=10 ** 6, workers=workers)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 << 20
+    assert len(calls) <= 3 + workers
 
 
 def test_ml_monotone_in_p_statistically():
@@ -274,6 +339,14 @@ def test_ml_linearity_zero_vs_random_codeword():
     zero = ml_error_mc(ham, p=0.1, seed=17, trials=40000, codeword_index=0)
     other = ml_error_mc(ham, p=0.1, seed=18, trials=40000, codeword_index=9)
     assert max(zero.ci_lo, other.ci_lo) <= min(zero.ci_hi, other.ci_hi)
+
+
+def test_ml_codes_without_columns_never_err():
+    # a row of zero packed bits still gets one word to sort and compare
+    for M in (from_generator(Matrix(GF2, (), (), [])),
+              from_generator(Matrix(GF2, (), (0, 1), []))):
+        est = ml_error_mc(M, p=0.1, seed=1, trials=100)
+        assert est.errors == 0.0
 
 
 def test_ml_rejects_nonbinary():
