@@ -15,6 +15,7 @@ is an honest enumeration, organized by coefficient support so that it
 prunes to the candidates that can still win.
 """
 
+from functools import lru_cache
 from itertools import combinations, product
 
 from .errors import CapExceeded, LabelMismatch, check_budget
@@ -217,25 +218,46 @@ def rref(A: Matrix):
 # subspaces of F^E
 # ---------------------------------------------------------------------------
 
+def _ambient_layout(ambient):
+    """(sorted order, positions of the sorted labels in `ambient` or None
+    when it is already sorted, label -> index in the order)."""
+    if len(set(ambient)) != len(ambient):
+        raise LabelMismatch("duplicate ambient labels")
+    order = sort_labels(ambient)
+    perm = None if ambient == order else tuple(map(ambient.index, order))
+    return order, perm, {lbl: i for i, lbl in enumerate(order)}
+
+
+# Labels of exactly these types are equal only when label_key agrees, so an
+# ambient of them can key a cache: equal labels such as 1 and True, or 0.0
+# and -0.0, would merge under a cache key and sort apart under label_key.
+_PLAIN_LABEL_TYPES = frozenset((int, str))
+# lru_cache keeps no exceptions, so a duplicate ambient raises on every call
+_cached_ambient_layout = lru_cache(maxsize=1024)(_ambient_layout)
+
+
 class Subspace:
-    """A subspace of F^E held as an RREF basis over the sorted ambient set."""
+    """A subspace of F^E held as an RREF basis over the sorted ambient set.
+
+    The ambient set is sorted once per distinct tuple of int and str
+    labels (_cached_ambient_layout); other labels are sorted per call."""
 
     __slots__ = ("field", "ambient", "basis", "pivots", "_index")
 
     def __init__(self, field, ambient, vectors):
         ambient = tuple(ambient)
-        if len(set(ambient)) != len(ambient):
-            raise LabelMismatch("duplicate ambient labels")
-        order = sort_labels(ambient)
-        if ambient != order:
-            perm = [ambient.index(lbl) for lbl in order]
+        if _PLAIN_LABEL_TYPES.issuperset(map(type, ambient)):
+            order, perm, index = _cached_ambient_layout(ambient)
+        else:
+            order, perm, index = _ambient_layout(ambient)
+        if perm is not None:
             vectors = [[v[i] for i in perm] for v in vectors]
         basis, piv = rref_rows(field, vectors)
         self.field = field
         self.ambient = order
         self.basis = tuple(basis)
         self.pivots = tuple(piv)
-        self._index = {lbl: i for i, lbl in enumerate(order)}
+        self._index = index  # shared with every Subspace on this ambient
 
     @property
     def dim(self):
@@ -426,13 +448,14 @@ def min_weight(U: Subspace, *, cap=DEFAULT_WEIGHT_CAP):
 # ---------------------------------------------------------------------------
 
 def enumerate_subspaces(field, n, cap=100000):
-    """All subspaces of F^n as RREF basis tuples, in a fixed order.
+    """Generate all subspaces of F^n as RREF basis tuples, in a fixed order.
 
     Order: by dimension, then pivot-set lexicographic, then free-entry
-    assignment.  The count is the Galois number G_n(q).
+    assignment.  The count is the Galois number G_n(q); it is checked
+    against `cap` before the first subspace is built, and a caller that
+    stops early builds no more.
     """
     check_budget(subspace_count(field.q, n), "subspaces", cap)
-    out = []
     for d in range(n + 1):
         for piv in combinations(range(n), d):
             free = [(i, c) for i in range(d)
@@ -443,8 +466,7 @@ def enumerate_subspaces(field, n, cap=100000):
                     rows[i][piv[i]] = 1
                 for (i, c), v in zip(free, assign):
                     rows[i][c] = v
-                out.append(tuple(tuple(r) for r in rows))
-    return out
+                yield tuple(tuple(r) for r in rows)
 
 
 def gaussian_binomial(n, k, q):

@@ -11,14 +11,17 @@ that vanish on U's pivot columns), and the lift budget counts those
 Distance is an A* search in the subspace lattice, guided by the
 subspace distance 2 dim(U + U2) - dim U - dim U2 of Koetter and
 Kschischang, which every step changes by exactly 1; the tests compare it
-with the breadth-first search in tests/oracles.py.
+with the breadth-first search in tests/oracles.py.  Each expansion of U
+does one sum U + U2 and one intersection U n U2, and scores each
+neighbour by a containment test against one of them.
 
 pert_exact reduces the minimum of rank(A1 - A2) over aligned generator
 matrices to a search over difference row spaces: a subspace V of U1+U2
 works iff U1 <= U2 + V and U2 <= U1 + V (any valid pair of matrices has
 such a V of dimension rank(A1 - A2); conversely pairing bases through V
-achieves dim V at row count dim U1 + dim U2).  The tests compare it with
-the literal enumeration over coefficient matrices in tests/oracles.py.
+achieves dim V at row count dim U1 + dim U2).  It draws the candidate
+spaces lazily and stops at the first that works.  The tests compare it
+with the literal enumeration over coefficient matrices in tests/oracles.py.
 """
 
 from dataclasses import dataclass
@@ -70,10 +73,16 @@ class PerturbPair:
 
 def _points(F, k):
     """The normalized nonzero vectors of F^k (first nonzero entry 1), in
-    product order: one per 1-dimensional subspace, (q^k - 1)/(q - 1) in all."""
-    for code in product(F.elements(), repeat=k):
-        if next((x for x in code if x), None) == 1:
-            yield code
+    product order: one per 1-dimensional subspace, (q^k - 1)/(q - 1) in all.
+
+    In product order the vectors with leading 1 at position i come after
+    those with it at i + 1, and each block runs through its tail in
+    product order, so they are built directly instead of filtered."""
+    elements = F.elements()
+    for i in range(k - 1, -1, -1):
+        head = (0,) * i + (1,)
+        for tail in product(elements, repeat=k - 1 - i):
+            yield head + tail
 
 
 def elementary_projections(M: ReprMatroid, cap=DEFAULT_LATTICE_CAP):
@@ -122,11 +131,36 @@ def _subspace_distance(U: Subspace, W: Subspace) -> int:
     return 2 * sum_spaces(U, W).dim - U.dim - W.dim
 
 
+def _scored_steps(M: ReprMatroid, h: int, U2: Subspace, cap):
+    """Each elementary projection and lift N of M other than M itself,
+    with h(N) = _subspace_distance(N.space, U2) read off h = h(M) by one
+    containment test against S = U + U2 or W = U n U2, for U = M.space:
+
+    - a lift N > U has dim(N + U2) = dim S if N <= S, else dim S + 1, so
+      h(N) = h - 1 exactly when N <= S;
+    - a projection N < U has N n U2 = N n W, so dim(N + U2) = dim N +
+      dim U2 - dim W when W <= N and one more otherwise: h(N) = h - 1
+      exactly when W <= N.
+
+    Both budgets are checked before any neighbour is scored, and S and W
+    are built once per call; no neighbour is summed with U2."""
+    projections = elementary_projections(M, cap)[1:]
+    lifts = elementary_lifts(M, cap)[1:]
+    U = M.space
+    S, W = sum_spaces(U, U2), intersect_spaces(U, U2)
+    for N in projections:
+        yield N, h - 1 if all(map(N.space.contains, W.basis)) else h + 1
+    for N in lifts:
+        yield N, h - 1 if all(map(S.contains, N.space.basis)) else h + 1
+
+
 def dist(pair: PerturbPair, cap=100000) -> int:
     """Minimum number of elementary projections and lifts from M1 to M2:
     a shortest path in the subspace lattice of F^E, found by A* search
     under the consistent heuristic _subspace_distance to U2, deepest
-    first among equal estimates (cap bounds the subspaces visited)."""
+    first among equal estimates (cap bounds the subspaces visited).  Only
+    the start is scored with a sum of spaces; each expansion scores its
+    neighbours by containment (_scored_steps)."""
     U2 = pair.m2.space
     goal = U2.basis
     if pair.m1.space.basis == goal:
@@ -135,13 +169,13 @@ def dist(pair: PerturbPair, cap=100000) -> int:
     order = count()
     queue = [(_subspace_distance(pair.m1.space, U2), 0, next(order), pair.m1)]
     while queue:
-        _, neg_g, _, M = heappop(queue)
+        f, neg_g, _, M = heappop(queue)
         g = -neg_g
         if g > best[M.space.basis]:
             continue  # stale: M was pushed again with a shorter path
         # a goal next to M means M's estimate is g + 1, the least in the
         # queue, so no path to the goal is shorter
-        for N in elementary_projections(M, cap) + elementary_lifts(M, cap):
+        for N, h in _scored_steps(M, f - g, U2, cap):
             nb = N.space.basis
             if nb == goal:
                 return g + 1
@@ -151,8 +185,7 @@ def dist(pair: PerturbPair, cap=100000) -> int:
             else:
                 check_budget(len(best) + 1, "visited subspaces", cap)
             best[nb] = g + 1
-            heappush(queue, (g + 1 + _subspace_distance(N.space, U2),
-                             -(g + 1), next(order), N))
+            heappush(queue, (g + 1 + h, -(g + 1), next(order), N))
     raise AssertionError("subspace lattice is connected")  # unreachable
 
 

@@ -1,3 +1,5 @@
+import itertools
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -9,6 +11,7 @@ from oracles import (
     seeded,
 )
 
+from matroidlab import linalg
 from matroidlab.errors import CapExceeded, LabelMismatch
 from matroidlab.field import make_field
 from matroidlab.linalg import (
@@ -24,6 +27,7 @@ from matroidlab.linalg import (
     reduce_vector,
     rref,
     rref_rows,
+    sort_labels,
     subspace_count,
     sum_spaces,
 )
@@ -106,7 +110,7 @@ def test_orth_complement_parity_example():
 
 def test_orth_complement_exhaustive_gf2_4():
     # dim law and double complement over all 67 subspaces of GF(2)^4
-    bases = enumerate_subspaces(GF2, 4)
+    bases = list(enumerate_subspaces(GF2, 4))
     assert len(bases) == 67 == subspace_count(2, 4)
     amb = (0, 1, 2, 3)
     for rows in bases:
@@ -117,7 +121,15 @@ def test_orth_complement_exhaustive_gf2_4():
 
 
 def test_enumerate_subspaces_gf2_3_count():
-    assert len(enumerate_subspaces(GF2, 3)) == 16
+    assert len(list(enumerate_subspaces(GF2, 3))) == 16
+
+
+def test_enumerate_subspaces_is_lazy_and_checks_its_budget_first():
+    subspaces = enumerate_subspaces(GF2, 3)
+    assert next(subspaces) == ()
+    assert next(subspaces) == ((1, 0, 0),)
+    with pytest.raises(CapExceeded, match=r"^16 subspaces exceed the budget 15; "):
+        next(enumerate_subspaces(GF2, 3, cap=15))
 
 
 def test_gaussian_binomial_values():
@@ -307,6 +319,51 @@ def test_subspace_canonicalizes_ambient_order():
     U1 = Subspace(GF2, ("b", "a"), [(1, 0)])  # vector: b=1, a=0
     U2 = Subspace(GF2, ("a", "b"), [(0, 1)])
     assert U1 == U2
+
+
+def test_subspace_ambient_order_keeps_each_ambients_labels():
+    """Labels that are equal but sort apart (1 and True, 1 and 1.0, 0.0
+    and -0.0) each keep their own order and their own objects, whichever
+    ambient is built first."""
+    for first, second in [((5, 1), (5, True)), ((5, 1), (5, 1.0)),
+                          ((0.0, "-1"), (-0.0, "-1"))]:
+        for a, b in [(first, second), (second, first)] * 2:
+            for amb in (a, b):
+                U = Subspace(GF2, amb, [(1, 0)])  # 1 at amb[0]
+                want = sorted(amb, key=linalg.label_key)
+                assert list(map(repr, U.ambient)) == list(map(repr, want))
+                assert U.basis == (tuple(int(lbl is amb[0]) for lbl in want),)
+                assert [U.index(lbl) for lbl in want] == [0, 1]
+
+
+def test_subspace_duplicate_ambient_raises_every_time():
+    for amb in [(0, 1, 0), ("a", "b", "a"), (1, True)]:
+        for _ in range(2):
+            with pytest.raises(LabelMismatch, match="duplicate ambient labels"):
+                Subspace(GF2, amb, [])
+
+
+def test_subspace_permuted_ambient_matches_sorted():
+    labels = (0, 3, 10, "a", "b")
+    vecs = [(1, 0, 2, 1, 0), (0, 1, 1, 0, 2)]
+    want = Subspace(GF3, labels, vecs)
+    for perm in itertools.permutations(range(5)):
+        for _ in range(2):  # the second build reuses the cached order
+            U = Subspace(GF3, [labels[i] for i in perm], [[v[i] for i in perm] for v in vecs])
+            assert U == want
+            assert U.ambient == labels
+
+
+def test_subspace_sorts_each_plain_ambient_once(monkeypatch):
+    sorts = []
+    monkeypatch.setattr(linalg, "sort_labels",
+                        lambda labels: sorts.append(labels) or sort_labels(labels))
+    for _ in range(3):
+        Subspace(GF2, ("sorted-once", 7, "probe"), [(1, 1, 0)])
+    assert len(sorts) == 1
+    for _ in range(3):  # a bool label is not cached: it sorts apart from 1
+        Subspace(GF2, ("sorted-per-call", True, "probe"), [(1, 1, 0)])
+    assert len(sorts) == 4
 
 
 def test_matrix_label_access():

@@ -5,13 +5,23 @@ import pytest
 
 from oracles import dist_bfs, elementary_lifts_reference, pert_exact_tiny
 
+from matroidlab import perturb
 from matroidlab.errors import CapExceeded, ShapeMismatch
 from matroidlab.field import make_field
-from matroidlab.linalg import Matrix, Subspace, enumerate_subspaces
+from matroidlab.linalg import (
+    Matrix,
+    Subspace,
+    enumerate_subspaces,
+    subspace_count,
+    sum_spaces,
+)
 from matroidlab.matroid import ReprMatroid, contract, delete, from_generator
 from matroidlab.perturb import (
+    DEFAULT_LATTICE_CAP,
     PerturbPair,
     _aligned_generators,
+    _points,
+    _scored_steps,
     _subspace_distance,
     apply_perturbation,
     dist,
@@ -127,6 +137,16 @@ def test_lifts_match_reference_enumeration():
     assert cases == (464 + 248 + 53) + 2 * 212
 
 
+@pytest.mark.parametrize("p,k", [(2, 1), (3, 1), (2, 2), (5, 1), (3, 2)])
+def test_points_are_the_normalized_vectors_in_product_order(p, k):
+    F = make_field(p, k)
+    for n in range(5):
+        filtered = [v for v in product(F.elements(), repeat=n)
+                    if next((x for x in v if x), None) == 1]
+        assert list(_points(F, n)) == filtered
+        assert len(filtered) == (F.q ** n - 1) // (F.q - 1)
+
+
 def test_lifts_build_one_subspace_per_lift(monkeypatch):
     """A 1-dimensional U in GF(3)^4 has (3^3 - 1)/2 = 13 lifts; building a
     subspace per vector outside U would take 3^4 - 3 = 78."""
@@ -183,8 +203,9 @@ def test_dist_bfs_budget_counts_visited_subspaces():
 
 @pytest.mark.parametrize("p,k,n", [(2, 1, 4), (3, 1, 3)])
 def test_subspace_distance_is_a_consistent_heuristic(p, k, n):
-    """The A* heuristic is 0 exactly at the target, and every elementary
-    projection or lift changes it by exactly 1."""
+    """The A* heuristic is 0 exactly at the target, every elementary
+    projection or lift changes it by exactly 1, and the estimate dist
+    reads off each step by a containment test is that distance."""
     spaces = all_matroids(make_field(p, k), n)
     targets = random.Random(15).sample(spaces, 6)
     for M in spaces:
@@ -192,8 +213,11 @@ def test_subspace_distance_is_a_consistent_heuristic(p, k, n):
         for T in targets:
             h = _subspace_distance(M.space, T.space)
             assert (h == 0) == (M == T)
-            for N in steps:
-                assert abs(_subspace_distance(N.space, T.space) - h) == 1
+            scored = list(_scored_steps(M, h, T.space, DEFAULT_LATTICE_CAP))
+            assert [N for N, _ in scored] == steps
+            for N, estimate in scored:
+                assert estimate == _subspace_distance(N.space, T.space)
+                assert abs(estimate - h) == 1
 
 
 @pytest.mark.parametrize("p,k,n,seed", [(2, 1, 5, 0), (3, 1, 4, 1), (2, 2, 3, 2)])
@@ -296,6 +320,33 @@ def test_pert_exact_matches_literal_enumeration_gf3():
             if a.rank + b.rank <= 2:
                 pair = PerturbPair(a, b)
                 assert pert_exact(pair) == pert_exact_tiny(pair)
+
+
+def test_pert_exact_stops_enumerating_at_its_answer(monkeypatch):
+    """pert_exact draws difference spaces only up to the first feasible
+    one, of dimension lo = s - min(dim U1, dim U2), so when lo < s it never
+    reaches the last of the G_s(q) subspaces of U1 + U2."""
+    drawn = []
+
+    def counted(field, n, cap):
+        for rows in enumerate_subspaces(field, n, cap=cap):
+            drawn.append(rows)
+            yield rows
+
+    monkeypatch.setattr(perturb, "enumerate_subspaces", counted)
+    for field in (GF2, GF3):
+        checked = 0
+        ms = all_matroids(field, 3)
+        for a, b in product(ms, repeat=2):
+            s = sum_spaces(a.space, b.space).dim
+            if a == b or min(a.rank, b.rank) == 0:
+                continue  # no search, or lo = s
+            drawn.clear()
+            value = pert_exact(PerturbPair(a, b))
+            assert value == s - min(a.rank, b.rank) == len(drawn[-1])
+            assert len(drawn) < subspace_count(field.q, s)
+            checked += 1
+        assert checked > 100
 
 
 def test_pert_lower_bound_is_intersection_defect():
