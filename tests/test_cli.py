@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -511,3 +512,57 @@ def test_field_above_order_cap_exits_3_at_once(tmp_path, p, k, order):
     assert proc.returncode == 3
     assert proc.stdout == ""
     assert proc.stderr == f"cap exceeded: field order {order} exceeds cap 65536\n"
+
+
+# template files for the `template` pins: an empty subfield template over
+# GF(3); GF(4) over GF(2) with C, D and Y non-empty; the trivial GF(2) frame
+# template; a GF(4) frame template with Gamma = GF(4)*; and a GF(2) frame
+# template with every set non-empty
+PINNED_TEMPLATES = {
+    "sub3": "template subfield\ngf 3 1\nsubfield 3 1\nA1\nA2\nlambda\ndelta\n",
+    "sub4cdy": ("template subfield\ngf 2 2\npoly 1 1 1\nsubfield 2 1\nC c\nD d\nY y\n"
+                "A1\n2\nA2\n1\nlambda\ndelta\n1 1\n"),
+    "frame2": "template frame\ngf 2 1\ngamma 1\nA1\nlambda\ndelta\n",
+    "frame4": "template frame\ngf 2 2\npoly 1 1 1\ngamma 1 2 3\nA1\nlambda\ndelta\n",
+    "frame2c": ("template frame\ngf 2 1\ngamma 1\nC c\nD d\nX x\nY0 y0\nY1 y1\n"
+                "A1\n1 1 0\n0 1 1\nlambda\n1\ndelta\n1 1 0\n"),
+}
+PINNED_TEMPLATE_MATRICES = {
+    "u24gf3": Matrix(GF3, (0, 1), tuple(range(4)), [[1, 0, 1, 1], [0, 1, 1, 2]]),
+    "u24gf4": Matrix(GF4, (0, 1), tuple(range(4)), [[1, 0, 1, 1], [0, 1, 2, 3]]),
+    "fano": FANO,
+}
+# argv -> (number of matroids, SHA-256 of stdout) for enumerate, stdout for
+# member; recorded before enumeration stopped re-checking conformance and
+# row-reducing candidates whose echelon form it already holds
+PINNED_TEMPLATE_STDOUT = [
+    (["enumerate", "sub3", "--rows", "2", "--cols", "2"],
+     (81, "7bffe2736cab228690bf26999fc2c15d15096228567901142bf35bab96996a4c")),
+    (["enumerate", "sub4cdy", "--rows", "2", "--cols", "2"],
+     (64, "81e444663dbe432d80a3be1fda4eedb4a3d43eb6d92eff562299a69910a1e202")),
+    (["enumerate", "frame4", "--rows", "2", "--cols", "3"],
+     (41, "517531a7be02f5e3d61c1cb98d83ad9ecdfd36d8d62a66944a0d77780587671e")),
+    (["enumerate", "frame2c", "--rows", "3", "--cols", "2"],
+     (6, "38146d556e04f26041577e6457703720b88d9d626ff21d83ca724869eef7d686")),
+    (["member", "sub3", "u24gf3"], '{"member": true}\n'),
+    (["member", "sub4cdy", "u24gf4"], '{"member": false}\n'),
+    (["member", "frame2", "fano"], '{"member": false}\n'),
+]
+
+
+@pytest.mark.parametrize("argv,expected", PINNED_TEMPLATE_STDOUT,
+                         ids=[" ".join(argv) for argv, _ in PINNED_TEMPLATE_STDOUT])
+def test_template_enumerate_and_member_stdout_bytes(capsys, tmp_path, argv, expected):
+    paths = {}
+    for name, text in PINNED_TEMPLATES.items():
+        paths[name] = tmp_path / f"{name}.tmpl"
+        paths[name].write_text(text)
+    for name, A in PINNED_TEMPLATE_MATRICES.items():
+        paths[name] = tmp_path / f"{name}.mat"
+        paths[name].write_text(write_matrix(A))
+    code, out = run(capsys, ["template"] + [str(paths.get(a, a)) for a in argv])
+    assert code == 0
+    if argv[0] == "member":
+        assert out == expected
+    else:
+        assert (len(json.loads(out)), hashlib.sha256(out.encode()).hexdigest()) == expected
