@@ -236,20 +236,26 @@ _PLAIN_LABEL_TYPES = frozenset((int, str))
 _cached_ambient_layout = lru_cache(maxsize=1024)(_ambient_layout)
 
 
+def _layout_of(ambient):
+    """_ambient_layout(ambient), cached when every label is a plain int or str."""
+    ambient = tuple(ambient)
+    if _PLAIN_LABEL_TYPES.issuperset(map(type, ambient)):
+        return _cached_ambient_layout(ambient)
+    return _ambient_layout(ambient)
+
+
 class Subspace:
     """A subspace of F^E held as an RREF basis over the sorted ambient set.
 
     The ambient set is sorted once per distinct tuple of int and str
-    labels (_cached_ambient_layout); other labels are sorted per call."""
+    labels (_cached_ambient_layout); other labels are sorted per call.
+    A caller that already holds the RREF builds it with _of_reduced,
+    which shares that layout and skips the row reduction."""
 
     __slots__ = ("field", "ambient", "basis", "pivots", "_index")
 
     def __init__(self, field, ambient, vectors):
-        ambient = tuple(ambient)
-        if _PLAIN_LABEL_TYPES.issuperset(map(type, ambient)):
-            order, perm, index = _cached_ambient_layout(ambient)
-        else:
-            order, perm, index = _ambient_layout(ambient)
+        order, perm, index = _layout_of(ambient)
         if perm is not None:
             vectors = [[v[i] for i in perm] for v in vectors]
         basis, piv = rref_rows(field, vectors)
@@ -258,6 +264,18 @@ class Subspace:
         self.basis = tuple(basis)
         self.pivots = tuple(piv)
         self._index = index  # shared with every Subspace on this ambient
+
+    @classmethod
+    def _of_reduced(cls, field, ambient, basis, pivots):
+        """The subspace whose RREF basis over `ambient`, which must already
+        be sorted, is `basis` with `pivots`: taken as given, not reduced."""
+        order, perm, index = _layout_of(ambient)
+        if perm is not None:
+            raise LabelMismatch("reduced rows need a sorted ambient")
+        self = object.__new__(cls)
+        self.field, self.ambient, self._index = field, order, index
+        self.basis, self.pivots = tuple(basis), tuple(pivots)
+        return self
 
     @property
     def dim(self):
@@ -315,13 +333,15 @@ def intersect_spaces(U: Subspace, V: Subspace) -> Subspace:
     """The intersection of U and V by Zassenhaus' method: one RREF of the
     rows (u | u) and (v | 0).  A row with zero left half is (u + v | u)
     with u = -v, so the right halves of the rows that pivot in the right
-    half span the intersection."""
+    half span the intersection.  Those right halves are already an RREF
+    basis, with the pivots shifted by n."""
     _check_common(U, V)
     n = len(U.ambient)
     rows = [u + u for u in U.basis] + [v + (0,) * n for v in V.basis]
     red, piv = rref_rows(U.field, rows)
-    return Subspace(U.field, U.ambient,
-                    [row[n:] for row, p in zip(red, piv) if p >= n])
+    k = sum(p < n for p in piv)  # pivots ascend: the right-half rows come last
+    return Subspace._of_reduced(U.field, U.ambient, [row[n:] for row in red[k:]],
+                                [p - n for p in piv[k:]])
 
 
 # ---------------------------------------------------------------------------

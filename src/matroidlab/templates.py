@@ -27,14 +27,20 @@ rows, already searched or below that floor, so such candidates are cut.
 With no contraction the realized matroid is the column matroid of [I,A]'s
 kept columns, so a candidate is built, checked and realized only if the
 loop count and parallel-class sizes of those columns match the target's.
-Every candidate that is realized has its conformance checked first.  The
-target's rank profile is built once per query, within the budget of
-table entries, and a candidate reaches the equivalence search only if
-its parallel invariants match the target's (_Target): read from its kept
-columns when nothing is contracted, from its realized matroid's columns
-otherwise.  The membership budget cap counts the candidate matrices of
-each row count searched (subfield) or the search nodes of all row counts
-together (frame), and the entries of each rank table.
+Every candidate that membership realizes has its conformance checked
+first.  Enumeration trusts the layouts, whose candidates conform by
+construction (test_layout_candidates_conform checks them against the
+checkers): it realizes subfield candidates unchecked, taking [I,A] as its
+own RREF when nothing is contracted or deleted and the labels are
+sorted, and keys frame candidates by an echelon walk (_echelon_walk)
+before realizing the new ones.  The target's rank profile is built once
+per query, within the budget of table entries, and a candidate reaches
+the equivalence search only if its parallel invariants match the
+target's (_Target): read from its kept columns when nothing is
+contracted, from its realized matroid's columns otherwise.  The
+membership budget cap counts the candidate matrices of each row count
+searched (subfield) or the search nodes of all row counts together
+(frame), and the entries of each rank table.
 """
 
 from collections import Counter
@@ -52,7 +58,6 @@ from .linalg import (
     Subspace,
     extend_echelon,
     normalizer,
-    rref_rows,
     sort_labels,
 )
 from .matroid import (
@@ -530,11 +535,13 @@ def enumerate_conforming(tmpl, extra_rows, free_cols, cap=DEFAULT_ENUM_CAP):
     structural equality) in enumeration order.
 
     extra_rows counts the rows of B beyond the template's named rows and
-    free_cols the columns beyond its named columns.  A frame candidate is
-    realized only if the row space of its C and kept columns is new; with
-    C empty that row space determines the matroid, so each distinct
-    matroid is realized once.  Every matroid yielded is still checked for
-    conformance and realized by the minor kernel.
+    free_cols the columns beyond its named columns.  The layouts build
+    conforming matrices only, so a subfield candidate is realized without
+    a conformance check: straight from [I,A] when that is already its
+    RREF, by the minor kernel otherwise.  A frame candidate is realized
+    only if the row space of its C and kept columns is new; with C empty
+    that row space determines the matroid, so each distinct matroid is
+    realized once, through frame_matroid_of.
     """
     if isinstance(tmpl, SubfieldTemplate):
         yield from _enumerate_subfield(tmpl, extra_rows, free_cols, cap)
@@ -547,14 +554,78 @@ def _enumerate_subfield(tmpl, extra_rows, free_cols, cap):
     total = len(lay.lam_elems) ** free_cols * lay.n_row_options ** extra_rows
     check_budget(total, "conforming matrices", cap)
     row_opts = lay.row_options()
+    labels = lay.rows + lay.cols
+    # with nothing contracted or deleted and the labels distinct and sorted,
+    # [I,A] is its own RREF over the realized matroid's ground set
+    reduced = (not tmpl.C and not tmpl.D and len(set(labels)) == len(labels)
+               and labels == sort_labels(labels))
     seen = set()
     for lam_pick in product(lay.lam_elems, repeat=free_cols):
         for row_picks in product(row_opts, repeat=extra_rows):
-            M = subfield_matroid_of(lay.matrix(lay.entries(lam_pick, row_picks)), tmpl)
+            data = lay.entries(lam_pick, row_picks)
+            if reduced:
+                M = ReprMatroid(Subspace._of_reduced(
+                    lay.field, labels, [u + tuple(row) for u, row in zip(lay._units, data)],
+                    range(extra_rows)))
+            else:
+                M = _realize(lay.matrix(data), tmpl.C, tmpl.D)
             key = (M.ground, M.space.basis)
             if key not in seen:
                 seen.add(key)
                 yield M
+
+
+def _echelon_walk(F, m, fixed, columns, depth):
+    """(picks, key) for every picks in product(columns, repeat=depth), in
+    that order.  key is the reduced echelon form T * [fixed | picks] of
+    those m-row columns, as a tuple of columns with the zero rows kept, so
+    two picks share a key iff their matrices have the same row space.
+
+    The walk is depth first and carries T, an invertible m x m transform
+    (as rows) that brings the columns picked so far, fixed ones included,
+    to RREF of rank r.  A pick whose T * c is zero in rows r and below is
+    its own reduced column.  Any other becomes the unit column e_r, and T
+    takes one more elimination: swap the first nonzero row of T * c at or
+    below r with row r, scale row r to 1, clear the rest of the column.
+    The earlier columns are zero in rows r and below, so the elimination
+    leaves them alone, and a leaf costs one product T * c and at most one
+    elimination, where rref_rows would reduce the whole matrix."""
+    add, mul, neg, inv = F.add, F.mul, F.neg, F.inv
+    units = [tuple(int(i == j) for i in range(m)) for j in range(m)]
+
+    def step(T, r, c):
+        """(c's reduced column, T, r) once column c is appended."""
+        v = [0] * m
+        for k, row in enumerate(T):
+            for x, y in zip(row, c):
+                if x and y:
+                    v[k] = add(v[k], mul(x, y))
+        i = next((i for i in range(r, m) if v[i]), None)
+        if i is None:
+            return tuple(v), T, r
+        T = list(T)
+        T[i], T[r], v[i], v[r] = T[r], T[i], v[r], v[i]
+        s = inv(v[r])
+        T[r] = [mul(s, x) for x in T[r]]
+        for k, x in enumerate(v):
+            if x and k != r:
+                f = neg(x)
+                T[k] = [add(y, mul(f, z)) for y, z in zip(T[k], T[r])]
+        return units[r], T, r + 1
+
+    def walk(T, r, key, picks, left):
+        if not left:
+            yield picks, key
+            return
+        for c in columns:
+            col, T2, r2 = step(T, r, c)
+            yield from walk(T2, r2, key + (col,), picks + (c,), left - 1)
+
+    T, r, key = units, 0, ()
+    for c in fixed:
+        col, T, r = step(T, r, c)
+        key += (col,)
+    yield from walk(T, r, key, (), depth)
 
 
 def _enumerate_frame(tmpl, extra_rows, free_cols, cap):
@@ -566,12 +637,11 @@ def _enumerate_frame(tmpl, extra_rows, free_cols, cap):
     for delta_rows in product(lay.delta_elems, repeat=extra_rows):
         named = lay.named_columns(delta_rows)
         columns = [lay.column(option, named) for option in options]
-        c_cols = [named[c] for c in tmpl.C]
-        for picks in product(columns, repeat=free_cols):
-            # the row space of the C and kept columns, in the layout's fixed
-            # column order, determines the realized matroid M / C \ D
-            rows = list(zip(*(c_cols + lay.kept_columns(named, picks))))
-            rows_key = tuple(rref_rows(lay.field, rows)[0])
+        # the row space of the C and kept columns, in the layout's fixed
+        # column order, determines the realized matroid M / C \ D
+        fixed = [named[c] for c in tmpl.C] + lay.kept_columns(named, ())
+        for picks, rows_key in _echelon_walk(lay.field, len(lay.rows), fixed, columns,
+                                             free_cols):
             if rows_key in seen_rows:
                 continue
             seen_rows.add(rows_key)

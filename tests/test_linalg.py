@@ -366,6 +366,47 @@ def test_subspace_sorts_each_plain_ambient_once(monkeypatch):
     assert len(sorts) == 4
 
 
+def subspace_parts(U):
+    """Everything a Subspace holds, pivots and label index included."""
+    return U.field, U.ambient, U.basis, U.pivots, U._index
+
+
+@pytest.mark.parametrize("p,k", [(2, 1), (3, 1), (2, 2), (5, 1)])
+def test_intersect_spaces_builds_the_reduced_subspace(p, k):
+    # the Zassenhaus rows that pivot in the right half are taken as the
+    # intersection's RREF basis, unreduced; reducing them again changes nothing
+    F = make_field(p, k)
+    rng = seeded(1000 * p + k)
+    for labels in [(4, 0, 3, 1, 2), ("x3", "x1", "x4", "x0", "x2"), (3, "a", 0, "b", 1)]:
+        for n in range(len(labels) + 1):
+            ambient = labels[:n]
+            for _ in range(8):
+                U, V = (Subspace(F, ambient, [tuple(rng.randrange(F.q) for _ in range(n))
+                                              for _ in range(rng.randint(0, n + 1))])
+                        for _ in range(2))
+                got = intersect_spaces(U, V)
+                assert subspace_parts(got) == subspace_parts(Subspace(F, got.ambient, got.basis))
+                assert got == intersect_spaces_reference(U, V)
+
+
+def test_reduced_rows_constructor_needs_a_sorted_ambient():
+    rows, pivots = [(1, 0, 2), (0, 1, 1)], [0, 1]
+    got = Subspace._of_reduced(GF3, ("a", "b", "c"), rows, pivots)
+    assert subspace_parts(got) == subspace_parts(Subspace(GF3, ("a", "b", "c"), rows))
+    with pytest.raises(LabelMismatch, match="^reduced rows need a sorted ambient$"):
+        Subspace._of_reduced(GF3, ("b", "a", "c"), rows, pivots)
+    with pytest.raises(LabelMismatch, match="duplicate ambient labels"):
+        Subspace._of_reduced(GF3, ("a", "a", "c"), rows, pivots)
+
+
+@pytest.mark.parametrize("field", [GF2, GF3, GF4], ids=lambda F: f"GF{F.q}")
+def test_matrix_rejects_entries_outside_the_field(field):
+    for bad in (-1, field.q):
+        with pytest.raises(ValueError, match=rf"^entry {bad} is not a code in "):
+            Matrix(field, ("r",), ("a", "b"), [[0, bad]])
+    assert Matrix(field, ("r",), ("a", "b"), [[0, field.q - 1]]).data == ((0, field.q - 1),)
+
+
 def test_matrix_label_access():
     A = mat(GF3, [[1, 2], [0, 1]], rows=("r", "s"), cols=("x", "y"))
     assert A.entry("r", "y") == 2

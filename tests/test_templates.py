@@ -41,6 +41,7 @@ from matroidlab.templates import (
     FrameTemplate,
     SubfieldTemplate,
     _allowed_rows,
+    _echelon_walk,
     _FrameLayout,
     _realize,
     _SubfieldLayout,
@@ -666,6 +667,84 @@ def test_frame_enumeration_realizes_each_matroid_once(monkeypatch):
     assert len(out) <= len(calls) < candidates
 
 
+# the subfield shapes (p, extra rows, free columns) the benchmark enumerates
+SUBFIELD_ENUM_SHAPES = [(2, 2, 3), (2, 3, 2), (2, 2, 4), (2, 3, 3), (3, 2, 2), (3, 2, 3),
+                        (3, 3, 2)]
+
+
+@pytest.mark.parametrize("p,b,f", SUBFIELD_ENUM_SHAPES)
+def test_subfield_enumeration_takes_identity_blocks_as_reduced(p, b, f):
+    # with nothing contracted or deleted and the labels sorted, [I,A] is its
+    # own RREF: the enumerated spaces, pivots and label index included, are
+    # those Subspace builds by row reduction, in the order of the A's
+    F = make_field(p, 1)
+    labels = tuple(f"b{i:02d}" for i in range(b)) + tuple(f"e{j:02d}" for j in range(f))
+    units = [tuple(int(i == j) for j in range(b)) for i in range(b)]
+    want = [Subspace(F, labels, [units[i] + A[i * f:(i + 1) * f] for i in range(b)])
+            for A in product(range(p), repeat=b * f)]
+    got = [M.space for M in enumerate_conforming(SubfieldTemplate.empty(F), b, f)]
+    assert len(got) == len(want)
+    for U, V in zip(got, want):
+        assert (U.field, U.ambient, U.basis, U.pivots, U._index) == \
+            (V.field, V.ambient, V.basis, V.pivots, V._index)
+
+
+def test_subfield_enumeration_agrees_with_and_without_sorted_labels(monkeypatch):
+    # C and D empty: Y = c sorts between the b and e labels, so [I,A] is taken
+    # as reduced; Y = z does not, so each candidate goes through _realize
+    realized = []
+    real = templates._realize
+    monkeypatch.setattr(templates, "_realize",
+                        lambda *args: realized.append(args) or real(*args))
+
+    def enumerate_with(y, shape):
+        tmpl = gf4_subfield_template(Y=(y,), lam_vectors=[], delta_vectors=[[1]])
+        realized.clear()
+        got = list(enumerate_conforming(tmpl, *shape))
+        assert set(got) == conforming_matroids_bruteforce(tmpl, *_labels(tmpl, *shape))
+        return got, len(realized)
+
+    for shape in ((1, 1), (2, 1), (1, 2)):
+        reduced, n_reduced = enumerate_with("c", shape)
+        realized_all, n_realized = enumerate_with("z", shape)
+        assert n_reduced == 0 and n_realized >= len(realized_all) > 1
+        assert realized_all == [relabel(M, {e: {"c": "z"}.get(e, e) for e in M.ground})
+                                for M in reduced]
+
+
+# frame templates and shapes on which the echelon walk is checked: Gamma =
+# GF(4)* scales pivots by elements other than 1; the rich GF(3) template
+# has fixed X and Y0 columns; the GF(2) one with C has a contracted column
+WALK_TEMPLATES = {
+    "trivial-gf4-gamma3": (lambda: FrameTemplate.trivial(subgroup_of_order(GF4, 3)),
+                           ((2, 2), (3, 2))),
+    "frame-gf3": (rich_frame_template_gf3, ((2, 0), (1, 2), (2, 2))),
+    "frame-gf2-C": (contracting_frame_template_gf2, ((2, 2), (3, 1))),
+}
+
+
+@pytest.mark.parametrize("name", sorted(WALK_TEMPLATES))
+def test_echelon_walk_keys_are_the_row_reductions(name):
+    make, shapes = WALK_TEMPLATES[name]
+    tmpl = make()
+    F = tmpl.field
+    for b, f in shapes:
+        lay = _FrameLayout(tmpl, b, f)
+        m = len(lay.rows)
+        options = lay.options(range(b))
+        for delta_rows in product(lay.delta_elems, repeat=b):
+            named = lay.named_columns(delta_rows)
+            columns = [lay.column(option, named) for option in options]
+            fixed = [named[c] for c in tmpl.C] + lay.kept_columns(named, ())
+            walked = list(_echelon_walk(F, m, fixed, columns, f))
+            assert [picks for picks, _ in walked] == list(product(columns, repeat=f))
+            for picks, key in walked:
+                cols = fixed + list(picks)
+                assert len(key) == len(cols) and all(len(c) == m for c in key)
+                red, _ = rref_rows(F, list(zip(*cols)))
+                assert list(zip(*key)) == red + [(0,) * len(cols)] * (m - len(red))
+
+
 def test_rich_subfield_template_rejects_u24():
     # every member is binary: contracting c = w*e_d + s sends y = e_d + s to
     # a multiple of the binary vector s (or to a loop), and all other columns
@@ -711,6 +790,39 @@ def test_template_budgets_give_count_and_flag(search, message):
     with pytest.raises(CapExceeded) as info:
         search()
     assert str(info.value) == message + "; raise it with --cap"
+
+
+def above_floor_member():
+    """A member of contracting_frame_template_gf2 of rank 3 that the frame
+    search finds at b = 2 anonymous rows, one above the rank floor
+    r - |D| - |X| = 1."""
+    return from_generator(Matrix(GF2, (0, 1, 2), ("e00", "e01", "x", "y0"),
+                                 [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 1]]))
+
+
+# (search at a node budget, nodes a finished search visits, its verdict)
+FINISHED_FRAME_SEARCHES = [
+    # the rank floor starts at b = 3 rows and the zero-row bound ends at b = 7
+    (lambda cap: member_of(FrameTemplate.trivial(ONE2), pg(3, GF2), cap=cap), 510, False),
+    # f = 1 free column: b runs from the floor 0 to b_max = 2f + |Delta| = 5
+    (lambda cap: member_of(rich_frame_template_gf3(), uniform_represented(2, 3, GF3), cap=cap),
+     36, False),
+    # 62 nodes at b = 1, then found at b = 2, where untouched zero rows cut
+    (lambda cap: member_of(contracting_frame_template_gf2(), above_floor_member(), cap=cap),
+     68, True),
+]
+
+
+@pytest.mark.parametrize("search,nodes,verdict", FINISHED_FRAME_SEARCHES,
+                         ids=["fano-trivial", "u23-rich-gf3", "above-floor-member"])
+def test_finished_frame_search_node_count_is_pinned(search, nodes, verdict):
+    # a budget of exactly the nodes visited finishes; one less raises, so a
+    # weaker prune (more nodes) or a lost row count (fewer) fails here
+    assert search(nodes) is verdict
+    with pytest.raises(CapExceeded) as info:
+        search(nodes - 1)
+    assert str(info.value) == (f"{nodes} frame search nodes exceed the budget {nodes - 1}; "
+                               "raise it with --cap")
 
 
 def test_member_of_realizes_only_prefiltered_candidates(monkeypatch):
