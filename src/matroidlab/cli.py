@@ -45,6 +45,7 @@ from .growth import (
     h_nelson_two_field,
     is_alpha_t_frame,
 )
+from .linalg import DEFAULT_WEIGHT_CAP
 from .matroid import (
     DEFAULT_MINOR_CAP,
     DEFAULT_VCONN_CAP,
@@ -79,6 +80,8 @@ from .templates import (
 )
 
 _RANK_TABLE_CAP = 12  # elements of a rank table that construct prints
+_WEIGHT_CAP_HELP = ("budget: the minimum-weight search scores at most this many "
+                   "combinations of basis rows (default %(default)s)")
 
 
 def _emit(args, text):
@@ -184,7 +187,7 @@ def _cmd_construct(args):
 def _cmd_girth(args):
     """girth and cogirth: args.search is smallest_circuit or
     smallest_cocircuit."""
-    hit = args.search(_matroid_of(args.matrix), workers=args.workers)
+    hit = args.search(_matroid_of(args.matrix), workers=args.workers, cap=args.cap)
     value, witness = (None, None) if hit is None else hit
     _emit(args, _json({"value": value,
                        "witness": None if witness is None else list(witness)}))
@@ -305,11 +308,11 @@ def _cmd_template(args):
 
 def _cmd_code(args):
     if args.action == "params":
-        cp = code_params(_matroid_of(args.matrix), workers=args.workers)
+        cp = code_params(_matroid_of(args.matrix), workers=args.workers, cap=args.cap)
         _emit_csv(args, "n,k,d,rate,rel_dist",
                   [(cp.n, cp.k, cp.d, cp.rate, cp.rel_dist)])
     else:  # cut
-        rep = cut_code_distance_bound(_graph_arg(args), args.R)
+        rep = cut_code_distance_bound(_graph_arg(args), args.R, cap=args.cap)
         _emit_csv(args, "vertices,edges,distance,min_degree,rate_cut,rate_cycle,"
                   "delta_stated,delta_degree,holds",
                   [(rep.n_vertices, rep.n_edges, rep.distance, rep.min_degree,
@@ -438,7 +441,7 @@ def build_parser():
     for name, search in (("girth", smallest_circuit), ("cogirth", smallest_cocircuit)):
         p = sub.add_parser(name, help=f"{name} with witness")
         p.add_argument("matrix")
-        _add_common(p, workers=True)
+        _add_common(p, workers=True, cap=DEFAULT_WEIGHT_CAP, cap_help=_WEIGHT_CAP_HELP)
         p.set_defaults(fn=_cmd_girth, search=search)
 
     p = sub.add_parser("dual", help="dual matroid as a matrix file")
@@ -497,7 +500,7 @@ def build_parser():
     p.add_argument("--R", type=float, default=0.5)
     p.add_argument("--kn", type=int)
     p.add_argument("--graph")
-    _add_common(p, workers=True)
+    _add_common(p, workers=True, cap=DEFAULT_WEIGHT_CAP, cap_help=_WEIGHT_CAP_HELP)
     p.set_defaults(fn=_cmd_code)
 
     p = sub.add_parser("threshold", help="binary and graphic thresholds")

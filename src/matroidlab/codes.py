@@ -36,7 +36,7 @@ from .errors import (
     check_budget,
 )
 from .field import make_field
-from .linalg import min_weight
+from .linalg import DEFAULT_WEIGHT_CAP, min_weight
 from .matroid import ReprMatroid
 
 DEFAULT_CODEWORD_CAP = 1 << 14
@@ -53,16 +53,17 @@ class CodeParams:
     rel_dist: Fraction | None
 
 
-def code_params(M: ReprMatroid, workers=1) -> CodeParams:
+def code_params(M: ReprMatroid, workers=1, cap=DEFAULT_WEIGHT_CAP) -> CodeParams:
     """(n, k, d, rate, relative distance); d is None for the zero code.
 
-    `workers` is accepted for callers that pass it and changes nothing:
-    the minimum-weight search runs in one thread."""
+    d comes from min_weight within `cap`.  `workers` is accepted for
+    callers that pass it and changes nothing: the minimum-weight search
+    runs in one thread."""
     n = M.size
     if n == 0:
         raise EmptyCode("code of length 0")
     k = M.rank
-    d, _ = min_weight(M.space)
+    d, _ = min_weight(M.space, cap=cap)
     return CodeParams(n, k, d, Fraction(k, n),
                       None if d is None else Fraction(d, n))
 
@@ -158,9 +159,10 @@ class CutBoundReport:
     holds: bool
 
 
-def cut_code_distance_bound(G, R) -> CutBoundReport:
+def cut_code_distance_bound(G, R, cap=DEFAULT_WEIGHT_CAP) -> CutBoundReport:
     """Distance of the cut code of a connected graph against both bound
-    candidates; see the module notes on the two rate conventions."""
+    candidates; see the module notes on the two rate conventions.  The
+    distance comes from min_weight within `cap`."""
     from .constructions import graphic
 
     if not G.is_connected():
@@ -171,7 +173,7 @@ def cut_code_distance_bound(G, R) -> CutBoundReport:
     if not 0 < R < 1:
         raise DomainError("R must lie in (0, 1)")
     M = graphic(G, make_field(2, 1))
-    d, _ = min_weight(M.space)
+    d, _ = min_weight(M.space, cap=cap)
     mindeg = G.min_degree()
     delta_stated = 1.0 / (2.0 * (1.0 - R))
     delta_degree = 2.0 * ne / nv

@@ -18,6 +18,8 @@ prunes to the candidates that can still win.
 from functools import lru_cache
 from itertools import combinations, product
 
+import numpy as np
+
 from .errors import CapExceeded, LabelMismatch, check_budget
 from .field import _digits, _undigits
 
@@ -348,65 +350,74 @@ def intersect_spaces(U: Subspace, V: Subspace) -> Subspace:
 # minimum Hamming weight of a subspace
 # ---------------------------------------------------------------------------
 
-def _packed_arithmetic(F, n):
-    """(pack, unpack, add, weight) for vectors of F^n held as one int.
+MW_CHUNK_WORDS = 1 << 18  # packed words per batch of combinations; bounds its memory
+
+
+@lru_cache(maxsize=256)
+def _word_layout(F, n):
+    """(pack, unpack, add, weight) for vectors of F^n packed into rows of
+    uint64 words.
 
     Each base-p digit of an element code gets a lane of w bits; coordinate
-    j owns lanes j*e .. j*e+e-1.  Over characteristic 2 a lane is one bit
-    and addition is XOR, since element codes are digit vectors.  For odd p
-    a lane has p.bit_length()+1 bits: lanes are added as integers, then p
-    is subtracted from every lane that reached p, found by adding H-p to
-    each lane and reading its high bit H.  The weight is the popcount of
-    one nonzero flag per coordinate (the OR of its e lane flags).
+    j owns e lanes, and a word holds 64 // (e*w) whole coordinates.  Over
+    characteristic 2 a lane is one bit and addition is XOR, since element
+    codes are digit vectors.  For odd p a lane has p.bit_length()+1 bits:
+    lanes are added as integers, then p is subtracted from every lane that
+    reached p, found by adding H-p to each lane and reading its high bit H.
+    The weight is the popcount of one nonzero flag per coordinate (the OR
+    of its e lane flags).  Unused lanes stay zero, so every word shares one
+    set of constants.
     """
     p, e = F.p, F.k
     w = 1 if p == 2 else p.bit_length() + 1
     coord_bits = e * w
+    per_word = 64 // coord_bits
+    words = -(-n // per_word)
+    ones = sum(1 << (i * w) for i in range(per_word * e))
+    high = np.uint64(ones << (w - 1))
+    if p > 2:
+        carry_adj = np.uint64(((1 << (w - 1)) - p) * ones)
+        nonzero_adj = np.uint64(((1 << (w - 1)) - 1) * ones)
+    flags = np.uint64(sum(1 << (j * coord_bits) for j in range(per_word)) << (w - 1))
+    shifts = np.arange(per_word, dtype=np.uint64) * np.uint64(coord_bits)
     # over GF(2^e) and GF(p) an element code is already its lane pattern
     plain = p == 2 or e == 1
 
-    def pack(vec):
-        return sum((c if plain else _undigits(_digits(c, p, e), 1 << w))
-                   << (j * coord_bits) for j, c in enumerate(vec) if c)
+    def pack(codes):
+        codes = np.asarray(codes, dtype=np.uint64)
+        lanes = np.zeros((len(codes), words * per_word), dtype=np.uint64)
+        for i in range(1 if plain else e):
+            digit = codes if plain else codes // np.uint64(p ** i) % np.uint64(p)
+            lanes[:, :n] |= digit << np.uint64(i * w)
+        return np.bitwise_or.reduce(lanes.reshape(-1, words, per_word) << shifts, axis=2)
 
     def unpack(x):
+        x, mask = x.tolist(), (1 << coord_bits) - 1
         out = []
         for j in range(n):
-            c = (x >> (j * coord_bits)) & ((1 << coord_bits) - 1)
+            c = (x[j // per_word] >> (j % per_word * coord_bits)) & mask
             out.append(c if plain else _undigits(_digits(c, 1 << w, e), p))
         return tuple(out)
 
-    if p == 2 and e == 1:
-        return pack, unpack, int.__xor__, int.bit_count
-    coord_flags = sum(1 << (j * coord_bits) for j in range(n)) << (w - 1)
-    if p == 2:
-        add = int.__xor__
-    else:
-        ones = sum(1 << (i * w) for i in range(n * e))
-        high = ones << (w - 1)
-        carry_adj = ((1 << (w - 1)) - p) * ones
-        nonzero_adj = ((1 << (w - 1)) - 1) * ones
-
-        def add(a, b):
-            s = a + b
-            return s - (((s + carry_adj) & high) >> (w - 1)) * p
+    def add(a, b):
+        """a + b, written into a."""
+        if p == 2:
+            return np.bitwise_xor(a, b, out=a)
+        a += b
+        a -= (((a + carry_adj) & high) >> np.uint64(w - 1)) * np.uint64(p)
+        return a
 
     def weight(x):
         f = x if p == 2 else (x + nonzero_adj) & high
         g = f
         for t in range(1, e):
-            g |= f >> (t * w)
-        return (g & coord_flags).bit_count()
+            g = g | (f >> np.uint64(t * w))
+        if e > 1:
+            g &= flags
+        counts = np.bitwise_count(g)
+        return counts[:, 0] if words == 1 else counts.sum(axis=1)
 
     return pack, unpack, add, weight
-
-
-def _charge(done, batch, cap):
-    """Count `batch` more combinations against `cap`; returns the new count."""
-    if done + batch > cap:
-        raise CapExceeded(f"minimum-weight search enumerated {done} combinations; "
-                          f"the next {batch} would pass the cap {cap}")
-    return done + batch
 
 
 def min_weight(U: Subspace, *, cap=DEFAULT_WEIGHT_CAP):
@@ -414,14 +425,22 @@ def min_weight(U: Subspace, *, cap=DEFAULT_WEIGHT_CAP):
 
     Returns (None, None) for the zero space.  Combinations of basis rows
     are enumerated by level (the number s of rows with a nonzero
-    coefficient), then depth first over (row, scalar) pairs in increasing
-    row order.  A combination of s rows has weight at least s at the pivot
-    columns, so the search stops once the best weight is at most the
-    current level.  The witness is the first vector of least weight in
-    that order.  Vectors are packed into ints (see _packed_arithmetic).
+    coefficient), and within a level in lexicographic order of their
+    (row, scalar) pairs with rows increasing.  A combination of s rows has
+    weight at least s at the pivot columns, so the search stops once the
+    best weight is at most the current level.  The witness is the first
+    vector of least weight in that order.
 
-    `cap` limits the combinations actually enumerated; CapExceeded says
-    how many were done.
+    Vectors are packed into uint64 words (see _word_layout).  A level is
+    built from the combinations of the level below it, each extended by
+    every later (row, scalar), and scored in numpy batches of at most
+    MW_CHUNK_WORDS words.  A level that fits in one batch is kept to build
+    the next; a larger one is rebuilt batch by batch when needed, so memory
+    stays within a few batches per level, whatever `cap` allows.
+
+    `cap` limits the combinations actually scored.  The extensions of one
+    prefix are charged together, before any of them is scored;
+    CapExceeded says how many were done.
     """
     F = U.field
     k = U.dim
@@ -430,36 +449,73 @@ def min_weight(U: Subspace, *, cap=DEFAULT_WEIGHT_CAP):
         return None, None
     nz = F.nonzero()
     per_row = len(nz)
+
+    def over_cap(done, more):
+        return CapExceeded(f"minimum-weight search enumerated {done} combinations; "
+                           f"the next {more} would pass the cap {cap}; raise it with --cap")
+
     # level 1 is the table of scaled rows itself: check it before building
-    _charge(0, k * per_row, cap)
-    pack, unpack, add, weight = _packed_arithmetic(F, n)
-    scaled = [[pack([F.mul(s, x) for x in row]) for s in nz] for row in U.basis]
-    done = 0
-    best_w, best = n + 1, None
+    if k * per_row > cap:
+        raise over_cap(0, k * per_row)
+    pack, unpack, add, weight = _word_layout(F, n)
+    mul = F.mul
+    table = pack([row if s == 1 else [mul(s, x) for x in row]
+                  for row in U.basis for s in nz])
+    batch = max(1, MW_CHUNK_WORDS // table.shape[1])
 
-    def search(level, start, remaining, acc):
-        # True once a vector of weight `level` is found: nothing beats it
-        nonlocal done, best_w, best
-        if remaining == 1:
-            done = _charge(done, (k - start) * per_row, cap)
-            for i in range(start, k):
-                for v in scaled[i]:
-                    x = add(acc, v)
-                    wt = weight(x)
-                    if wt < best_w:
-                        best_w, best = wt, x
-                        if wt == level:
-                            return True
-            return False
-        for i in range(start, k - remaining + 1):
-            for v in scaled[i]:
-                if search(level, i + 1, remaining - 1, add(acc, v)):
-                    return True
-        return False
+    def extend(acc, last, counts):
+        """(vectors, table rows) of the prefixes acc, whose last basis rows
+        are `last`, each plus the next counts[i] scaled rows after row
+        last[i], in order: prefix, then row, then scalar."""
+        ends = counts.cumsum()
+        starts = ends - counts
+        shift = (last + 1) * per_row - starts  # table row of leaf t is t + shift
+        total = int(ends[-1]) if len(ends) else 0
+        for a in range(0, total, batch):
+            b = a + batch
+            reps = np.minimum(ends, b) - np.maximum(starts, a)
+            np.maximum(reps, 0, out=reps)
+            idx = np.arange(a, min(b, total)) + shift.repeat(reps)
+            yield add(table[idx], acc.repeat(reps, axis=0)), idx
 
+    # each level scored in one batch, as (vectors, last rows); combos
+    # rebuilds the others from the largest kept level below them
+    kept = {0: (np.zeros((1, table.shape[1]), dtype=np.uint64), np.array([-1]))}
+
+    def combos(size, room):
+        """(vectors, last rows) of the combinations of `size` basis rows
+        that leave at least `room` rows after their last, in order."""
+        if size in kept:
+            vecs, last = kept[size]
+            fits = last < k - room
+            yield vecs[fits], last[fits]
+            return
+        for acc, last in combos(size - 1, room + 1):
+            for vecs, idx in extend(acc, last, (k - room - 1 - last) * per_row):
+                yield vecs, idx // per_row
+
+    done, best_w, best = 0, n + 1, None
     for level in range(1, k + 1):
-        if best_w <= level or search(level, 0, level, 0):
+        if best_w <= level:
             break
+        batches = 0
+        for acc, last in combos(level - 1, 1):
+            counts = (k - 1 - last) * per_row
+            ends = done + counts.cumsum()
+            fit = int(ends.searchsorted(cap, side="right"))
+            for vecs, idx in extend(acc[:fit], last[:fit], counts[:fit]):
+                wts = weight(vecs)
+                i = wts.argmin()
+                if wts[i] < best_w:
+                    best_w, best = int(wts[i]), vecs[i]
+                    if best_w == level:
+                        return best_w, unpack(best)
+                batches += 1
+            if fit < len(last):
+                raise over_cap(int(ends[fit - 1]) if fit else done, int(counts[fit]))
+            done = int(ends[-1])
+        if batches == 1:
+            kept[level] = vecs, idx // per_row
     return best_w, unpack(best)
 
 

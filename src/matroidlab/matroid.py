@@ -22,6 +22,7 @@ from itertools import combinations
 from .errors import CapExceeded, LabelMismatch, NotASubfield, NotSubset
 from .field import FiniteField
 from .linalg import (
+    DEFAULT_WEIGHT_CAP,
     Matrix,
     Subspace,
     min_weight,
@@ -224,37 +225,37 @@ def relabel(M, mapping):
 # girth and cogirth
 # ---------------------------------------------------------------------------
 
-def _min_support(M, U):
+def _min_support(M, U, cap):
     """(weight, support labels) of a minimum-weight vector of U, a
     subspace on M's ground set, or None if U is zero."""
-    w, witness = min_weight(U)
+    w, witness = min_weight(U, cap=cap)
     if w is None:
         return None
     return w, tuple(e for e, x in zip(M.ground, witness) if x)
 
 
-def smallest_circuit(M, workers=1):
+def smallest_circuit(M, workers=1, cap=DEFAULT_WEIGHT_CAP):
     """(size, sorted labels) of a smallest circuit, or None if M is free:
-    the support of a minimum-weight vector of U-perp.  `workers` is
-    accepted for callers that pass it and changes nothing: the search
-    runs in one thread."""
-    return _min_support(M, orth_complement(M.space))
+    the support of a minimum-weight vector of U-perp, searched within
+    min_weight's `cap`.  `workers` is accepted for callers that pass it
+    and changes nothing: the search runs in one thread."""
+    return _min_support(M, orth_complement(M.space), cap)
 
 
-def girth(M, workers=1):
-    hit = smallest_circuit(M, workers=workers)
+def girth(M, workers=1, cap=DEFAULT_WEIGHT_CAP):
+    hit = smallest_circuit(M, workers=workers, cap=cap)
     return None if hit is None else hit[0]
 
 
-def smallest_cocircuit(M, workers=1):
+def smallest_cocircuit(M, workers=1, cap=DEFAULT_WEIGHT_CAP):
     """(size, sorted labels) of a smallest cocircuit, or None if M has
-    rank 0: the support of a minimum-weight vector of U.  `workers`
-    changes nothing, as in smallest_circuit."""
-    return _min_support(M, M.space)
+    rank 0: the support of a minimum-weight vector of U.  `workers` and
+    `cap` act as in smallest_circuit."""
+    return _min_support(M, M.space, cap)
 
 
-def cogirth(M, workers=1):
-    hit = smallest_cocircuit(M, workers=workers)
+def cogirth(M, workers=1, cap=DEFAULT_WEIGHT_CAP):
+    hit = smallest_cocircuit(M, workers=workers, cap=cap)
     return None if hit is None else hit[0]
 
 

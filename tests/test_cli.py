@@ -168,6 +168,35 @@ def test_girth_cogirth_over_gf257(capsys, tmp_path):
         assert json.loads(out) == {"value": 3, "witness": ["a", "c", "d"]}
 
 
+def test_girth_cap_reaches_the_minimum_weight_search(capsys, tmp_path):
+    # the cycle space of K_9 has dimension 28: levels 1 and 2 charge
+    # 28 + 378 combinations and find a triangle
+    path = str(tmp_path / "k9.mat")
+    assert main(["construct", "kn", "--n", "9", "--gf", "2", "1", "-o", path]) == 0
+    assert main(["girth", path, "--cap", "400"]) == 3
+    assert capsys.readouterr() == (
+        "", "cap exceeded: minimum-weight search enumerated 400 combinations; "
+        "the next 3 would pass the cap 400; raise it with --cap\n")
+    default = run(capsys, ["girth", path])
+    assert default == (0, '{"value": 3, "witness": [0, 7, 14]}\n')
+    assert run(capsys, ["girth", path, "--cap", "406"]) == default
+
+
+@pytest.mark.parametrize("argv,charged", [(["cogirth", "FANO"], 7),
+                                          (["code", "params", "FANO"], 7),
+                                          (["code", "cut", "--kn", "4"], 6)])
+def test_minimum_weight_commands_take_cap(capsys, fano_file, argv, charged):
+    # both spaces are 3-dimensional over GF(2): levels 1 and 2 charge 3 + 3
+    # combinations, and level 3 one more unless level 2 already reached 3
+    argv = [fano_file if a == "FANO" else a for a in argv]
+    cap = charged - 1
+    assert main(argv + ["--cap", str(cap)]) == 3
+    assert capsys.readouterr() == (
+        "", f"cap exceeded: minimum-weight search enumerated {cap} combinations; "
+        f"the next 1 would pass the cap {cap}; raise it with --cap\n")
+    assert run(capsys, argv + ["--cap", str(charged)]) == run(capsys, argv)
+
+
 def test_template_check_reports_clause(capsys, tmp_path):
     tmpl = tmp_path / "sub.tmpl"
     tmpl.write_text(
@@ -282,7 +311,9 @@ def test_growth_exhaustive_subset_budget_is_cap(capsys):
                "subsets (default 262144); alphat ignores it"),
     ("mlsim", "--cap CAP budget: decode against at most this many codewords, 2^k "
               "for a k-dimensional code (default 16384)"),
-])
+] + [(command, "--cap CAP budget: the minimum-weight search scores at most this many "
+               "combinations of basis rows (default 16777216)")
+     for command in ("girth", "cogirth", "code")])
 def test_cap_help_says_what_it_bounds(capsys, command, text):
     with pytest.raises(SystemExit) as exit_info:
         main([command, "--help"])

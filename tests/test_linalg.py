@@ -208,6 +208,79 @@ def test_min_weight_budget_counts_work_done():
         min_weight(cycles, cap=400)
 
 
+# (p, k, ambient lengths, largest dimension): a word holds 64, 21, 16, 8
+# and 6 coordinates of these fields, so every vector spans two or more
+# words.  Dimensions stay small enough for the tuple-based reference.
+MULTI_WORD_FIELDS = ((2, 1, (65, 70), 3), (3, 1, (22, 26), 3), (5, 1, (17, 20), 3),
+                     (2, 8, (9, 11), 2), (257, 1, (7, 9), 2))
+
+
+@pytest.mark.parametrize("p,k,lengths,max_dim", MULTI_WORD_FIELDS)
+def test_min_weight_matches_reference_across_words(p, k, lengths, max_dim):
+    F = make_field(p, k)
+    rng = seeded(2000 * p + k)
+    for _ in range(6 if F.q < 256 else 2):
+        n = rng.randint(*lengths)
+        # sparse rows move the least weight between words
+        density = [rng.uniform(0.1, 1) for _ in range(rng.randint(1, max_dim))]
+        U = Subspace(F, range(n), [[rng.randrange(1, F.q) if rng.random() < d else 0
+                                    for _ in range(n)] for d in density])
+        assert min_weight(U) == min_weight_reference(U)
+
+
+def k9_cycles():
+    """The cycle space of K_9 over GF(2): dimension 28, distance 3."""
+    edges = list(itertools.combinations(range(9), 2))
+    cut = Subspace(GF2, range(len(edges)),
+                   [[int(v in e) for e in edges] for v in range(8)])
+    return orth_complement(cut)
+
+
+# Levels 1 and 2 of this GF(3) space charge 10 and 40 combinations.  Level
+# 3's second prefix, row 0 + 2 * row 1, holds the least weight 3 at the
+# fifth of its six extensions (+ row 4), so the hit is partway through the
+# last level and partway through its batch.
+MID_LEVEL_ROWS = ((1, 0, 0, 0, 0, 1, 0, 2, 2), (0, 1, 0, 0, 0, 0, 2, 1, 2),
+                  (0, 0, 1, 0, 0, 1, 2, 2, 1), (0, 0, 0, 1, 0, 1, 1, 0, 2),
+                  (0, 0, 0, 0, 1, 2, 2, 2, 0))
+
+
+def test_min_weight_budget_charges_through_a_mid_level_hit():
+    U = Subspace(GF3, range(9), MID_LEVEL_ROWS)
+    # 10 + 40 + 6 + 6: the hit's batch is charged in full
+    assert min_weight(U, cap=62) == (3, (1, 2, 0, 0, 1, 0, 0, 0, 0))
+    with pytest.raises(CapExceeded, match=r"^minimum-weight search enumerated 56 "
+                       r"combinations; the next 6 would pass the cap 61; "
+                       r"raise it with --cap$"):
+        min_weight(U, cap=61)
+    # level 1 is checked before its table is built
+    with pytest.raises(CapExceeded, match=r"^minimum-weight search enumerated 0 "
+                       r"combinations; the next 10 would pass the cap 9; "):
+        min_weight(U, cap=9)
+
+
+def weight_outcome(U, cap):
+    try:
+        return min_weight(U, cap=cap)
+    except CapExceeded as exc:
+        return str(exc)
+
+
+@pytest.mark.parametrize("words", (1, 7))
+def test_min_weight_batches_leave_answers_alone(monkeypatch, words):
+    rng = seeded(77)
+    cases = [(k9_cycles(), cap) for cap in (400, 405, 406)]
+    cases += [(Subspace(GF3, range(9), MID_LEVEL_ROWS), cap) for cap in (9, 61, 62)]
+    for F, n, dim in ((GF2, 12, 5), (GF3, 8, 3), (GF4, 7, 3), (GF2, 66, 3),
+                      (GF3, 23, 2), (make_field(257, 1), 7, 1)):
+        U = Subspace(F, range(n), [[rng.randrange(F.q) for _ in range(n)]
+                                   for _ in range(dim)])
+        cases += [(U, 1 << 24), (orth_complement(U), 300)]
+    default = [weight_outcome(U, cap) for U, cap in cases]
+    monkeypatch.setattr(linalg, "MW_CHUNK_WORDS", words)
+    assert [weight_outcome(U, cap) for U, cap in cases] == default
+
+
 def test_row_space_equal_swapped_rows():
     A = mat(GF2, [[1, 0, 1], [0, 1, 1]])
     B = mat(GF2, [[0, 1, 1], [1, 0, 1]])
