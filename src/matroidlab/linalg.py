@@ -10,7 +10,9 @@ The row space of a matrix is held canonically as a Subspace: an RREF
 basis over the sorted ambient label set.  rref_rows, reduce_vector,
 extend_echelon and combine are the one echelon kernel: the rest of the
 library reduces vectors and combines rows through them, except the
-packed walks of all_subset_ranks and min_weight.  Minimum-weight search
+packed walks of all_subset_ranks and min_weight.  Each row update in them
+is one call of the field's row kernel, F.axpy(f, xs, ys) or F.scale(f, xs),
+on row lists of equal length with f != 0.  Minimum-weight search
 is an honest enumeration, organized by coefficient support so that it
 prunes to the candidates that can still win.
 """
@@ -43,7 +45,7 @@ def sort_labels(labels):
 
 def rref_rows(field, rows):
     """Reduced row echelon form.  Returns (nonzero rows, pivot col indices)."""
-    add, mul, neg, inv = field.add, field.mul, field.neg, field.inv
+    axpy, scale, neg, inv = field.axpy, field.scale, field.neg, field.inv
     work = [list(r) for r in rows]
     m = len(work)
     n = len(work[0]) if m else 0
@@ -60,14 +62,11 @@ def rref_rows(field, rows):
         work[r], work[pr] = work[pr], work[r]
         a = work[r][c]
         if a != 1:
-            ia = inv(a)
-            work[r] = [mul(ia, x) for x in work[r]]
+            work[r] = scale(inv(a), work[r])
         rr = work[r]
         for i in range(m):
             if i != r and work[i][c]:
-                f = neg(work[i][c])
-                wi = work[i]
-                work[i] = [add(x, mul(f, y)) for x, y in zip(wi, rr)]
+                work[i] = axpy(neg(work[i][c]), work[i], rr)
         pivots.append(c)
         r += 1
         if r == m:
@@ -102,8 +101,7 @@ def reduce_vector(field, basis, pivots, v):
     v = list(v)
     for row, p in zip(basis, pivots):
         if v[p]:
-            f, add, mul = field.neg(v[p]), field.add, field.mul
-            v = [add(x, mul(f, y)) for x, y in zip(v, row)]
+            v = field.axpy(field.neg(v[p]), v, row)
     return v
 
 
@@ -114,33 +112,30 @@ def extend_echelon(field, basis, pivots, v):
     for p, x in enumerate(rest):
         if x:
             if x != 1:
-                ia, mul = field.inv(x), field.mul
-                rest = [mul(ia, y) for y in rest]
+                rest = field.scale(field.inv(x), rest)
             return basis + (tuple(rest),), pivots + (p,)
     return basis, pivots
 
 
 def combine(field, coeffs, rows):
     """The linear combination sum coeffs[i] * rows[i] of non-empty rows."""
-    add, mul = field.add, field.mul
     out = [0] * len(rows[0])
     for c, row in zip(coeffs, rows):
         if c:
-            out = [add(x, mul(c, y)) for x, y in zip(out, row)]
+            out = field.axpy(c, out, row)
     return tuple(out)
 
 
 def normalizer(field):
     """normalize(v): v scaled to 1 at its first nonzero entry, None if zero.
     Two nonzero vectors are parallel iff they normalize alike."""
-    mul, inv = field.mul, field.inv
+    scale, inv = field.scale, field.inv
 
     def normalize(v):
         lead = next((x for x in v if x), None)
         if lead is None:
             return None
-        ia = inv(lead)
-        return tuple(mul(ia, x) for x in v)
+        return tuple(scale(inv(lead), v))
 
     return normalize
 
@@ -293,13 +288,12 @@ class Subspace:
     def vectors(self):
         """All q^dim vectors, in deterministic order.  Small spaces only."""
         F = self.field
-        add, mul = F.add, F.mul
         out = [tuple([0] * len(self.ambient))]
         for row in self.basis:
             new = []
             for v in out:
-                for s in F.elements():
-                    new.append(tuple(add(x, mul(s, y)) for x, y in zip(v, row)))
+                new.append(v)
+                new.extend(tuple(F.axpy(s, v, row)) for s in F.nonzero())
             out = new
         return out
 
@@ -458,9 +452,7 @@ def min_weight(U: Subspace, *, cap=DEFAULT_WEIGHT_CAP):
     if k * per_row > cap:
         raise over_cap(0, k * per_row)
     pack, unpack, add, weight = _word_layout(F, n)
-    mul = F.mul
-    table = pack([row if s == 1 else [mul(s, x) for x in row]
-                  for row in U.basis for s in nz])
+    table = pack([row if s == 1 else F.scale(s, row) for row in U.basis for s in nz])
     batch = max(1, MW_CHUNK_WORDS // table.shape[1])
 
     def extend(acc, last, counts):

@@ -401,9 +401,9 @@ def _column_reducer(M):
 
     Over GF(2) a column is a Python int (bit i is row i) and eliminating
     v from w is an XOR when w has v's lowest set bit.  Over other fields a
-    column is a tuple of codes, () when zero, and w loses the multiple of
-    v that clears w at v's first nonzero entry.  reduce_by(v, rest)
-    returns rest with v eliminated from each column.
+    column is a sequence of codes, () when zero, and w loses the multiple
+    of v that clears w at v's first nonzero entry, through F.axpy.
+    reduce_by(v, rest) returns rest with v eliminated from each column.
     """
     F = M.field
     cols = [M.column(e) for e in M.ground]
@@ -413,7 +413,7 @@ def _column_reducer(M):
             return [w ^ v if w & low else w for w in rest]
 
         return [sum(x << i for i, x in enumerate(col)) for col in cols], reduce_by
-    add, mul, neg, inv = F.add, F.mul, F.neg, F.inv
+    axpy, mul, neg, inv = F.axpy, F.mul, F.neg, F.inv
 
     def reduce_by(v, rest):
         p = next(i for i, x in enumerate(v) if x)
@@ -421,8 +421,7 @@ def _column_reducer(M):
         out = []
         for w in rest:
             if w and w[p]:
-                f = mul(w[p], f0)
-                w = tuple(add(x, mul(f, y)) for x, y in zip(w, v))
+                w = axpy(mul(w[p], f0), w, v)
                 if not any(w):
                     w = ()
             out.append(w)

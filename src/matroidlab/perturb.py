@@ -216,7 +216,7 @@ def pert_bounds(pair: PerturbPair, with_witness=False):
     lo = max(S.dim - U2.dim, S.dim - U1.dim)
     A1, A2 = _aligned_generators(pair)
     F = pair.field
-    diff = [[F.sub(x, y) for x, y in zip(r1, r2)] for r1, r2 in zip(A1, A2)]
+    diff = [F.axpy(F.neg(1), r1, r2) for r1, r2 in zip(A1, A2)]
     _, piv = rref_rows(F, diff)
     if with_witness:
         return lo, len(piv), diff
@@ -274,7 +274,6 @@ def apply_perturbation(M: ReprMatroid, P: Matrix):
     F = M.field
     order = M.ground
     Psorted = P.submatrix(P.rows, order)
-    rows = [[F.add(x, y) for x, y in zip(brow, prow)]
-            for brow, prow in zip(M.space.basis, Psorted.data)]
+    rows = [F.axpy(1, brow, prow) for brow, prow in zip(M.space.basis, Psorted.data)]
     _, piv = rref_rows(F, Psorted.data)
     return ReprMatroid(Subspace(F, order, rows)), len(piv)

@@ -123,7 +123,7 @@ class AdditiveSpan:
 
     def closed_under(self, gamma: MultSubgroup) -> bool:
         F = self.field
-        return all(self.contains(tuple(F.mul(g, x) for x in vec))
+        return all(self.contains(F.scale(g, vec))
                    for g in gamma.elements for vec in self.generators())
 
     def __eq__(self, other):
@@ -605,12 +605,10 @@ def _echelon_walk(F, m, fixed, columns, depth):
             return tuple(v), T, r
         T = list(T)
         T[i], T[r], v[i], v[r] = T[r], T[i], v[r], v[i]
-        s = inv(v[r])
-        T[r] = [mul(s, x) for x in T[r]]
+        T[r] = F.scale(inv(v[r]), T[r])
         for k, x in enumerate(v):
             if x and k != r:
-                f = neg(x)
-                T[k] = [add(y, mul(f, z)) for y, z in zip(T[k], T[r])]
+                T[k] = F.axpy(neg(x), T[k], T[r])
         return units[r], T, r + 1
 
     def walk(T, r, key, picks, left):

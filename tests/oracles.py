@@ -54,6 +54,53 @@ def random_matrix(field, m, n, rng):
                   [[rng.randrange(field.q) for _ in range(n)] for _ in range(m)])
 
 
+def axpy_reference(F, f, xs, ys):
+    """x + f*y entry by entry, through F.add and F.mul only."""
+    return [F.add(x, F.mul(f, y)) for x, y in zip(xs, ys)]
+
+
+def scale_reference(F, f, xs):
+    return [F.mul(f, x) for x in xs]
+
+
+def rref_reference(F, rows):
+    """(nonzero RREF rows, pivot columns) by scalar elimination, through
+    F.add, F.mul, F.neg and F.inv only; the RREF is unique, so this must
+    agree with any correct elimination."""
+    work = [list(r) for r in rows]
+    n = len(work[0]) if work else 0
+    pivots = []
+    for c in range(n):
+        r = len(pivots)
+        pr = next((i for i in range(r, len(work)) if work[i][c]), None)
+        if pr is None:
+            continue
+        work[r], work[pr] = work[pr], work[r]
+        work[r] = scale_reference(F, F.inv(work[r][c]), work[r])
+        for i in range(len(work)):
+            if i != r and work[i][c]:
+                work[i] = axpy_reference(F, F.neg(work[i][c]), work[i], work[r])
+        pivots.append(c)
+    return [tuple(row) for row in work[:len(pivots)]], pivots
+
+
+def combine_reference(F, coeffs, rows):
+    """sum coeffs[i] * rows[i] of non-empty rows, by scalar operations."""
+    out = [0] * len(rows[0])
+    for c, row in zip(coeffs, rows):
+        out = axpy_reference(F, c, out, row)
+    return tuple(out)
+
+
+def reduce_reference(F, basis, pivots, v):
+    """v minus v[p]*row for each echelon row in turn, by scalar operations."""
+    v = list(v)
+    for row, p in zip(basis, pivots):
+        if v[p]:
+            v = axpy_reference(F, F.neg(v[p]), v, row)
+    return v
+
+
 def random_matroid(field, max_n, rng, min_n=1):
     n = rng.randint(min_n, max_n)
     m = rng.randint(0, n)

@@ -1,3 +1,4 @@
+import pickle
 import random
 
 import pytest
@@ -169,3 +170,13 @@ def test_large_prime_field_matches_integer_arithmetic(p):
         assert F.sub(a, b) == (a - b) % p
         assert F.neg(a) == -a % p
         assert F.mul(a, b) == a * b % p
+
+
+@pytest.mark.parametrize("p,k", [(2, 1), (3, 1), (2, 2), (3, 2), (257, 1), (2, 9)])
+def test_field_pickles_with_its_row_kernel(p, k):
+    F = make_field(p, k)
+    G = pickle.loads(pickle.dumps(F))
+    assert G == F and (G.add_t, G.mul_t) == (F.add_t, F.mul_t)
+    xs, ys = [1, 0, 1, F.q - 1], [1, 1, 0, 1]
+    assert G.axpy(1, xs, ys) == F.axpy(1, xs, ys)
+    assert G.scale(F.q - 1, xs) == F.scale(F.q - 1, xs)

@@ -4,10 +4,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from oracles import (
+    axpy_reference,
+    combine_reference,
     intersect_spaces_reference,
     min_weight_bruteforce,
     min_weight_reference,
+    reduce_reference,
     row_space_equal,
+    rref_reference,
+    scale_reference,
     seeded,
 )
 
@@ -386,6 +391,44 @@ def test_extend_echelon_tracks_rank_and_span(p, k, n, max_dim):
         basis, pivots = ech
         assert all(row[q] == 1 for row, q in zip(basis, pivots))
         assert all(not any(reduce_vector(F, basis, pivots, v)) for v in vecs)
+
+
+# one field per row-kernel implementation: XOR (GF(2)), mod p (GF(3), and
+# GF(257) above the table limit), characteristic-2 tables (GF(4)), add/mul
+# tables (GF(9)) and scalar digit arithmetic (GF(2^9))
+ROW_KERNEL_FIELDS = [(2, 1), (3, 1), (2, 2), (3, 2), (257, 1), (2, 9)]
+
+
+@pytest.mark.parametrize("p,k", ROW_KERNEL_FIELDS)
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(data=st.data())
+def test_row_kernel_matches_scalar_reference(p, k, data):
+    F = make_field(p, k)
+    code, unit = st.integers(0, F.q - 1), st.integers(1, F.q - 1)
+    n = data.draw(st.integers(1, 6))
+    row = st.lists(code, min_size=n, max_size=n)
+    rows = data.draw(st.lists(row, max_size=4))
+    # combinations of the rows drawn so far, for rank deficiency and zero rows
+    for coeffs in data.draw(st.lists(st.lists(code, min_size=len(rows), max_size=len(rows)),
+                                     max_size=2 if rows else 0)):
+        combo = combine(F, coeffs, rows)
+        assert combo == combine_reference(F, coeffs, rows)
+        rows.append(list(combo))
+    f, g, xs, ys = data.draw(unit), data.draw(code), data.draw(row), data.draw(row)
+    assert F.axpy(f, xs, ys) == axpy_reference(F, f, xs, ys)
+    assert F.scale(g, xs) == scale_reference(F, g, xs)
+
+    basis, pivots = rref_reference(F, rows)
+    assert rref_rows(F, rows) == (basis, pivots)
+    rest = reduce_reference(F, basis, pivots, xs)
+    assert reduce_vector(F, basis, pivots, xs) == rest
+    lead = next((i for i, x in enumerate(rest) if x), None)
+    grown = extend_echelon(F, tuple(basis), tuple(pivots), xs)
+    if lead is None:
+        assert grown == (tuple(basis), tuple(pivots))
+    else:
+        top = tuple(scale_reference(F, F.inv(rest[lead]), rest))
+        assert grown == (tuple(basis) + (top,), tuple(pivots) + (lead,))
 
 
 def test_subspace_canonicalizes_ambient_order():
