@@ -11,8 +11,9 @@ serialized as raw codes.
 
 Every field also carries the row kernel of the library's eliminations:
 F.axpy(f, xs, ys), the list x + f*y, and F.scale(f, xs), the list f*x.
-Both take row lists of equal length, and axpy needs f != 0.  Each field
-picks its implementation once, from p, k and q (see _row_kernel).
+Both take row lists of equal length; axpy needs f != 0, since over GF(2)
+it adds rows by XOR and ignores f.  Each field picks its implementation
+once, from p, k and q (see _row_kernel).
 
 Multiplicative subgroups and subfield embeddings live here too; both are
 needed by frame matrices and by subfield confinement.
@@ -171,10 +172,9 @@ class FiniteField:
         the list f*x, over row lists of equal length, with f != 0 for axpy.
 
         The implementation is chosen once, from (p, k, q): GF(2) adds rows
-        by XOR and a prime field reduces mod p; a table field looks up f's
-        row of mul_t once per call, then XORs (characteristic 2, whose codes
-        add digit by digit) or looks up add_t; a field above the table
-        limit keeps the scalar digit arithmetic."""
+        by XOR, ignoring f, and a prime field reduces mod p; an extension
+        field with tables looks up f's row of mul_t once per call, then
+        add_t; one above the table limit keeps the scalar digit arithmetic."""
         p, k = self.p, self.k
         mul_t, add_t = self.mul_t, self.add_t
         if k == 1:
@@ -188,14 +188,9 @@ class FiniteField:
             def scale(f, xs):
                 return [f * x % p for x in xs]
         elif mul_t is not None:
-            if p == 2:
-                def axpy(f, xs, ys):
-                    mf = mul_t[f]
-                    return [x ^ mf[y] for x, y in zip(xs, ys)]
-            else:
-                def axpy(f, xs, ys):
-                    mf = mul_t[f]
-                    return [add_t[x][mf[y]] for x, y in zip(xs, ys)]
+            def axpy(f, xs, ys):
+                mf = mul_t[f]
+                return [add_t[x][mf[y]] for x, y in zip(xs, ys)]
 
             def scale(f, xs):
                 mf = mul_t[f]
@@ -210,15 +205,9 @@ class FiniteField:
                 return [mul(f, x) for x in xs]
         return axpy, scale
 
-    # the row kernel is closures, which do not pickle: rebuild it instead
-    def __getstate__(self):
-        state = dict(self.__dict__)
-        del state["axpy"], state["scale"]
-        return state
-
-    def __setstate__(self, state):
-        self.__dict__.update(state)
-        self.axpy, self.scale = self._row_kernel()
+    # the row kernel is closures, which do not pickle: rebuild the field
+    def __reduce__(self):
+        return FiniteField, (self.p, self.k, self.modulus)
 
     # raw digit arithmetic, used to build tables and for big fields
     def _add_raw(self, a, b):

@@ -10,11 +10,12 @@ The row space of a matrix is held canonically as a Subspace: an RREF
 basis over the sorted ambient label set.  rref_rows, reduce_vector,
 extend_echelon and combine are the one echelon kernel: the rest of the
 library reduces vectors and combines rows through them, except the
-packed walks of all_subset_ranks and min_weight.  Each row update in them
-is one call of the field's row kernel, F.axpy(f, xs, ys) or F.scale(f, xs),
-on row lists of equal length with f != 0.  Minimum-weight search
-is an honest enumeration, organized by coefficient support so that it
-prunes to the candidates that can still win.
+GF(2) walk of all_subset_ranks and min_weight's packed scoring.  Each
+row update in them is one call of the field's row kernel,
+F.axpy(f, xs, ys) (f != 0) or F.scale(f, xs), on row lists of equal
+length.  Minimum-weight search is an honest enumeration, organized by
+coefficient support so that it prunes to the candidates that can still
+win.
 """
 
 from functools import lru_cache

@@ -393,9 +393,9 @@ def test_extend_echelon_tracks_rank_and_span(p, k, n, max_dim):
         assert all(not any(reduce_vector(F, basis, pivots, v)) for v in vecs)
 
 
-# one field per row-kernel implementation: XOR (GF(2)), mod p (GF(3), and
-# GF(257) above the table limit), characteristic-2 tables (GF(4)), add/mul
-# tables (GF(9)) and scalar digit arithmetic (GF(2^9))
+# each row-kernel implementation: XOR (GF(2)), mod p (GF(3), and GF(257)
+# above the table limit), add/mul tables (GF(4) and GF(9), one per
+# characteristic) and scalar digit arithmetic (GF(2^9))
 ROW_KERNEL_FIELDS = [(2, 1), (3, 1), (2, 2), (3, 2), (257, 1), (2, 9)]
 
 
