@@ -526,6 +526,51 @@ def test_construct_uniform_refuses_large_n_before_building(capsys, monkeypatch):
     assert "|E|=3000000 exceeds subset enumeration cap 12" in capsys.readouterr().err
 
 
+# a graph with a tree component (edges 0-2), a unicyclic component with a
+# 4-cycle and a pendant edge (edges 3-7) and an isolated vertex
+PINNED_GRAPH = ("vertices 0 1 2 3 4 5 6 7 8 9\nedge 0 1\nedge 1 2\nedge 1 3\n"
+                "edge 4 5\nedge 5 6\nedge 6 7\nedge 4 7\nedge 7 8\n")
+PINNED_GF4 = Matrix(GF4, (0, 1), ("a", "b", "c", "d", "e"),
+                    [[1, 0, 2, 3, 1], [0, 1, 2, 3, 0]])
+# argv -> (exit code, stdout length, SHA-256 of stdout, last stderr line)
+EMPTY_SHA = hashlib.sha256(b"").hexdigest()
+PINNED_CONSTRUCT = [
+    (["construct", "uniform", "--m", "3", "--n", "12"],
+     (0, 77887, "6e5236c4e7f4dfb6e55a3ad38ca280c258e125280230dc72cbcf356bceb5d043", "")),
+    (["construct", "bicircular", "--graph", "graph"],
+     (0, 3633, "99ba84bf690c1c45e458f72e7ee633c8375688b6ab125b5851a2eaa82a1d9326", "")),
+    (["construct", "uniform", "--m", "5", "--n", "3"],
+     (2, 0, EMPTY_SHA, "error: need 0 <= m <= n")),
+    (["construct", "uniform", "--m", "3", "--n", "13"],
+     (3, 0, EMPTY_SHA, "cap exceeded: |E|=13 exceeds subset enumeration cap 12")),
+    (["construct", "uniform", "--m", "2", "--n", "5", "--gf", "2", "2"],
+     (0, 62, "18489cd7ea2eff71bb5651e9a5371f79551bba1b3311c1d71cafa87acb844a83", "")),
+    (["construct", "pg", "--rank", "3", "--gf", "3", "1"],
+     (0, 130, "ad27a0f40f02e269735127b31db2b2e82848cd64ce6f456326598a2a8fcc1eb6", "")),
+    (["construct", "ag", "--rank", "3", "--gf", "2", "2"],
+     (0, 168, "d9a00b30a42ec3c00d6c700ef2bbfb0dd6468a65489c6820c48c45ea57beabf6", "")),
+    (["construct", "kn", "--n", "5", "--gf", "3", "1"],
+     (0, 125, "2872aecc56559ae7436098acf9509a78c226f16adf3ac193f663b946efdfd03e", "")),
+    (["construct", "gammaframe", "--rank", "3", "--gf", "5", "1", "--gamma-order", "2"],
+     (0, 95, "97c4cfe90497ed1329bcdd55438208b4a40d73ca891d564af967d718c93cefa6", "")),
+    (["dual", "gf4"],
+     (0, 74, "1414069a1c9c0b477fc6883e9ceb626b7c14f606fc5a0a05bd1e5f6024f199ad", "")),
+]
+
+
+@pytest.mark.parametrize("argv,expected", PINNED_CONSTRUCT,
+                         ids=[" ".join(argv) for argv, _ in PINNED_CONSTRUCT])
+def test_construct_and_dual_bytes(capsys, tmp_path, argv, expected):
+    paths = {"graph": tmp_path / "g.graph", "gf4": tmp_path / "gf4.mat"}
+    paths["graph"].write_text(PINNED_GRAPH)
+    paths["gf4"].write_text(write_matrix(PINNED_GF4))
+    code = main([str(paths.get(a, a)) for a in argv])
+    captured = capsys.readouterr()
+    out, err = captured.out, captured.err.strip().splitlines()
+    assert (code, len(out), hashlib.sha256(out.encode()).hexdigest(),
+            err[-1] if err else "") == expected
+
+
 @pytest.mark.parametrize("p,k,order", [
     # trial division to sqrt(p) would run for minutes
     ("1000000000000000003", "1", "1000000000000000003"),
