@@ -6,7 +6,6 @@ brute-force oracles."""
 from .field import FiniteField, MultSubgroup, make_field, mult_subgroups, subfield_lattice
 from .linalg import Matrix, Subspace, min_weight, orth_complement, rref
 from .matroid import (
-    OracleMatroid,
     ReprMatroid,
     cogirth,
     confined_to,

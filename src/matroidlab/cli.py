@@ -50,7 +50,6 @@ from .matroid import (
     DEFAULT_MINOR_CAP,
     DEFAULT_VCONN_CAP,
     UNBOUNDED,
-    all_subset_ranks,
     check_subset_cap,
     confinement_witness,
     dual,
@@ -113,7 +112,7 @@ def _matroid_of(path):
 
 
 def _graph_arg(args):
-    if getattr(args, "kn", None):
+    if args.kn is not None:
         return complete_graph(args.kn)
     if not getattr(args, "graph", None):
         raise ToolkitError("give --kn N or --graph FILE")
@@ -139,14 +138,15 @@ def _emit_matroid(args, M):
     _emit(args, fileio.write_matrix(M.generator_matrix()))
 
 
-def _emit_oracle(args, M):
-    ranks = all_subset_ranks(M, cap=_RANK_TABLE_CAP)
-    g = M.ground
+def _emit_rank_table(args, n, rank):
+    """The rank of every subset of range(n), keyed by its elements joined
+    by commas."""
+    check_subset_cap(n, _RANK_TABLE_CAP)
     table = {}
-    for mask, r in enumerate(ranks):
-        key = ",".join(str(g[i]) for i in range(M.size) if mask >> i & 1)
-        table[key] = r
-    _emit(args, _json({"ground": list(g), "ranks": table}))
+    for mask in range(1 << n):
+        S = [i for i in range(n) if mask >> i & 1]
+        table[",".join(map(str, S))] = rank(S)
+    _emit(args, _json({"ground": list(range(n)), "ranks": table}))
 
 
 def _cmd_construct(args):
@@ -164,12 +164,15 @@ def _cmd_construct(args):
         else:
             if 0 <= args.m <= args.n:  # else uniform reports the bad m
                 check_subset_cap(args.n, _RANK_TABLE_CAP)
-            _emit_oracle(args, uniform(args.m, args.n))
+            _emit_rank_table(args, args.n, uniform(args.m, args.n))
     elif kind == "kn":
         _require(args, "n", "gf")
         _emit_matroid(args, graphic(complete_graph(args.n), _field_arg(args.gf)))
     elif kind == "bicircular":
-        _emit_oracle(args, bicircular(_graph_arg(args)))
+        if args.kn is not None and args.kn >= 0:  # else complete_graph reports the bad n
+            check_subset_cap(args.kn * (args.kn - 1) // 2, _RANK_TABLE_CAP)
+        G = _graph_arg(args)
+        _emit_rank_table(args, len(G.edges), bicircular(G))
     elif kind == "reid":
         _require(args, "gf")
         _emit_matroid(args, reid(_field_arg(args.gf)))

@@ -1,6 +1,8 @@
 """Named matroids and matrices: projective and affine geometries, graphic
-and bicircular matroids, uniform matroids, Reid geometries, and full
-frame matroids for a multiplicative subgroup.
+matroids, uniform matroids, Reid geometries, and full frame matroids for a
+multiplicative subgroup, all represented over a field; and the rank
+functions of uniform and bicircular matroids in closed form, over index
+sets.
 
 All constructors are pure and deterministic: points are enumerated in a
 fixed order and ground labels are 0..n-1, so two runs produce identical
@@ -13,7 +15,7 @@ from itertools import combinations, product
 from .errors import FieldTooSmall, LabelMismatch
 from .field import FiniteField, MultSubgroup
 from .linalg import Matrix, combine, label_key, normalizer
-from .matroid import OracleMatroid, ReprMatroid, from_generator
+from .matroid import ReprMatroid, from_generator
 
 
 # ---------------------------------------------------------------------------
@@ -48,10 +50,6 @@ class Graph:
         norm = tuple(sorted((tuple(sorted(e, key=label_key)) for e in edges),
                             key=lambda e: (label_key(e[0]), label_key(e[1]))))
         return cls(vertices, norm)
-
-    @classmethod
-    def complete(cls, n):
-        return cls.from_edges(range(n), combinations(range(n), 2))
 
     def degree(self, v):
         return sum(1 for e in self.edges if v in e)
@@ -90,7 +88,9 @@ def _components(vertices, edges):
 
 
 def complete_graph(n):
-    return Graph.complete(n)
+    if n < 0:
+        raise ValueError(f"K_n needs n >= 0, got {n}")
+    return Graph.from_edges(range(n), combinations(range(n), 2))
 
 
 # ---------------------------------------------------------------------------
@@ -135,11 +135,12 @@ def ag(m: int, F: FiniteField) -> ReprMatroid:
     return from_generator(Matrix(F, tuple(range(m)), tuple(range(len(pts))), rows))
 
 
-def uniform(m: int, n: int) -> OracleMatroid:
-    """U_{m,n} as a rank oracle."""
+def uniform(m: int, n: int):
+    """The rank function of U_{m,n} on subsets S of range(n):
+    min(|S|, m)."""
     if not 0 <= m <= n:
         raise ValueError("need 0 <= m <= n")
-    return OracleMatroid(range(n), lambda S: min(len(S), m))
+    return lambda S: min(len(S), m)
 
 
 def uniform_represented(m: int, n: int, F: FiniteField) -> ReprMatroid:
@@ -186,19 +187,22 @@ def graphic(G: Graph, F: FiniteField) -> ReprMatroid:
     return from_generator(Matrix(F, G.vertices, tuple(range(len(G.edges))), rows))
 
 
-def bicircular(G: Graph) -> OracleMatroid:
-    """BM(G): a set of edges is independent iff every component of the
-    subgraph it spans contains at most one cycle.  So a component of that
-    subgraph adds |V_c| to the rank if it has a cycle and |E_c| = |V_c| - 1
-    if it is a tree: min(|V_c|, |E_c|) either way."""
+def bicircular(G: Graph):
+    """The rank function of BM(G) on sets S of indices into G.edges.
+
+    A set of edges is independent iff every component of the subgraph it
+    spans contains at most one cycle.  So a component of that subgraph adds
+    |V_c| to the rank if it has a cycle and |E_c| = |V_c| - 1 if it is a
+    tree: min(|V_c|, |E_c|) either way (Matthews, "Bicircular matroids",
+    Quart. J. Math. 1977)."""
     edges = G.edges
 
-    def rank_fn(S):
+    def rank(S):
         chosen = [edges[i] for i in S]
         verts = {v for e in chosen for v in e}
         return sum(min(len(vs), len(es)) for vs, es in _components(verts, chosen))
 
-    return OracleMatroid(range(len(edges)), rank_fn)
+    return rank
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,4 @@
-"""Represented matroids (E, U) and rank-oracle matroids.
+"""Represented matroids (E, U) over finite fields.
 
 A represented matroid is a ground set plus a subspace of F^E, held in
 canonical RREF so that equality of represented matroids is structural
@@ -8,11 +8,8 @@ generator matrix); cogirth is the minimum weight of the row space
 itself.  The tests compare both with a circuit enumeration in
 tests/oracles.py.
 
-Minors, duality, relabelling, girth, cogirth and simplicity take
-represented matroids.  Rank-oracle matroids host the abstract matroids
-(bicircular, uniform) that have no preferred representation, and enter
-only the queries that read a rank table (all_subset_ranks): isomorphic,
-has_minor and vertical_connectivity.
+Isomorphism, minor search and vertical connectivity read a matroid only
+through its rank table (all_subset_ranks).
 """
 
 from collections import Counter
@@ -29,7 +26,6 @@ from .linalg import (
     normalizer,
     orth_complement,
     rref_rows,
-    sort_labels,
 )
 
 DEFAULT_SUBSET_CAP = 16      # max |E| for subset enumerations
@@ -87,67 +83,6 @@ class ReprMatroid:
 
     def __repr__(self):
         return f"ReprMatroid(|E|={self.size}, rank={self.rank}, {self.field!r})"
-
-
-class OracleMatroid:
-    """Ground set plus a rank function, for matroids used abstractly.  The
-    rank axioms are checked on construction when |E| <= 12; the library
-    reads such a matroid only through all_subset_ranks."""
-
-    __slots__ = ("ground", "_rank_fn", "_memo")
-
-    def __init__(self, ground, rank_fn):
-        self.ground = sort_labels(ground)
-        self._rank_fn = rank_fn
-        self._memo = {}
-        if len(self.ground) <= 12:
-            self._validate()
-
-    @property
-    def rank(self):
-        return self.rank_of(self.ground)
-
-    @property
-    def size(self):
-        return len(self.ground)
-
-    def rank_of(self, S):
-        key = frozenset(S)
-        if not key <= set(self.ground):
-            raise NotSubset(f"{set(S) - set(self.ground)} not in ground set")
-        if key not in self._memo:
-            self._memo[key] = int(self._rank_fn(key))
-        return self._memo[key]
-
-    def _validate(self):
-        """Rank axioms, checked exhaustively.
-
-        Unit increase plus the local exchange inequality
-        r(S+a) + r(S+b) >= r(S+a+b) + r(S) is equivalent to full
-        submodularity, so the check is complete at this scale.
-        """
-        if self.rank_of(()) != 0:
-            raise ValueError("rank of empty set must be 0")
-        n = len(self.ground)
-        g = self.ground
-        for mask in range(1 << n):
-            S = [g[i] for i in range(n) if mask >> i & 1]
-            rS = self.rank_of(S)
-            rest = [i for i in range(n) if not mask >> i & 1]
-            for a in rest:
-                rSa = self.rank_of(S + [g[a]])
-                if rSa - rS not in (0, 1):
-                    raise ValueError("unit-increase axiom fails")
-                for b in rest:
-                    if b <= a:
-                        continue
-                    rSb = self.rank_of(S + [g[b]])
-                    rSab = self.rank_of(S + [g[a], g[b]])
-                    if rSa + rSb < rSab + rS:
-                        raise ValueError("submodularity fails")
-
-    def __repr__(self):
-        return f"OracleMatroid(|E|={self.size}, rank={self.rank})"
 
 
 # ---------------------------------------------------------------------------
@@ -447,10 +382,6 @@ def all_subset_ranks(M, cap=DEFAULT_SUBSET_CAP):
     """
     n = M.size
     check_subset_cap(n, cap)
-    if isinstance(M, OracleMatroid):
-        g = M.ground
-        return [M.rank_of([g[i] for i in range(n) if mask >> i & 1])
-                for mask in range(1 << n)]
     cols, reduce_by = _column_reducer(M)
     ranks = [0] * (1 << n)
 

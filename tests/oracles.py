@@ -26,7 +26,6 @@ from matroidlab.linalg import (
     sum_spaces,
 )
 from matroidlab.matroid import (
-    OracleMatroid,
     ReprMatroid,
     _parallel_classes_repr,
     contract,
@@ -215,14 +214,39 @@ def smallest_circuit_bruteforce(M, cap=16):
     return None
 
 
+def rank_table(n, rank):
+    """table[mask] = rank(S) for every subset S of range(n), as a list of
+    indices in increasing order; bit i of mask is i."""
+    return [rank([i for i in range(n) if mask >> i & 1]) for mask in range(1 << n)]
+
+
 def subset_ranks_bruteforce(M):
     """ranks[mask] over the sorted ground set (bit i is ground[i]), one
-    rank read per subset: `rank_of` (an RREF of its columns) for a
-    represented matroid, its own rank function for an OracleMatroid."""
-    g, n = M.ground, M.size
-    read = M.rank_of if isinstance(M, OracleMatroid) else lambda S: rank_of(M, S)
-    return [read([g[i] for i in range(n) if mask >> i & 1])
-            for mask in range(1 << n)]
+    `rank_of` (an RREF of its columns) per subset."""
+    g = M.ground
+    return rank_table(M.size, lambda S: rank_of(M, [g[i] for i in S]))
+
+
+def check_rank_axioms(n, rank):
+    """Raise ValueError unless `rank`, a function on subsets of range(n),
+    is the rank function of a matroid.
+
+    Unit increase plus the local exchange inequality
+    r(S+a) + r(S+b) >= r(S+a+b) + r(S) is equivalent to full
+    submodularity, so the check is complete.
+    """
+    table = rank_table(n, rank)
+    if table[0] != 0:
+        raise ValueError("rank of empty set must be 0")
+    for mask, rS in enumerate(table):
+        rest = [1 << i for i in range(n) if not mask >> i & 1]
+        for a in rest:
+            rSa = table[mask | a]
+            if rSa - rS not in (0, 1):
+                raise ValueError("unit-increase axiom fails")
+            for b in rest:
+                if b > a and rSa + table[mask | b] < table[mask | a | b] + rS:
+                    raise ValueError("submodularity fails")
 
 
 def _at_most_one_cycle_each(edges):

@@ -526,6 +526,36 @@ def test_construct_uniform_refuses_large_n_before_building(capsys, monkeypatch):
     assert "|E|=3000000 exceeds subset enumeration cap 12" in capsys.readouterr().err
 
 
+def test_construct_bicircular_refuses_large_kn_before_building(capsys, monkeypatch):
+    def build(*args):
+        raise AssertionError("K_n built before the cap check")
+
+    monkeypatch.setattr(cli, "complete_graph", build)
+    monkeypatch.setattr(cli, "bicircular", build)
+    assert main(["construct", "bicircular", "--kn", "300"]) == 3
+    assert capsys.readouterr() == (
+        "", "cap exceeded: |E|=44850 exceeds subset enumeration cap 12\n")
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["construct", "kn", "--n", "-2", "--gf", "2", "1"], "K_n needs n >= 0, got -2"),
+    (["construct", "bicircular", "--kn", "-300"], "K_n needs n >= 0, got -300"),
+    (["code", "cut", "--kn", "-1"], "K_n needs n >= 0, got -1"),
+    (["growth", "exhaustive", "--gf", "2", "1", "--rank", "3", "--forbidden", "kn:-1"],
+     "K_n needs n >= 0, got -1"),
+])
+def test_negative_complete_graph_exits_2(capsys, argv, message):
+    assert main(argv) == 2
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+
+
+def test_construct_bicircular_kn_0_is_the_empty_table(capsys):
+    assert run(capsys, ["construct", "bicircular", "--kn", "0"]) == (
+        0, '{"ground": [], "ranks": {"": 0}}\n')
+    assert run(capsys, ["construct", "kn", "--n", "0", "--gf", "2", "1"]) == (
+        0, "gf 2 1\nrows \ncols \n")
+
+
 # a graph with a tree component (edges 0-2), a unicyclic component with a
 # 4-cycle and a pendant edge (edges 3-7) and an isolated vertex
 PINNED_GRAPH = ("vertices 0 1 2 3 4 5 6 7 8 9\nedge 0 1\nedge 1 2\nedge 1 3\n"

@@ -2,9 +2,11 @@ import pytest
 
 from oracles import (
     bicircular_rank_bruteforce,
+    check_rank_axioms,
     is_frame_matrix,
     is_frame_presentation,
     is_gamma_frame_matrix,
+    rank_table,
     seeded,
 )
 
@@ -24,6 +26,7 @@ from matroidlab.constructions import (
     uniform_represented,
 )
 from matroidlab.matroid import (
+    all_subset_ranks,
     cogirth,
     from_generator,
     girth,
@@ -37,6 +40,7 @@ GF2 = make_field(2, 1)
 GF3 = make_field(3, 1)
 GF4 = make_field(2, 2)
 GF5 = make_field(5, 1)
+GF7 = make_field(7, 1)
 
 
 def mk(field, data):
@@ -56,7 +60,7 @@ def test_pg_fano():
 def test_pg_line_gf3():
     M = pg(2, GF3)
     assert M.size == 4 and M.rank == 2
-    assert isomorphic(M, uniform(2, 4))
+    assert all_subset_ranks(M) == rank_table(4, uniform(2, 4))
 
 
 def test_pg_plane_gf3():
@@ -96,12 +100,20 @@ def test_ag_simple_full_rank():
 def test_uniform_u23_matches_represented():
     R = uniform_represented(2, 3, GF2)
     assert isomorphic(R, mk(GF2, [[1, 0, 1], [0, 1, 1]]))
-    assert isomorphic(uniform(2, 3), R)
+    assert all_subset_ranks(R) == rank_table(3, uniform(2, 3))
 
 
 def test_uniform_free():
-    M = uniform(4, 4)
-    assert M.rank == M.size == 4
+    assert rank_table(4, uniform(4, 4)) == [mask.bit_count() for mask in range(16)]
+
+
+def test_uniform_closed_form_is_a_matroid_and_is_represented():
+    """GF(7) represents U_{m,n} for every n <= 8."""
+    for n in range(9):
+        for m in range(n + 1):
+            check_rank_axioms(n, uniform(m, n))
+            assert rank_table(n, uniform(m, n)) == all_subset_ranks(
+                uniform_represented(m, n, GF7))
 
 
 def test_uniform_u24_not_binary():
@@ -112,7 +124,7 @@ def test_uniform_u24_not_binary():
 @pytest.mark.parametrize("m,n,F", [(2, 4, GF3), (3, 5, GF5), (2, 5, GF4), (1, 4, GF3)])
 def test_uniform_represented_is_uniform(m, n, F):
     M = uniform_represented(m, n, F)
-    assert isomorphic(M, uniform(m, n))
+    assert all_subset_ranks(M) == rank_table(n, uniform(m, n))
 
 
 def test_uniform_represented_edge_ranks():
@@ -126,7 +138,7 @@ def test_uniform_represented_edge_ranks():
 
 def test_graphic_k3_is_u23():
     M = graphic(complete_graph(3), GF2)
-    assert isomorphic(M, uniform(2, 3))
+    assert all_subset_ranks(M) == rank_table(3, uniform(2, 3))
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5])
@@ -178,18 +190,15 @@ def test_graph_rejects_loops_and_duplicates():
 
 def test_bicircular_tree_is_free():
     G = Graph.from_edges(range(4), [(0, 1), (1, 2), (2, 3)])
-    M = bicircular(G)  # rank axioms validated on construction
-    assert M.rank == M.size == 3
+    assert rank_table(3, bicircular(G)) == rank_table(3, uniform(3, 3))
 
 
 def test_bicircular_k3_is_free():
-    M = bicircular(complete_graph(3))
-    assert M.rank == M.size == 3
+    assert rank_table(3, bicircular(complete_graph(3))) == rank_table(3, uniform(3, 3))
 
 
 def test_bicircular_k4_is_u46():
-    M = bicircular(complete_graph(4))
-    assert isomorphic(M, uniform(4, 6))
+    assert rank_table(6, bicircular(complete_graph(4))) == rank_table(6, uniform(4, 6))
 
 
 def test_bicircular_axioms_small_graphs():
@@ -199,7 +208,7 @@ def test_bicircular_axioms_small_graphs():
         pool = [(i, j) for i in range(n) for j in range(i + 1, n)]
         rng.shuffle(pool)
         edges = pool[: min(6, len(pool))]
-        bicircular(Graph.from_edges(range(n), edges))  # validates internally
+        check_rank_axioms(len(edges), bicircular(Graph.from_edges(range(n), edges)))
 
 
 def test_bicircular_rank_matches_definition():
@@ -209,10 +218,8 @@ def test_bicircular_rank_matches_definition():
         pool = [(i, j) for i in range(n) for j in range(i + 1, n)]
         edges = rng.sample(pool, min(len(pool), rng.randint(1, 8)))
         G = Graph.from_edges(range(n), edges)
-        M = bicircular(G)
-        for mask in range(1 << len(edges)):
-            S = [i for i in range(len(edges)) if mask >> i & 1]
-            assert M.rank_of(S) == bicircular_rank_bruteforce(G, S)
+        assert rank_table(len(edges), bicircular(G)) == rank_table(
+            len(edges), lambda S: bicircular_rank_bruteforce(G, S))
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,6 @@
 """Every name a library module imports is used in that module, and every
-function and class a library module defines has a caller outside the
-tests.
+function, class and constant a library module defines has a reader
+outside the tests.
 
 __init__.py is skipped by the import check: its imports are the
 package's public API.
@@ -44,10 +44,10 @@ def test_module_uses_every_import(path):
 
 def names_used(tree):
     """Every name the code in tree refers to, as a loaded or imported name or
-    as an attribute."""
+    as an attribute.  A name only bound here is not a reference."""
     out = set()
     for node in ast.walk(tree):
-        if isinstance(node, ast.Name):
+        if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
             out.add(node.id)
         elif isinstance(node, ast.Attribute):
             out.add(node.attr)
@@ -56,12 +56,24 @@ def names_used(tree):
     return out
 
 
+def defined_names(node):
+    """The names a top-level statement defines: a function's or class's,
+    or each plain name an assignment binds, dunder names such as
+    __version__ excepted, since Python and packaging tools read them."""
+    if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+        return [node.name]
+    targets = (node.targets if isinstance(node, ast.Assign)
+               else [node.target] if isinstance(node, ast.AnnAssign) else [])
+    return [t.id for t in targets
+            if isinstance(t, ast.Name) and not t.id.startswith("__")]
+
+
 def uncalled_definitions(library, callers):
-    """(module, name) of each top-level function or class of a library
-    module that nothing refers to: not another library module (the
-    imports of __init__.py, the package's API, count), not its own module
-    outside the definition, and no source in callers.  library maps
-    module names to sources."""
+    """(module, name) of each top-level function, class or constant of a
+    library module that nothing refers to: not another library module
+    (the imports of __init__.py, the package's API, count), not its own
+    module outside the definition, and no source in callers.  library
+    maps module names to sources."""
     parts = {mod: [(node, names_used(node)) for node in ast.parse(src).body]
              for mod, src in library.items()}
     used = {mod: set().union(*(u for _, u in nodes)) for mod, nodes in parts.items()}
@@ -71,20 +83,21 @@ def uncalled_definitions(library, callers):
         known = outside.union(*(u for m, u in used.items() if m != mod))
         for node, _ in nodes:
             own = set().union(*(u for n, u in nodes if n is not node))
-            if (isinstance(node, (ast.FunctionDef, ast.ClassDef))
-                    and node.name not in known | own):
-                out.append((mod, node.name))
+            out += [(mod, name) for name in defined_names(node)
+                    if name not in known | own]
     return out
 
 
 def test_check_finds_an_uncalled_definition():
     library = {
         "a.py": "def used():\n    return kept()\n\ndef kept():\n    return kept()\n"
-                "\ndef alone():\n    return alone()\n\nclass Api:\n    pass\n",
-        "b.py": "from .a import used\n",
+                "\ndef alone():\n    return alone()\n\nclass Api:\n    pass\n"
+                "\nCAP = 12\nLIMIT: int = CAP\nORPHAN = LIMIT\n__version__ = '1'\n",
+        "b.py": "from .a import LIMIT, used\n\nORPHAN = 0\n",
         "__init__.py": "from .a import Api\n",
     }
-    assert uncalled_definitions(library, ["import a\na.b.used()\n"]) == [("a.py", "alone")]
+    assert uncalled_definitions(library, ["import a\na.b.used()\n"]) == [
+        ("a.py", "alone"), ("a.py", "ORPHAN"), ("b.py", "ORPHAN")]
 
 
 def test_every_library_definition_has_a_caller():

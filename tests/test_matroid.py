@@ -3,6 +3,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import (
+    check_rank_axioms,
     confined_bruteforce,
     has_minor_bruteforce,
     has_minor_reference,
@@ -15,14 +16,13 @@ from oracles import (
     subset_ranks_bruteforce,
 )
 
-from matroidlab.constructions import complete_graph, graphic, pg, uniform
+from matroidlab.constructions import complete_graph, graphic, pg, uniform_represented
 from matroidlab.errors import CapExceeded, NotASubfield, NotSubset
 from matroidlab.field import make_field, subgroup_of_order
 from matroidlab.linalg import Matrix, Subspace
 from matroidlab.matroid import (
     UNBOUNDED,
     ReprMatroid,
-    OracleMatroid,
     _profile,
     all_subset_ranks,
     cogirth,
@@ -131,11 +131,10 @@ def test_delete_rejects_foreign_labels():
     ({0}, {98, 2}, "{98} not in ground set"),
     ((), {97}, "{97} not in ground set"),
 ])
-@pytest.mark.parametrize("kind", ["repr", "oracle"])
+@pytest.mark.parametrize("kind", ["repr"])
 def test_minor_subset_errors_keep_their_messages(kind, C, D, message):
-    M = u23() if kind == "repr" else OracleMatroid(range(3), lambda S: min(len(S), 2))
     with pytest.raises(NotSubset) as err:
-        minor(M, C, D)
+        minor(u23(), C, D)
     assert str(err.value) == message
 
 
@@ -263,12 +262,6 @@ def test_all_subset_ranks_match_bruteforce(p, k):
         sizes.add((M.size, M.rank))
         assert all_subset_ranks(M) == subset_ranks_bruteforce(M)
     assert (0, 0) in sizes and (4, 0) in sizes and (12, 6) in sizes
-
-
-def test_all_subset_ranks_oracle_matroid():
-    M = uniform(3, 6)
-    assert isinstance(M, OracleMatroid)
-    assert all_subset_ranks(M) == subset_ranks_bruteforce(M)
 
 
 # ---------------------------------------------------------------------------
@@ -545,7 +538,7 @@ def test_has_minor_refutations_match_bruteforce(field):
     """U24 is never a minor of a binary matroid, so over GF(2) has_minor
     must refute every candidate for it."""
     rng = seeded(67)
-    targets = (uniform(2, 4), u23(), graphic(complete_graph(4), GF2))
+    targets = (uniform_represented(2, 4, GF3), u23(), graphic(complete_graph(4), GF2))
     verdicts = set()
     for _ in range(8):
         n = rng.randint(5, 8)
@@ -561,7 +554,7 @@ def test_has_minor_refutations_match_bruteforce(field):
 def test_has_minor_witness_matches_reference(field):
     rng = seeded(41)
     f7 = pg(3, GF2)
-    targets = {"U24": uniform(2, 4), "U23": u23(),
+    targets = {"U24": uniform_represented(2, 4, GF3), "U23": u23(),
                "K4": graphic(complete_graph(4), GF2), "F7": f7, "F7*": dual(f7)}
     found = 0
     for n in range(6, 10):
@@ -636,15 +629,13 @@ def test_confined_matches_bruteforce():
 
 
 # ---------------------------------------------------------------------------
-# oracle matroids
+# the rank-axiom oracle
 # ---------------------------------------------------------------------------
 
-def test_oracle_matroid_basics():
-    M = OracleMatroid(range(4), lambda S: min(len(S), 2))
-    assert M.rank == 2
-
-
 def test_oracle_validation_rejects_nonmatroid():
-    with pytest.raises(ValueError):
-        OracleMatroid(range(3), lambda S: len(S) % 2)
+    with pytest.raises(ValueError, match="unit-increase"):
+        check_rank_axioms(3, lambda S: len(S) % 2)
+    # two loops whose union has rank 1
+    with pytest.raises(ValueError, match="submodularity"):
+        check_rank_axioms(2, lambda S: int(len(S) == 2))
 
