@@ -78,7 +78,9 @@ from .templates import (
     subfield_matroid_of,
 )
 
-_RANK_TABLE_CAP = 12  # elements of a rank table that construct prints
+_RANK_TABLE_CAP = 12  # default largest |E| of a rank table that construct prints
+_RANK_TABLE_CAP_HELP = ("the largest |E| of the matroid whose rank table is built "
+                        "(default %(default)s)")
 _WEIGHT_CAP_HELP = ("budget: the minimum-weight search scores at most this many "
                    "combinations of basis rows (default %(default)s)")
 
@@ -140,8 +142,8 @@ def _emit_matroid(args, M):
 
 def _emit_rank_table(args, n, rank):
     """The rank of every subset of range(n), keyed by its elements joined
-    by commas."""
-    check_subset_cap(n, _RANK_TABLE_CAP)
+    by commas; n is at most args.cap."""
+    check_subset_cap(n, args.cap)
     table = {}
     for mask in range(1 << n):
         S = [i for i in range(n) if mask >> i & 1]
@@ -163,14 +165,14 @@ def _cmd_construct(args):
             _emit_matroid(args, uniform_represented(args.m, args.n, _field_arg(args.gf)))
         else:
             if 0 <= args.m <= args.n:  # else uniform reports the bad m
-                check_subset_cap(args.n, _RANK_TABLE_CAP)
+                check_subset_cap(args.n, args.cap)
             _emit_rank_table(args, args.n, uniform(args.m, args.n))
     elif kind == "kn":
         _require(args, "n", "gf")
         _emit_matroid(args, graphic(complete_graph(args.n), _field_arg(args.gf)))
     elif kind == "bicircular":
         if args.kn is not None and args.kn >= 0:  # else complete_graph reports the bad n
-            check_subset_cap(args.kn * (args.kn - 1) // 2, _RANK_TABLE_CAP)
+            check_subset_cap(args.kn * (args.kn - 1) // 2, args.cap)
         G = _graph_arg(args)
         _emit_rank_table(args, len(G.edges), bicircular(G))
     elif kind == "reid":
@@ -438,7 +440,7 @@ def build_parser():
     c.add_argument("--kn", type=int, help="use the complete graph K_n")
     c.add_argument("--graph", help="graph file")
     c.add_argument("--gamma-order", type=int, default=1)
-    _add_common(c)
+    _add_common(c, cap=_RANK_TABLE_CAP, cap_help=_RANK_TABLE_CAP_HELP)
     c.set_defaults(fn=_cmd_construct)
 
     for name, search in (("girth", smallest_circuit), ("cogirth", smallest_cocircuit)):
@@ -455,16 +457,12 @@ def build_parser():
     p = sub.add_parser("minor", help="minor search with witness")
     p.add_argument("matrix")
     p.add_argument("minor")
-    _add_common(p, cap=DEFAULT_MINOR_CAP, cap_help=(
-        "the largest |E| of the matroid whose rank table is built "
-        "(default %(default)s)"))
+    _add_common(p, cap=DEFAULT_MINOR_CAP, cap_help=_RANK_TABLE_CAP_HELP)
     p.set_defaults(fn=_cmd_minor)
 
     p = sub.add_parser("vconn", help="vertical connectivity")
     p.add_argument("matrix")
-    _add_common(p, cap=DEFAULT_VCONN_CAP, cap_help=(
-        "the largest |E| of the matroid whose rank table is built "
-        "(default %(default)s)"))
+    _add_common(p, cap=DEFAULT_VCONN_CAP, cap_help=_RANK_TABLE_CAP_HELP)
     p.set_defaults(fn=_cmd_vconn)
 
     p = sub.add_parser("confine", help="subfield confinement")

@@ -229,36 +229,67 @@ def wilson_interval(x: float, n: int, z: float = 3.0):
 
 
 def _pack_words(bits):
-    """Rows of 0/1 entries as little-endian uint64 words, at least one."""
-    packed = np.packbits(bits, axis=1, bitorder="little")
-    nbytes = packed.shape[1]
-    pad = -nbytes % 8 if nbytes else 8  # rows of length 0 still sort and XOR
-    return np.pad(packed, ((0, 0), (0, pad))).view(np.uint64)
+    """Rows of 0/1 entries as little-endian uint64 words, at least one.
+
+    Bit j of a row lands in bit j % 64 of word j // 64.  Rows are padded
+    with zero bits only to whole bytes (a copy only when n % 8 != 0), one
+    flat packbits packs them all, and the packed bytes are copied into
+    zeroed rows of whole words; rows of length 0 still get a word to sort
+    and XOR."""
+    rows, n = bits.shape
+    nbytes = -(-n // 8)
+    if n % 8:
+        padded = np.zeros((rows, 8 * nbytes), dtype=bool)
+        padded[:, :n] = bits
+        bits = padded
+    packed = np.packbits(bits, bitorder="little")
+    out = np.zeros((rows, 8 * max(1, -(-n // 64))), dtype=np.uint8)
+    out[:, :nbytes] = packed.reshape(rows, nbytes)
+    return out.view(np.uint64)
+
+
+def _draw_flips(n, p, seed, block_idx, count):
+    """The packed flip patterns of a block of `count` trials of n bits.
+
+    They are drawn and packed in slices of at most MC_CHUNK_WORDS draws
+    (consecutive draws concatenate to one draw of the whole block) from
+    Philox key (seed, block_idx).  A bit is flipped when its raw Philox
+    word is below ceil(p 2^53) 2^11.  Generator.random() on Philox is
+    (w >> 11) 2^-53 for the next raw word w, and an integer m is below
+    p 2^53 iff it is below ceil(p 2^53), so this is bit for bit
+    rng.random((count, n)) < p without building the floats."""
+    bitgen = np.random.Philox(key=[seed, block_idx])
+    below = np.uint64(math.ceil(p * 2 ** 53) << 11)
+    step = max(1, MC_CHUNK_WORDS // max(1, n))
+    slices = (min(step, count - lo) for lo in range(0, count, step))
+    return np.concatenate([_pack_words((bitgen.random_raw(rows * n) < below).reshape(rows, n))
+                           for rows in slices])
 
 
 def _mc_block(words, n, true_idx, p, seed, block_idx, count):
     """(hard errors, tie fractions) of one block of trials.
 
-    `words` is the codeword table packed by _pack_words.  The flips are
-    drawn and packed in slices of at most MC_CHUNK_WORDS draws (consecutive
-    draws concatenate to one draw of the whole block).  The decision
-    depends only on the error pattern, so equal packed rows are collapsed
-    (lexsort over all their words) into distinct patterns with
-    multiplicities, and only the distinct patterns walk the codeword axis,
-    in chunks of at most MC_CHUNK_WORDS XOR words, keeping each pattern's
-    least distance and the number of codewords at it.  Every count is
-    weighted by its multiplicity.
+    `words` is the codeword table packed by _pack_words, and the flips
+    come from _draw_flips.  The decision depends only on the error
+    pattern, so equal packed rows are collapsed into distinct patterns
+    with multiplicities, in ascending order: by np.unique when a pattern
+    is one word (n <= 64), by a lexsort over all its words otherwise.
+    Only the distinct patterns walk the codeword axis, in chunks of at
+    most MC_CHUNK_WORDS XOR words, keeping each pattern's least distance
+    and the number of codewords at it.  Every count is weighted by its
+    multiplicity.
     """
-    rng = np.random.Generator(np.random.Philox(key=[seed, block_idx]))
-    step = max(1, MC_CHUNK_WORDS // max(1, n))
-    flips = np.concatenate([_pack_words(rng.random((min(step, count - lo), n)) < p)
-                            for lo in range(0, count, step)])
-    flips = flips[np.lexsort(flips.T)]
-    first = np.ones(count, dtype=bool)
-    first[1:] = (flips[1:] != flips[:-1]).any(axis=1)
-    starts = np.flatnonzero(first)
-    mult = np.diff(starts, append=count)
-    flips = flips[starts]
+    flips = _draw_flips(n, p, seed, block_idx, count)
+    if flips.shape[1] == 1:
+        flips, mult = np.unique(flips[:, 0], return_counts=True)
+        flips = flips[:, None]
+    else:
+        flips = flips[np.lexsort(flips.T)]
+        first = np.ones(count, dtype=bool)
+        first[1:] = (flips[1:] != flips[:-1]).any(axis=1)
+        starts = np.flatnonzero(first)
+        mult = np.diff(starts, append=count)
+        flips = flips[starts]
     received = words[true_idx] ^ flips
     dtrue = np.bitwise_count(flips).sum(axis=1, dtype=np.int32)
     dmin = np.full(len(flips), n + 1, dtype=np.int32)

@@ -75,9 +75,10 @@ def rref_rows(field, rows):
     return [tuple(row) for row in work[:r]], pivots
 
 
-def null_space_rows(field, rows, n):
-    """Basis of {x in F^n : M x = 0} for the matrix M with the given rows."""
-    red, pivots = rref_rows(field, rows)
+def null_space_rows(field, basis, pivots, n):
+    """Basis of {x in F^n : M x = 0} for the matrix M whose rows are an
+    RREF basis with the given pivot columns, as rref_rows returns them:
+    one vector per free column c, 1 at c and -M[i][c] at pivot i."""
     pivset = set(pivots)
     neg = field.neg
     out = []
@@ -86,8 +87,8 @@ def null_space_rows(field, rows, n):
             continue
         v = [0] * n
         v[c] = 1
-        for i, p in enumerate(pivots):
-            v[p] = neg(red[i][c])
+        for row, p in zip(basis, pivots):
+            v[p] = neg(row[c])
         out.append(tuple(v))
     return out
 
@@ -312,7 +313,7 @@ class Subspace:
 
 def orth_complement(U: Subspace) -> Subspace:
     """All vectors orthogonal (standard bilinear form) to every vector of U."""
-    comp = null_space_rows(U.field, U.basis, len(U.ambient))
+    comp = null_space_rows(U.field, U.basis, U.pivots, len(U.ambient))
     return Subspace(U.field, U.ambient, comp)
 
 

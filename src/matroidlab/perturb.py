@@ -94,7 +94,9 @@ def elementary_projections(M: ReprMatroid, cap=DEFAULT_LATTICE_CAP):
     out = [M]
     B = M.space.basis
     for code in _points(F, d):
-        vecs = [combine(F, coeff, B) for coeff in null_space_rows(F, [code], d)]
+        # a normalized functional is a one-row RREF, pivot at its leading 1
+        kernel = null_space_rows(F, [code], [code.index(1)], d)
+        vecs = [combine(F, coeff, B) for coeff in kernel]
         out.append(ReprMatroid(Subspace(F, M.ground, vecs)))
     return out
 

@@ -437,14 +437,20 @@ def exact_ml_error(code, p, cap=1 << 20) -> float:
     return total
 
 
+def pack_words_per_row(bits):
+    """codes._pack_words row by row: each row packed on its own, then padded
+    with zero bytes to whole uint64 words, at least one."""
+    packed = np.packbits(bits, axis=1, bitorder="little")
+    nbytes = packed.shape[1]
+    return np.pad(packed, ((0, 0), (0, -nbytes % 8 if nbytes else 8))).view(np.uint64)
+
+
 def mc_block_per_trial(words, n, true_idx, p, seed, block_idx, count):
     """codes._mc_block by the definition: the block's flips drawn in one
-    piece, every trial decoded against every codeword at once, and one
-    tie fraction per distinct tie count."""
+    piece as floats compared with p, every trial decoded against every
+    codeword at once, and one tie fraction per distinct tie count."""
     rng = np.random.Generator(np.random.Philox(key=[seed, block_idx]))
-    flips = np.packbits(rng.random((count, n)) < p, axis=1, bitorder="little")
-    flips = np.pad(flips, ((0, 0), (0, words.shape[1] * 8 - flips.shape[1])))
-    flips = flips.view(np.uint64)
+    flips = pack_words_per_row(rng.random((count, n)) < p)
     dists = np.bitwise_count((words[true_idx] ^ flips)[:, None, :] ^ words[None, :, :])
     dists = dists.sum(axis=2)
     dmin = dists.min(axis=1)

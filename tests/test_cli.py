@@ -303,6 +303,8 @@ def test_growth_exhaustive_subset_budget_is_cap(capsys):
 
 
 @pytest.mark.parametrize("command,text", [
+    ("construct", "--cap CAP the largest |E| of the matroid whose rank table is "
+                  "built (default 12)"),
     ("minor", "--cap CAP the largest |E| of the matroid whose rank table is built "
               "(default 14)"),
     ("vconn", "--cap CAP the largest |E| of the matroid whose rank table is built "
@@ -535,6 +537,17 @@ def test_construct_bicircular_refuses_large_kn_before_building(capsys, monkeypat
     assert main(["construct", "bicircular", "--kn", "300"]) == 3
     assert capsys.readouterr() == (
         "", "cap exceeded: |E|=44850 exceeds subset enumeration cap 12\n")
+
+
+def test_construct_cap_raises_the_rank_table_size(capsys):
+    code, out = run(capsys, ["construct", "uniform", "--m", "3", "--n", "13", "--cap", "13"])
+    table = json.loads(out)
+    assert code == 0 and table["ground"] == list(range(13))
+    assert len(table["ranks"]) == 8192
+    assert all(r == min(len(S.split(",")) if S else 0, 3) for S, r in table["ranks"].items())
+    assert main(["construct", "bicircular", "--kn", "5", "--cap", "9"]) == 3
+    assert capsys.readouterr() == (
+        "", "cap exceeded: |E|=10 exceeds subset enumeration cap 9\n")
 
 
 @pytest.mark.parametrize("argv,message", [

@@ -2,11 +2,13 @@ import math
 import tracemalloc
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from oracles import (
     exact_ml_error,
     mc_block_per_trial,
+    pack_words_per_row,
     random_matroid,
     seeded,
 )
@@ -277,17 +279,24 @@ def test_ml_block_matches_per_trial_oracle(monkeypatch):
     # tie, Hamming(7,4) sends codeword 9, and the 70-bit code packs each
     # pattern into two words, with its two short codewords in and across
     # the second, so that patterns equal in their first word decode
-    # differently; at p = 0.01 most trials repeat a pattern, at p = 0.45
-    # nearly none do
+    # differently; the 64-bit code is the widest one-word pattern, with
+    # short codewords on its top and bottom bits; at p = 0.01 most trials
+    # repeat a pattern, at p = 0.45 nearly none do, and p = 0.25 and
+    # p = 2^-20 put p 2^53 on an integer, where the raw Philox threshold
+    # must still agree with the oracle's float draw
     rng = seeded(70)
     seventy = mk(GF2, [[int(j in (64, 65, 66, 67)) for j in range(70)],
                        [int(j in (60, 62, 65, 69)) for j in range(70)]]
                  + [[rng.randrange(2) for _ in range(70)] for _ in range(4)])
-    cases = [(repetition(4), 0), (ten_five(), 0), (dual(fano()), 9), (seventy, 0)]
+    sixty_four = mk(GF2, [[int(j in (60, 61, 62, 63)) for j in range(64)],
+                          [int(j in (0, 1, 62, 63)) for j in range(64)]]
+                    + [[rng.randrange(2) for _ in range(64)] for _ in range(3)])
+    cases = [(repetition(4), 0), (ten_five(), 0), (dual(fano()), 9), (seventy, 0),
+             (sixty_four, 0)]
     default = codes.MC_CHUNK_WORDS
     for M, sent in cases:
         words = codes._pack_words(codes._codeword_table(M, 1 << 14))
-        for p in (0.01, 0.1, 0.45):
+        for p in (0.01, 0.1, 0.45, 0.25, 2.0 ** -20):
             for block, count in ((0, codes.MC_BLOCK), (3, 701)):
                 args = (words, M.size, sent, p, 29, block, count)
                 expected = mc_block_per_trial(*args)
@@ -295,6 +304,39 @@ def test_ml_block_matches_per_trial_oracle(monkeypatch):
                 for chunk_words in (1, 1000, default)[count > 701:]:
                     monkeypatch.setattr(codes, "MC_CHUNK_WORDS", chunk_words)
                     assert codes._mc_block(*args) == expected
+
+
+@pytest.mark.parametrize("n", [0, 1, 7, 8, 12, 16, 63, 64, 65, 128, 129])
+def test_pack_words_matches_per_row_packing(n):
+    # every byte and word boundary, the zero-column row, and one flat pack
+    # of a whole block of rows
+    rng = np.random.default_rng(n)
+    for rows in (1, 2, 3, 4, 5, 1 << 14):
+        bits = rng.random((rows, n)) < 0.5
+        for table in (bits, bits.astype(np.uint8)):
+            packed = codes._pack_words(table)
+            assert packed.dtype == np.uint64
+            assert np.array_equal(packed, pack_words_per_row(table))
+
+
+def test_flip_draw_matches_float_draw(monkeypatch):
+    # the raw Philox threshold against Generator.random() < p, on p 2^53
+    # both whole (0, 2^-20, 0.25) and not, up to the largest p below 1/2,
+    # in one slice per block and in slices of 1 and 3 trials; `edge` is
+    # the random() value of a draw among the (40, 301) case's whose raw
+    # word is exactly the threshold ceil(edge 2^53) 2^11, so its bit stays
+    # at p = edge and flips one ulp above it, where p 2^53 is a whole
+    # number plus at most 1/4 (edge < 1/4)
+    raw = np.random.Philox(key=[29, 3]).random_raw(40 * 301)
+    edge = int(raw[(raw % 2048 == 0) & (raw < 2 ** 62)][0]) * 2.0 ** -64
+    for chunk_words in (codes.MC_CHUNK_WORDS, 7, 21):
+        monkeypatch.setattr(codes, "MC_CHUNK_WORDS", chunk_words)
+        for n, count in ((7, 900), (40, 301), (0, 5)):
+            for p in (0.0, 2.0 ** -20, 0.01, 0.25, 0.45, math.nextafter(0.5, 0),
+                      edge, math.nextafter(edge, 1)):
+                rng = np.random.Generator(np.random.Philox(key=[29, 3]))
+                expected = pack_words_per_row(rng.random((count, n)) < p)
+                assert np.array_equal(codes._draw_flips(n, p, 29, 3, count), expected)
 
 
 class _ThirdBlock(Exception):
