@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from itertools import combinations
 from math import comb
 
-from .errors import DefectOutOfRange, check_budget
+from .errors import CapExceeded, DefectOutOfRange, check_budget
 from .field import FiniteField
 from .matroid import (
     DEFAULT_MINOR_CAP,
@@ -21,6 +21,7 @@ from .matroid import (
     _minor_search,
     _profile,
     all_subset_ranks,
+    check_subset_cap,
 )
 
 DEFAULT_SEARCH_CAP = 1 << 18
@@ -77,18 +78,27 @@ def h_exhaustive(F: FiniteField, r: int, forbidden=None, cap=DEFAULT_SEARCH_CAP)
     `forbidden` minor, with a witness: (value, witness labels).
 
     With nothing forbidden this is the whole geometry.  Otherwise the
-    geometry's rank table is built once, and subsets are scanned by
-    decreasing size, in combinations order within a size; at most `cap`
-    subsets are examined.  A spanning subset's restriction profile is read
-    from the table.  Restrictions found to carry the minor are kept as
-    profiles, bucketed by rank histogram, and a restriction isomorphic to
-    one of them is skipped without a minor search, which otherwise runs in
-    the restriction's table read from the geometry's.  Skipping only
-    isomorphic copies leaves the first subset without the minor, and so the
-    witness, as an unbucketed scan would find it.
+    geometry's rank table is built once, within a fixed limit of
+    DEFAULT_MINOR_CAP points that is checked before the geometry is built,
+    and subsets are scanned by decreasing size, in combinations order within
+    a size; at most `cap` subsets are examined.  A spanning subset's
+    restriction profile is read from the table.  Restrictions found to carry
+    the minor are kept as profiles, bucketed by rank histogram, and a
+    restriction isomorphic to one of them is skipped without a minor search,
+    which otherwise runs in the restriction's table read from the
+    geometry's.  Skipping only isomorphic copies leaves the first subset
+    without the minor, and so the witness, as an unbucketed scan would find
+    it.
     """
     from .constructions import pg
 
+    # PG(r-1, q) has (q^r - 1)/(q - 1) >= 2^r - 1 points, so a rank past the
+    # limit's bit length is over it without computing q^r
+    if forbidden is not None and r >= 1 and (
+            r > DEFAULT_MINOR_CAP.bit_length()
+            or (F.q ** r - 1) // (F.q - 1) > DEFAULT_MINOR_CAP):
+        raise CapExceeded(f"PG({r - 1}, {F.q}) has more than {DEFAULT_MINOR_CAP} "
+                          "points, the fixed limit of its rank table")
     geometry = pg(r, F)
     points = geometry.ground
     if forbidden is None:
@@ -132,6 +142,7 @@ def is_alpha_t_frame(M, alpha: int, t: int, exact=False, cap=12):
     """
     n = M.size
     g = M.ground
+    check_subset_cap(n, cap, flag=None)  # `growth alphat` has no flag for cap
     ranks = all_subset_ranks(M, cap=cap)
     r = ranks[(1 << n) - 1]
     if t > r:

@@ -9,13 +9,15 @@ output, are deterministic.
 The row space of a matrix is held canonically as a Subspace: an RREF
 basis over the sorted ambient label set.  rref_rows, reduce_vector,
 extend_echelon and combine are the one echelon kernel: the rest of the
-library reduces vectors and combines rows through them, except the
-GF(2) walk of all_subset_ranks and min_weight's packed scoring.  Each
-row update in them is one call of the field's row kernel,
-F.axpy(f, xs, ys) (f != 0) or F.scale(f, xs), on row lists of equal
-length.  Minimum-weight search is an honest enumeration, organized by
-coefficient support so that it prunes to the candidates that can still
-win.
+library reduces vectors and combines rows through them, except
+all_subset_ranks and min_weight's packed scoring.  all_subset_ranks
+counts codewords by zero set through numpy copies of the field tables
+(Greene's identity), or below its size floor walks the subsets with XOR
+over GF(2) and F.axpy elsewhere.  Each row update in the four kernel
+functions is one call of the field's row kernel, F.axpy(f, xs, ys)
+(f != 0) or F.scale(f, xs), on row lists of equal length.
+Minimum-weight search is an honest enumeration, organized by coefficient
+support so that it prunes to the candidates that can still win.
 """
 
 from functools import lru_cache

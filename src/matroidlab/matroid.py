@@ -9,12 +9,20 @@ itself.  The tests compare both with a circuit enumeration in
 tests/oracles.py.
 
 Isomorphism, minor search and vertical connectivity read a matroid only
-through its rank table (all_subset_ranks).
+through its rank table (all_subset_ranks).  From _CODEWORD_FLOOR = 7
+elements on, over fields of order at most 256, the table comes from
+Greene's identity (Greene, "Weight enumeration and the geometry of linear
+codes", Stud. Appl. Math. 1976): the codewords of C = rowspace(M) that
+vanish on S number q^(r - r(S)).  It counts the words of C or of C-perp,
+whichever has fewer, by zero set in numpy.  Smaller tables, and fields
+without tables, use a depth-first walk over the subsets.
 """
 
 from collections import Counter
-from functools import cached_property
+from functools import cached_property, lru_cache
 from itertools import combinations
+
+import numpy as np
 
 from .errors import CapExceeded, LabelMismatch, NotASubfield, NotSubset
 from .field import FiniteField
@@ -32,6 +40,13 @@ DEFAULT_SUBSET_CAP = 16      # max |E| for subset enumerations
 DEFAULT_ISO_CAP = 12
 DEFAULT_MINOR_CAP = 14
 DEFAULT_VCONN_CAP = 16
+
+# all_subset_ranks counts codewords from this many elements on, while there
+# are at most 2^(n + _CODEWORD_SLACK) of them; the codewords are built in
+# numpy blocks of at most _CODEWORD_BLOCK words
+_CODEWORD_FLOOR = 7
+_CODEWORD_SLACK = 3
+_CODEWORD_BLOCK = 1 << 13
 
 
 class _Unbounded:
@@ -365,23 +380,13 @@ def _column_reducer(M):
     return [col if any(col) else () for col in cols], reduce_by
 
 
-def check_subset_cap(n, cap):
-    """Raise CapExceeded when a table over all subsets of n elements
-    exceeds the element cap."""
-    if n > cap:
-        raise CapExceeded(f"|E|={n} exceeds subset enumeration cap {cap}")
-
-
-def all_subset_ranks(M, cap=DEFAULT_SUBSET_CAP):
-    """ranks[mask] over the sorted ground set; bit i is ground[i].
-
-    A depth-first walk adds elements in increasing order.  Each node hands
-    its children the columns after it already reduced modulo the span of
-    its own columns, so a column is in that span iff it reduced to zero,
-    and a child does one elimination per remaining column.
-    """
+def _walk_ranks(M):
+    """The rank table by a depth-first walk that adds elements in
+    increasing order.  Each node hands its children the columns after it
+    already reduced modulo the span of its own columns, so a column is in
+    that span iff it reduced to zero, and a child does one elimination per
+    remaining column."""
     n = M.size
-    check_subset_cap(n, cap)
     cols, reduce_by = _column_reducer(M)
     ranks = [0] * (1 << n)
 
@@ -395,6 +400,118 @@ def all_subset_ranks(M, cap=DEFAULT_SUBSET_CAP):
 
     rec(0, 0, 0, cols)
     return ranks
+
+
+@lru_cache(maxsize=None)
+def _np_tables(F):
+    """F's addition and multiplication tables as read-only uint8 arrays,
+    built once per field (F must have tables, so q <= 256)."""
+    tables = tuple(np.array(t, dtype=np.uint8) for t in (F.add_t, F.mul_t))
+    for t in tables:
+        t.flags.writeable = False
+    return tables
+
+
+def _span_words(rows, add, mul, n):
+    """Every linear combination of `rows` (uint8 arrays of length n), one
+    per row of the result: q^len(rows) words."""
+    words = np.zeros((1, n), np.uint8)
+    for g in rows:
+        # mul[:, g][a] is a * g; each old word meets each multiple
+        words = add[words[None, :, :], mul[:, g][:, None, :]].reshape(-1, n)
+    return words
+
+
+def _zero_set_counts(G, F, n):
+    """counts[m] = the number of words of rowspace(G) whose zero set is the
+    mask m.  The words are built in blocks of at most _CODEWORD_BLOCK: one
+    block spans G's last rows and is shifted by each combination of the
+    others.  Zero masks gather in a buffer of 2^n entries or one block,
+    counted whenever it fills, so memory stays proportional to the table."""
+    add, mul = _np_tables(F)
+    size = 1 << n
+    t = len(G)
+    while t and F.q ** t > _CODEWORD_BLOCK:
+        t -= 1
+    block = _span_words(G[len(G) - t:], add, mul, n)
+    heads = _span_words(G[:len(G) - t], add, mul, n)
+    weights = np.left_shift(1, np.arange(n, dtype=np.int64))
+    counts = np.zeros(size, np.int64)
+    buf = np.empty(max(size, len(block)), np.int64)
+    fill = 0
+    for head in heads:
+        if fill + len(block) > len(buf):
+            counts += np.bincount(buf[:fill], minlength=size)
+            fill = 0
+        np.matmul(add[block, head] == 0, weights, out=buf[fill:fill + len(block)])
+        fill += len(block)
+    return counts + np.bincount(buf[:fill], minlength=size)
+
+
+def _codeword_ranks(M):
+    """The rank table by Greene's identity: the words of C = rowspace(M)
+    that vanish on S are a subspace of dimension r - r(S), so
+    N(S) = #{c in C : c_S = 0} = q^(r - r(S)).
+
+    The words are counted by zero set, and one superset-sum transform (n
+    vectorized passes) turns the counts into N(S) for every S.  When
+    C-perp is smaller (n - r < r) its words are counted instead; there
+    N*(X) = q^(n - r - r*(X)), and r(S) = r*(E - S) - |E - S| + r
+    = |S| - log_q N*(E - S): the dual array reversed.  Needs F's tables.
+    """
+    F, n, r = M.field, M.size, M.rank
+    B = np.array(M.space.basis, dtype=np.uint8).reshape(r, n)
+    dual = n - r < r
+    if dual:
+        # with B = [I | A] up to column order, [A^T | I] spans C-perp with
+        # its pivot columns negated, and a column scaling moves no zero set
+        free = np.ones(n, dtype=bool)
+        free[list(M.space.pivots)] = False
+        G = np.zeros((n - r, n), np.uint8)
+        G[:, free] = np.eye(n - r, dtype=np.uint8)
+        G[:, ~free] = B[:, free].T
+    else:
+        G = B
+    N = _zero_set_counts(G, F, n)
+    for i in range(n):
+        pairs = N.reshape(-1, 2, 1 << i)
+        pairs[:, 0] += pairs[:, 1]
+    # N(S) is exactly q^d(S); find d(S) among the powers of q
+    d = np.searchsorted(F.q ** np.arange(len(G) + 1, dtype=np.int64), N)
+    if dual:
+        return (np.bitwise_count(np.arange(1 << n)) - d[::-1]).tolist()
+    return (len(G) - d).tolist()
+
+
+def check_subset_cap(n, cap, flag="--cap"):
+    """Raise CapExceeded when a table over all subsets of n elements
+    exceeds the element cap; the message names `flag`, the option that
+    raises the cap, unless it is None (a fixed limit)."""
+    if n > cap:
+        hint = f"; raise it with {flag}" if flag else ""
+        raise CapExceeded(f"|E|={n} exceeds subset enumeration cap {cap}{hint}")
+
+
+def all_subset_ranks(M, cap=DEFAULT_SUBSET_CAP):
+    """ranks[mask] over the sorted ground set, a list of ints; bit i is
+    ground[i].
+
+    From _CODEWORD_FLOOR = 7 elements on, over fields with tables
+    (q <= 256), the table comes from the zero sets of the codewords of
+    rowspace(M) or of its orthogonal complement, whichever has fewer
+    words, q^r or q^(n - r) (_codeword_ranks), while that count is at most
+    2^(n + _CODEWORD_SLACK) = 8 * 2^n.  Below the floor, numpy's fixed
+    cost per call is larger than the whole walk; above the slack, or
+    without tables, the depth-first walk (_walk_ranks) is faster or the
+    only option.
+    """
+    n = M.size
+    check_subset_cap(n, cap)
+    F = M.field
+    if (n >= _CODEWORD_FLOOR and F.add_t is not None
+            and F.q ** min(M.rank, n - M.rank) <= 1 << (n + _CODEWORD_SLACK)):
+        return _codeword_ranks(M)
+    return _walk_ranks(M)
 
 
 class _IsoProfile:

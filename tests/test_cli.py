@@ -344,6 +344,38 @@ def test_cap_exceeded_exit_3(capsys, fano_file):
     assert main(["minor", fano_file, fano_file, "--cap", "2"]) == 3
 
 
+@pytest.mark.parametrize("command", [["minor", "FANO", "FANO"], ["vconn", "FANO"]])
+def test_rank_table_refusal_names_cap(capsys, fano_file, command):
+    argv = [fano_file if a == "FANO" else a for a in command]
+    assert main([*argv, "--cap", "6"]) == 3
+    assert capsys.readouterr() == (
+        "", "cap exceeded: |E|=7 exceeds subset enumeration cap 6; raise it with --cap\n")
+
+
+@pytest.mark.parametrize("rank", ["4", "40"])
+def test_growth_exhaustive_refuses_large_geometry_before_building(capsys, monkeypatch, rank):
+    # PG(3, 2) has 15 points, one over the fixed table limit; at rank 40
+    # building the geometry would run out of memory
+    def build(*args):
+        raise AssertionError("geometry built before its size check")
+
+    monkeypatch.setattr("matroidlab.constructions.pg", build)
+    assert main(["growth", "exhaustive", "--gf", "2", "1", "--rank", rank,
+                 "--forbidden", "kn:4", "--cap", "100000000"]) == 3
+    assert capsys.readouterr() == (
+        "", f"cap exceeded: PG({int(rank) - 1}, 2) has more than 14 points, "
+            "the fixed limit of its rank table\n")
+
+
+def test_growth_alphat_refusal_names_no_flag(capsys, tmp_path):
+    path = tmp_path / "u3_13.mat"
+    path.write_text(write_matrix(Matrix(make_field(13, 1), range(3), range(13), [
+        [1] * 13, list(range(13)), [i * i % 13 for i in range(13)]])))
+    assert main(["growth", "alphat", str(path), "--alpha", "1", "--t", "0"]) == 3
+    assert capsys.readouterr() == (
+        "", "cap exceeded: |E|=13 exceeds subset enumeration cap 12\n")
+
+
 def test_perturb_dist_lift_budget_counts_lifts(capsys, tmp_path):
     # GF(3)^8 has 6561 vectors, but a rank-7 space has one lift and 1093
     # hyperplanes, all within the default budget of 5000
@@ -525,7 +557,8 @@ def test_construct_uniform_refuses_large_n_before_building(capsys, monkeypatch):
     monkeypatch.setattr(cli, "uniform", build)
     code = main(["construct", "uniform", "--m", "3", "--n", "3000000"])
     assert code == 3
-    assert "|E|=3000000 exceeds subset enumeration cap 12" in capsys.readouterr().err
+    assert capsys.readouterr().err == (
+        "cap exceeded: |E|=3000000 exceeds subset enumeration cap 12; raise it with --cap\n")
 
 
 def test_construct_bicircular_refuses_large_kn_before_building(capsys, monkeypatch):
@@ -536,7 +569,7 @@ def test_construct_bicircular_refuses_large_kn_before_building(capsys, monkeypat
     monkeypatch.setattr(cli, "bicircular", build)
     assert main(["construct", "bicircular", "--kn", "300"]) == 3
     assert capsys.readouterr() == (
-        "", "cap exceeded: |E|=44850 exceeds subset enumeration cap 12\n")
+        "", "cap exceeded: |E|=44850 exceeds subset enumeration cap 12; raise it with --cap\n")
 
 
 def test_construct_cap_raises_the_rank_table_size(capsys):
@@ -547,7 +580,7 @@ def test_construct_cap_raises_the_rank_table_size(capsys):
     assert all(r == min(len(S.split(",")) if S else 0, 3) for S, r in table["ranks"].items())
     assert main(["construct", "bicircular", "--kn", "5", "--cap", "9"]) == 3
     assert capsys.readouterr() == (
-        "", "cap exceeded: |E|=10 exceeds subset enumeration cap 9\n")
+        "", "cap exceeded: |E|=10 exceeds subset enumeration cap 9; raise it with --cap\n")
 
 
 @pytest.mark.parametrize("argv,message", [
@@ -585,7 +618,8 @@ PINNED_CONSTRUCT = [
     (["construct", "uniform", "--m", "5", "--n", "3"],
      (2, 0, EMPTY_SHA, "error: need 0 <= m <= n")),
     (["construct", "uniform", "--m", "3", "--n", "13"],
-     (3, 0, EMPTY_SHA, "cap exceeded: |E|=13 exceeds subset enumeration cap 12")),
+     (3, 0, EMPTY_SHA,
+      "cap exceeded: |E|=13 exceeds subset enumeration cap 12; raise it with --cap")),
     (["construct", "uniform", "--m", "2", "--n", "5", "--gf", "2", "2"],
      (0, 62, "18489cd7ea2eff71bb5651e9a5371f79551bba1b3311c1d71cafa87acb844a83", "")),
     (["construct", "pg", "--rank", "3", "--gf", "3", "1"],

@@ -158,8 +158,8 @@ def test_h_exhaustive_gf3_witness_is_pinned(forbidden, value, witness):
 def test_h_exhaustive_geometry_table_gate_comes_first():
     # the forbidden minor is larger than PG(3, 2), but the 15-point
     # geometry's rank table is over its size limit before that matters
-    with pytest.raises(CapExceeded,
-                       match=r"^\|E\|=15 exceeds subset enumeration cap 14$"):
+    with pytest.raises(CapExceeded, match=r"^PG\(3, 2\) has more than 14 points, "
+                                          r"the fixed limit of its rank table$"):
         h_exhaustive(GF2, 4, forbidden=pg(5, GF2))
 
 

@@ -1,3 +1,6 @@
+import tracemalloc
+
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -20,7 +23,9 @@ from matroidlab.constructions import complete_graph, graphic, pg, uniform_repres
 from matroidlab.errors import CapExceeded, NotASubfield, NotSubset
 from matroidlab.field import make_field, subgroup_of_order
 from matroidlab.linalg import Matrix, Subspace
+from matroidlab import matroid as matroid_module
 from matroidlab.matroid import (
+    DEFAULT_SUBSET_CAP,
     UNBOUNDED,
     ReprMatroid,
     _profile,
@@ -252,7 +257,7 @@ def _ranks_instances(field, rng):
     yield random_matrix(field, 6, 12, rng)
 
 
-@pytest.mark.parametrize("p,k", [(2, 1), (3, 1), (2, 2), (5, 1), (3, 2), (257, 1)])
+@pytest.mark.parametrize("p,k", [(2, 1), (3, 1), (2, 2), (5, 1), (2, 3), (3, 2), (257, 1)])
 def test_all_subset_ranks_match_bruteforce(p, k):
     F = make_field(p, k)
     rng = seeded(p * 10 + k)
@@ -262,6 +267,143 @@ def test_all_subset_ranks_match_bruteforce(p, k):
         sizes.add((M.size, M.rank))
         assert all_subset_ranks(M) == subset_ranks_bruteforce(M)
     assert (0, 0) in sizes and (4, 0) in sizes and (12, 6) in sizes
+
+
+def _matroid_of_rank(F, n, r, rng):
+    """A seeded matroid on range(n) of rank exactly r.  Below full rank
+    column 0 is a loop, and from rank 1 on with room to spare columns 1
+    and 2 are parallel."""
+    while True:
+        data = [[rng.randrange(F.q) for _ in range(n)] for _ in range(r)]
+        for row in data:
+            if r < n:
+                row[0] = 0
+            if 1 <= r <= n - 2 and n >= 3:
+                row[2] = F.mul(rng.randrange(1, F.q), row[1])
+        M = from_generator(Matrix(F, tuple(range(r)), tuple(range(n)), data))
+        if M.rank == r:
+            return M
+
+
+def _rank_cases(F, max_n):
+    """(n, r) for n = 0..max_n: rank 0 and full rank, ranks on both sides
+    of the primal/dual switch (r < n - r, r = n - r, r > n - r) and sizes
+    on both sides of the codeword floor, with at most 2^20 words to count."""
+    for n in range(max_n + 1):
+        ranks = {0, n} | ({1, n // 2, n - n // 2, n - 1} if n <= 12 else {2, n - 2})
+        for r in sorted(ranks):
+            if 0 <= r <= n and F.q ** min(r, n - r) <= 1 << 20:
+                yield n, r
+
+
+@pytest.mark.parametrize("p,k", [(2, 1), (3, 1), (2, 2), (5, 1), (2, 3), (3, 2), (257, 1)])
+def test_codeword_ranks_match_walk(p, k, monkeypatch):
+    F = make_field(p, k)
+    rng = seeded(31 * p + k)
+    if F.add_t is None:
+        # without tables every size takes the walk: there is no count to
+        # compare, so the sizes stop where the bruteforce test's do
+        monkeypatch.setattr(matroid_module, "_codeword_ranks", None)
+    seen = set()
+    for n, r in _rank_cases(F, 16 if F.add_t is not None else 12):
+        M = _matroid_of_rank(F, n, r, rng)
+        walk = matroid_module._walk_ranks(M)
+        if F.add_t is not None:
+            assert matroid_module._codeword_ranks(M) == walk, (n, r)
+        assert all_subset_ranks(M) == walk
+        seen.add((n >= matroid_module._CODEWORD_FLOOR, 2 * r > n))
+    assert seen == {(False, False), (False, True), (True, False), (True, True)}
+
+
+@pytest.mark.parametrize("p,k,n,r", [
+    (2, 3, 15, 6),   # 8^6 words: 64 shifted blocks and a full mask buffer
+    (2, 2, 16, 8),   # 4^8 words, the primal count at the switch
+    (3, 1, 16, 9),   # the dual count
+])
+def test_codeword_ranks_in_blocks_match_walk(p, k, n, r):
+    F = make_field(p, k)
+    M = _matroid_of_rank(F, n, r, seeded(n + r))
+    tracemalloc.start()
+    try:
+        ranks = matroid_module._codeword_ranks(M)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert ranks == matroid_module._walk_ranks(M)
+    # memory follows the 2^n table, not the q^r words (40 MB in one block)
+    assert peak < 64 << n
+
+
+@pytest.mark.parametrize("n,codeword", [(6, False), (7, True)])
+def test_all_subset_ranks_switches_at_the_floor(monkeypatch, n, codeword):
+    calls = []
+    for name in ("_walk_ranks", "_codeword_ranks"):
+        path = getattr(matroid_module, name)
+        monkeypatch.setattr(matroid_module, name,
+                            lambda M, path=path, name=name: calls.append(name) or path(M))
+    M = _matroid_of_rank(GF2, n, 3, seeded(n))
+    assert all_subset_ranks(M) == subset_ranks_bruteforce(M)
+    assert calls == ["_codeword_ranks" if codeword else "_walk_ranks"]
+    # past 2^(n + 3) words the walk serves, here over GF(16) at rank 3
+    calls.clear()
+    M = _matroid_of_rank(make_field(2, 4), 7, 3, seeded(n))
+    assert all_subset_ranks(M) == subset_ranks_bruteforce(M)
+    assert calls == ["_walk_ranks"]
+
+
+# metamorphic relations of the rank table at sizes up to the subset cap
+METAMORPHIC = settings(derandomize=True, max_examples=40, deadline=None)
+METAMORPHIC_FIELDS = [(2, 1), (3, 1), (2, 2), (5, 1), (2, 3), (3, 2)]
+
+
+@st.composite
+def matroids_up_to_cap(draw):
+    F = make_field(*draw(st.sampled_from(METAMORPHIC_FIELDS)))
+    # half the cases within four elements of the cap
+    n = draw(st.integers(0, DEFAULT_SUBSET_CAP)
+             | st.integers(DEFAULT_SUBSET_CAP - 4, DEFAULT_SUBSET_CAP))
+    # keep the smaller side's q^r within what the codeword path counts,
+    # so that a case costs milliseconds
+    r = draw(st.integers(0, n).filter(lambda r: F.q ** min(r, n - r) <= 1 << (n + 3)))
+    return _matroid_of_rank(F, n, r, seeded(draw(st.integers(0, 2 ** 32))))
+
+
+def _mask_images(perm):
+    """images[mask] = the mask with bit i moved to bit perm[i]."""
+    masks = np.arange(1 << len(perm))
+    images = np.zeros_like(masks)
+    for i, j in enumerate(perm):
+        images |= (masks >> i & 1) << j
+    return images
+
+
+@METAMORPHIC
+@given(M=matroids_up_to_cap(), data=st.data())
+def test_rank_table_survives_row_operation_scaling_and_relabelling(M, data):
+    F, n, r = M.field, M.size, M.rank
+    rng = seeded(data.draw(st.integers(0, 2 ** 32)))
+    # an invertible row operation: a random unit lower-triangular transform
+    rows = [list(row) for row in M.space.basis]
+    for i in range(r):
+        for j in range(i):
+            c = rng.randrange(F.q)
+            if c:
+                rows[i] = F.axpy(c, rows[i], rows[j])
+    scales = [rng.randrange(1, F.q) for _ in range(n)]
+    rows = [[F.mul(x, s) for x, s in zip(row, scales)] for row in rows]
+    perm = data.draw(st.permutations(range(n)))
+    N = from_generator(Matrix(F, tuple(range(r)), tuple(perm), rows))
+    before, after = np.array(all_subset_ranks(M)), np.array(all_subset_ranks(N))
+    assert (after[_mask_images(perm)] == before).all()
+
+
+@METAMORPHIC
+@given(M=matroids_up_to_cap())
+def test_dual_rank_table_is_the_dual_rank_function(M):
+    # r*(X) = |X| + r(E - X) - r(E), against the dual's own table
+    ranks, dual_ranks = np.array(all_subset_ranks(M)), np.array(all_subset_ranks(dual(M)))
+    sizes = np.bitwise_count(np.arange(len(ranks)))
+    assert (dual_ranks == sizes + ranks[::-1] - M.rank).all()
 
 
 # ---------------------------------------------------------------------------
@@ -519,7 +661,8 @@ def test_u23_has_no_k4_minor():
 def test_has_minor_cap_bounds_only_tables_it_builds():
     # a minor larger than M is refuted before M's table is asked for
     assert has_minor(pg(3, GF2), pg(4, GF2), cap=2) == (False, None)
-    with pytest.raises(CapExceeded, match=r"^\|E\|=7 exceeds subset enumeration cap 2$"):
+    with pytest.raises(CapExceeded, match=r"^\|E\|=7 exceeds subset enumeration cap 2; "
+                                          r"raise it with --cap$"):
         has_minor(pg(3, GF2), u23(), cap=2)
 
 
