@@ -642,6 +642,15 @@ def has_minor(M, N, cap=DEFAULT_MINOR_CAP):
     return True, tuple(tuple(M.ground[i] for i in X) for X in hit)
 
 
+def _loops_and_parallel_pairs(ranks, elements, cmask=0):
+    """(mask of the loops, masks of the parallel pairs of non-loops) of M/C
+    among `elements`, read from M's rank table; cmask holds C."""
+    c = ranks[cmask]
+    loops = sum(1 << i for i in elements if ranks[cmask | 1 << i] == c)
+    live = [1 << i for i in elements if not loops >> i & 1]
+    return loops, [a | b for a, b in combinations(live, 2) if ranks[cmask | a | b] == c + 1]
+
+
 def _minor_search(ranks, PN):
     """The first (C, D), as index tuples, with M/C\\D isomorphic to N,
     given M's rank table and N's profile; None if there is none.
@@ -650,7 +659,13 @@ def _minor_search(ranks, PN):
     set equals contracting a basis of it and deleting the rest), in
     combinations order, so the witness is deterministic.  A candidate's
     table is read from M's, r(X) = r(X + C) - r(C), and is built only
-    after its rank and its sorted singleton and pair ranks match N's.
+    after its rank, its number of loops and its number of parallel pairs
+    match N's.  Those two counts decide the sorted singleton and pair
+    ranks: singletons have rank 0 or 1 and pairs rank 0, 1 or 2, and L
+    loops among k elements make C(L, 2) pairs of rank 0 and L(k - L) of
+    rank 1, besides the parallel pairs of non-loops.  So each C gives one
+    loop mask and a list of parallel-pair masks of M/C, and each D costs
+    a popcount and a test per parallel pair.
     """
     n = len(ranks).bit_length() - 1
     rank = PN.ranks[-1]
@@ -658,22 +673,23 @@ def _minor_search(ranks, PN):
     d = n - PN.n - c
     if c < 0 or d < 0:
         return None
-    nbits = [1 << i for i in range(PN.n)]
-    singles = sorted([PN.ranks[b] for b in nbits])
-    pairs = sorted([PN.ranks[a | b] for a, b in combinations(nbits, 2)])
+    loops, pairs = _loops_and_parallel_pairs(PN.ranks, range(PN.n))
+    n_loops, n_pairs = loops.bit_count(), len(pairs)
+    everything = (1 << n) - 1
     for C in combinations(range(n), c):
         cmask = sum(1 << i for i in C)
         if ranks[cmask] < c:
             continue
         rest = [i for i in range(n) if not cmask >> i & 1]
-        for D in combinations(rest, d):
-            kept = [i for i in rest if i not in D]
-            bits = [1 << i for i in kept]
-            if (ranks[cmask | sum(bits)] - c != rank
-                    or sorted([ranks[cmask | b] - c for b in bits]) != singles
-                    or sorted([ranks[cmask | a | b] - c
-                               for a, b in combinations(bits, 2)]) != pairs):
+        lmask, pmasks = _loops_and_parallel_pairs(ranks, rest, cmask)
+        bits = [1 << i for i in rest]
+        for D, dbits in zip(combinations(rest, d), combinations(bits, d)):
+            kmask = everything ^ cmask ^ sum(dbits)
+            if (ranks[cmask | kmask] - c != rank
+                    or (lmask & kmask).bit_count() != n_loops
+                    or sum(pm & kmask == pm for pm in pmasks) != n_pairs):
                 continue
+            kept = [i for i in rest if kmask >> i & 1]
             if _iso_search(_minor_profile(ranks, kept, cmask), PN,
                            lambda mapping: True):
                 return C, D

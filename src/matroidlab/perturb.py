@@ -8,23 +8,32 @@ the definitional add-an-element-then-contract enumeration.  Each lift is
 built once, from one vector per point of F^E/U (the normalized vectors
 that vanish on U's pivot columns), and the lift budget counts those
 (q^(n-d) - 1)/(q - 1) lifts, as the projection budget counts hyperplanes.
+Both are built in RREF directly from U's RREF basis, by one rank-one
+update each, not by row reduction: a lift clears one column of U's rows
+with its new vector, and a hyperplane subtracts multiples of one row of
+U from the others.  The tests compare both with row-reduced references.
 Distance is an A* search in the subspace lattice, guided by the
 subspace distance 2 dim(U + U2) - dim U - dim U2 of Koetter and
 Kschischang, which every step changes by exactly 1; the tests compare it
 with the breadth-first search in tests/oracles.py.  Each expansion of U
-does one sum U + U2 and one intersection U n U2, and scores each
-neighbour by a containment test against one of them.
+does one sum S = U + U2 and one intersection W = U n U2.  It scores each
+lift U + <v> by one containment test, v in S, and each hyperplane
+ker(code) by one functional test, code vanishing on W's coordinates.
 
 pert_exact reduces the minimum of rank(A1 - A2) over aligned generator
 matrices to a search over difference row spaces: a subspace V of U1+U2
 works iff U1 <= U2 + V and U2 <= U1 + V (any valid pair of matrices has
 such a V of dimension rank(A1 - A2); conversely pairing bases through V
 achieves dim V at row count dim U1 + dim U2).  It draws the candidate
-spaces lazily and stops at the first that works.  The tests compare it
-with the literal enumeration over coefficient matrices in tests/oracles.py.
+spaces lazily and stops at the first that works, and tests each by
+growing U2's and U1's echelons by V's rows (extend_echelon).  The tests
+compare it with the literal enumeration over coefficient matrices in
+tests/oracles.py.
 """
 
+from bisect import bisect_left
 from dataclasses import dataclass
+from functools import lru_cache
 from heapq import heappop, heappush
 from itertools import count, product
 
@@ -36,7 +45,7 @@ from .linalg import (
     enumerate_subspaces,
     extend_echelon,
     intersect_spaces,
-    null_space_rows,
+    reduce_vector,
     rref_rows,
     sum_spaces,
 )
@@ -71,54 +80,82 @@ class PerturbPair:
 # elementary projections and lifts
 # ---------------------------------------------------------------------------
 
+@lru_cache(maxsize=64)
 def _points(F, k):
     """The normalized nonzero vectors of F^k (first nonzero entry 1), in
-    product order: one per 1-dimensional subspace, (q^k - 1)/(q - 1) in all.
+    product order: one per 1-dimensional subspace, (q^k - 1)/(q - 1) in all,
+    as a tuple built once per field and length.
 
     In product order the vectors with leading 1 at position i come after
     those with it at i + 1, and each block runs through its tail in
     product order, so they are built directly instead of filtered."""
     elements = F.elements()
-    for i in range(k - 1, -1, -1):
-        head = (0,) * i + (1,)
-        for tail in product(elements, repeat=k - 1 - i):
-            yield head + tail
+    return tuple(head + tail
+                 for i in range(k - 1, -1, -1) for head in [(0,) * i + (1,)]
+                 for tail in product(elements, repeat=k - 1 - i))
 
 
 def elementary_projections(M: ReprMatroid, cap=DEFAULT_LATTICE_CAP):
     """M itself plus every (E, U') with U' a codimension-1 subspace of U:
-    one per normalized functional on U, the kernel of each."""
+    one per normalized functional `code` on U's coordinates, the kernel
+    of each, in _points order.
+
+    The kernel is built in RREF directly.  Let m be the last nonzero
+    entry of `code`.  The rows B_k - (code_k / code_m) B_m for k != m span
+    it; each is 1 at U's pivot k and 0 at U's other pivots (B_m vanishes
+    there, and code_k = 0 for k > m), so they are its RREF basis, with U's
+    pivots minus pivots[m]."""
     F = M.field
     d = M.rank
     check_budget((F.q ** d - 1) // (F.q - 1), "hyperplanes", cap)
     out = [M]
-    B = M.space.basis
+    U = M.space
+    B, pivots = U.basis, U.pivots
     for code in _points(F, d):
-        # a normalized functional is a one-row RREF, pivot at its leading 1
-        kernel = null_space_rows(F, [code], [code.index(1)], d)
-        vecs = [combine(F, coeff, B) for coeff in kernel]
-        out.append(ReprMatroid(Subspace(F, M.ground, vecs)))
+        m = max(k for k, c in enumerate(code) if c)
+        f = F.neg(F.inv(code[m]))
+        rows = [B[k] if not c else tuple(F.axpy(F.mul(c, f), B[k], B[m]))
+                for k, c in enumerate(code) if k != m]
+        out.append(ReprMatroid(Subspace._of_reduced(
+            F, U.ambient, rows, pivots[:m] + pivots[m + 1:])))
     return out
 
 
-def elementary_lifts(M: ReprMatroid, cap=DEFAULT_LATTICE_CAP):
-    """M itself plus every (E, U') with U <= U' of dimension dim U + 1.
+def _lift_vectors(U: Subspace):
+    """One vector per point of F^E/U, in _points order: the normalized
+    vectors supported off U's pivot columns.
 
     U's basis is in RREF, so every coset of U holds exactly one vector
-    that is zero on U's pivot columns.  The lifts are therefore U + <v>
-    for the normalized v supported off the pivots, one per point of
-    F^E/U: each is built once, (q^(n-d) - 1)/(q - 1) in all."""
+    that is zero on U's pivot columns."""
+    n = len(U.ambient)
+    free = [j for j in range(n) if j not in U.pivots]
+    # entry j of a vector is entry gather[j] of (0,) + code
+    gather = [0] * n
+    for i, j in enumerate(free, 1):
+        gather[j] = i
+    for code in _points(U.field, len(free)):
+        yield tuple(map(((0,) + code).__getitem__, gather))
+
+
+def elementary_lifts(M: ReprMatroid, cap=DEFAULT_LATTICE_CAP):
+    """M itself plus every (E, U') with U <= U' of dimension dim U + 1:
+    U + <v> for each v of _lift_vectors(U), (q^(n-d) - 1)/(q - 1) in all.
+
+    Each lift is built in RREF directly.  v is zero on U's pivots and 1 at
+    its first nonzero column p, so U + <v> has U's rows with column p
+    cleared by v (one axpy for each row nonzero there), and v inserted at
+    its pivot's place."""
     F = M.field
     U = M.space
-    pivots = set(U.pivots)
-    free = [j for j in range(len(M.ground)) if j not in pivots]
-    check_budget((F.q ** len(free) - 1) // (F.q - 1), "lifts", cap)
+    check_budget((F.q ** (M.size - U.dim) - 1) // (F.q - 1), "lifts", cap)
     out = [M]
-    for code in _points(F, len(free)):
-        v = [0] * len(M.ground)
-        for j, x in zip(free, code):
-            v[j] = x
-        out.append(ReprMatroid(Subspace(F, M.ground, list(U.basis) + [v])))
+    for v in _lift_vectors(U):
+        p = v.index(1)
+        at = bisect_left(U.pivots, p)
+        rows = [tuple(F.axpy(F.neg(b[p]), b, v)) if b[p] else b for b in U.basis]
+        rows.insert(at, v)
+        out.append(ReprMatroid(Subspace._of_reduced(
+            F, U.ambient, rows, U.pivots[:at] + (p,) + U.pivots[at:])))
     return out
 
 
@@ -136,7 +173,7 @@ def _subspace_distance(U: Subspace, W: Subspace) -> int:
 def _scored_steps(M: ReprMatroid, h: int, U2: Subspace, cap):
     """Each elementary projection and lift N of M other than M itself,
     with h(N) = _subspace_distance(N.space, U2) read off h = h(M) by one
-    containment test against S = U + U2 or W = U n U2, for U = M.space:
+    test against S = U + U2 or W = U n U2, for U = M.space:
 
     - a lift N > U has dim(N + U2) = dim S if N <= S, else dim S + 1, so
       h(N) = h - 1 exactly when N <= S;
@@ -144,16 +181,21 @@ def _scored_steps(M: ReprMatroid, h: int, U2: Subspace, cap):
       dim U2 - dim W when W <= N and one more otherwise: h(N) = h - 1
       exactly when W <= N.
 
-    Both budgets are checked before any neighbour is scored, and S and W
-    are built once per call; no neighbour is summed with U2."""
+    A lift U + <v> lies in S exactly when v does: one containment test.
+    The projection to ker(code) holds W exactly when code vanishes on the
+    coordinates w|pivots of every row w of W, which is one combination of
+    the columns of those coordinates.  Both budgets are checked before any
+    neighbour is scored, and S and W are built once per call; no
+    neighbour is summed with U2."""
     projections = elementary_projections(M, cap)[1:]
     lifts = elementary_lifts(M, cap)[1:]
-    U = M.space
+    F, U = M.field, M.space
     S, W = sum_spaces(U, U2), intersect_spaces(U, U2)
-    for N in projections:
-        yield N, h - 1 if all(map(N.space.contains, W.basis)) else h + 1
-    for N in lifts:
-        yield N, h - 1 if all(map(S.contains, N.space.basis)) else h + 1
+    coords = [tuple(w[p] for w in W.basis) for p in U.pivots]
+    for code, N in zip(_points(F, U.dim), projections):
+        yield N, h + 1 if any(combine(F, code, coords)) else h - 1
+    for v, N in zip(_lift_vectors(U), lifts):
+        yield N, h - 1 if S.contains(v) else h + 1
 
 
 def dist(pair: PerturbPair, cap=100000) -> int:
@@ -242,8 +284,19 @@ def _aligned_generators(pair: PerturbPair):
     return A1, A2
 
 
+def _covered(F, U: Subspace, rows, X: Subspace):
+    """X <= U + span(rows): U's echelon grown by the rows (extend_echelon),
+    then each row of X's basis reduced by it."""
+    ech = U.basis, U.pivots
+    for row in rows:
+        ech = extend_echelon(F, *ech, row)
+    return not any(any(reduce_vector(F, *ech, x)) for x in X.basis)
+
+
 def pert_exact(pair: PerturbPair, cap=DEFAULT_LATTICE_CAP) -> int:
-    """Exact minimum rank(A1 - A2) via the difference-space reduction."""
+    """Exact minimum rank(A1 - A2) via the difference-space reduction.
+    Each candidate V is tested by growing U2's and U1's echelons by V's
+    rows, without building U2 + V or U1 + V as subspaces."""
     F = pair.field
     U1, U2 = pair.m1.space, pair.m2.space
     if U1 == U2:
@@ -254,11 +307,7 @@ def pert_exact(pair: PerturbPair, cap=DEFAULT_LATTICE_CAP) -> int:
         if len(vb) < lo:
             continue
         V_rows = [combine(F, c, S.basis) for c in vb]
-        up2 = Subspace(F, pair.ground, list(U2.basis) + V_rows)
-        if not all(up2.contains(r) for r in U1.basis):
-            continue
-        up1 = Subspace(F, pair.ground, list(U1.basis) + V_rows)
-        if all(up1.contains(r) for r in U2.basis):
+        if _covered(F, U2, V_rows, U1) and _covered(F, U1, V_rows, U2):
             return len(vb)
     raise AssertionError("V = U1 + U2 is always feasible")  # unreachable
 

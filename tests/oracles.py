@@ -19,7 +19,9 @@ from matroidlab.field import subfield_lattice
 from matroidlab.linalg import (
     Matrix,
     Subspace,
+    combine,
     label_key,
+    null_space_rows,
     orth_complement,
     rref_rows,
     sort_labels,
@@ -524,6 +526,33 @@ def elementary_lifts_reference(M: ReprMatroid):
         if sp.basis not in seen:
             seen.add(sp.basis)
             out.append(ReprMatroid(sp))
+    return out
+
+
+def elementary_projections_reference(M: ReprMatroid):
+    """M first, then the kernel of each normalized functional on U's
+    coordinates, in product order: the functional's null space combined
+    with U's basis, and the result row-reduced by Subspace."""
+    F, U = M.field, M.space
+    out = [M]
+    for code in product(F.elements(), repeat=U.dim):
+        if next((x for x in code if x), None) != 1:
+            continue
+        kernel = null_space_rows(F, [code], [code.index(1)], U.dim)
+        vecs = [combine(F, coeff, U.basis) for coeff in kernel]
+        out.append(ReprMatroid(Subspace(F, M.ground, vecs)))
+    return out
+
+
+def elementary_lifts_by_reduction(M: ReprMatroid):
+    """M first, then U + <v> row-reduced by Subspace, for each normalized v
+    of F^E supported off U's pivot columns, in product order."""
+    F, U = M.field, M.space
+    out = [M]
+    for v in product(F.elements(), repeat=M.size):
+        if next((x for x in v if x), None) != 1 or any(v[p] for p in U.pivots):
+            continue
+        out.append(ReprMatroid(Subspace(F, M.ground, list(U.basis) + [v])))
     return out
 
 

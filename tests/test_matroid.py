@@ -95,6 +95,17 @@ def k3():
 # construction, minors, duality
 # ---------------------------------------------------------------------------
 
+def test_equality_is_equality_of_spaces():
+    """Matroids on one ground set with different spaces differ, also as
+    set members, and a matroid never equals its own subspace."""
+    M, N = u23(), mk(GF2, [[1, 0, 0], [0, 1, 1]])
+    assert M.ground == N.ground and M.space != N.space
+    assert M != N and not M == N
+    assert len({M, N}) == 2 and N not in {M}
+    assert M == u23() and len({M, u23()}) == 1
+    assert M != M.space and not M == M.space and M.space not in {M}
+
+
 def test_from_generator_u23():
     M = u23()
     assert M.rank == 2 and M.size == 3
@@ -710,6 +721,29 @@ def test_has_minor_witness_matches_reference(field):
     assert 10 <= found < 16 * len(targets)  # both verdicts occur
 
 
+@pytest.mark.parametrize("field", [GF2, GF3])
+def test_has_minor_witness_matches_reference_with_loops_and_parallels(field):
+    """Targets with a loop, with a parallel pair and with both, so that a
+    miscounted loop or parallel pair in the minor search's filters would
+    change a verdict or a witness."""
+    rng = seeded(53)
+    targets = {
+        "U23+loop": mk(field, [[1, 0, 1, 0], [0, 1, 1, 0]]),
+        "U23+parallel": mk(field, [[1, 0, 1, 1], [0, 1, 1, 1]]),
+        "pair+coloop+loop": mk(field, [[1, 1, 0, 0], [0, 0, 1, 0]]),
+        "two pairs": mk(field, [[1, 1, 0, 0], [0, 0, 1, 1]]),
+    }
+    verdicts = set()
+    for n in range(6, 10):
+        for _ in range(3):
+            M = from_generator(random_matrix(field, rng.randint(2, n - 3), n, rng))
+            for name, N in targets.items():
+                got = has_minor(M, N)
+                assert got == has_minor_reference(M, N), (n, name)
+                verdicts.add(got[0])
+    assert verdicts == {False, True}
+
+
 def test_minor_with_empty_contraction_is_a_deletion():
     rng = seeded(7)
     for field in (GF2, GF3, GF4):
@@ -723,6 +757,37 @@ def test_minor_with_empty_contraction_is_a_deletion():
 # ---------------------------------------------------------------------------
 # vertical connectivity
 # ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("field", [GF2, GF3])
+def test_vertical_connectivity_witness_is_the_first_minimizing_partition(field):
+    """The witness (X, Y) partitions E into two non-spanning sides whose
+    connectivity r(X) + r(Y) - r(M) + 1 is the value, and X is the first
+    minimizing subset of a scan of all subsets by mask, ranked by rank_of."""
+    rng = seeded(29)
+    checked = 0
+    for _ in range(16):
+        n = rng.randint(4, 8)
+        M = from_generator(random_matrix(field, rng.randint(2, n - 1), n, rng))
+        value, witness = vertical_connectivity(M, with_witness=True)
+        r = M.rank
+        best = None
+        for mask in range(1 << n):
+            X = tuple(e for i, e in enumerate(M.ground) if mask >> i & 1)
+            Y = tuple(e for e in M.ground if e not in X)
+            rx, ry = rank_of(M, X), rank_of(M, Y)
+            if rx < r and ry < r and (best is None or rx + ry - r < best[0]):
+                best = rx + ry - r, (X, Y)
+        if best is None:
+            assert value is UNBOUNDED and witness is None
+            continue
+        X, Y = witness
+        assert sorted(X + Y) == sorted(M.ground) and not set(X) & set(Y)
+        assert rank_of(M, X) < r and rank_of(M, Y) < r
+        assert value == rank_of(M, X) + rank_of(M, Y) - r + 1 == best[0] + 1
+        assert witness == best[1]
+        checked += 1
+    assert checked >= 8
+
 
 def test_two_coloops_not_vertically_2_connected():
     M = mk(GF2, [[1, 0], [0, 1]])

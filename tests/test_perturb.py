@@ -3,7 +3,13 @@ from itertools import product
 
 import pytest
 
-from oracles import dist_bfs, elementary_lifts_reference, pert_exact_tiny
+from oracles import (
+    dist_bfs,
+    elementary_lifts_by_reduction,
+    elementary_lifts_reference,
+    elementary_projections_reference,
+    pert_exact_tiny,
+)
 
 from matroidlab import perturb
 from matroidlab.errors import CapExceeded, ShapeMismatch
@@ -147,20 +153,51 @@ def test_points_are_the_normalized_vectors_in_product_order(p, k):
         assert len(filtered) == (F.q ** n - 1) // (F.q - 1)
 
 
-def test_lifts_build_one_subspace_per_lift(monkeypatch):
-    """A 1-dimensional U in GF(3)^4 has (3^3 - 1)/2 = 13 lifts; building a
-    subspace per vector outside U would take 3^4 - 3 = 78."""
-    M = space_matroid(GF3, 4, [(1, 2, 0, 1)])
+def _count_subspaces_built(monkeypatch):
+    """A list that records every Subspace built, by either constructor:
+    __init__ (row reduction) or _of_reduced (RREF given)."""
     built = []
-    init = Subspace.__init__
+    init, of_reduced = Subspace.__init__, Subspace._of_reduced.__func__
 
     def counting_init(self, *args, **kwargs):
         built.append(args)
         init(self, *args, **kwargs)
 
+    def counting_of_reduced(cls, *args):
+        built.append(args)
+        return of_reduced(cls, *args)
+
     monkeypatch.setattr(Subspace, "__init__", counting_init)
+    monkeypatch.setattr(Subspace, "_of_reduced", classmethod(counting_of_reduced))
+    return built
+
+
+def test_lifts_build_one_subspace_per_lift(monkeypatch):
+    """A 1-dimensional U in GF(3)^4 has (3^3 - 1)/2 = 13 lifts; building a
+    subspace per vector outside U would take 3^4 - 3 = 78."""
+    M = space_matroid(GF3, 4, [(1, 2, 0, 1)])
+    built = _count_subspaces_built(monkeypatch)
     lifts = elementary_lifts(M)
     assert len(built) == 13 == len(lifts) - 1
+
+
+def test_projections_build_one_subspace_per_hyperplane(monkeypatch):
+    """A 2-dimensional U in GF(3)^4 has (3^2 - 1)/2 = 4 hyperplanes."""
+    M = space_matroid(GF3, 4, [(1, 0, 2, 1), (0, 1, 1, 2)])
+    built = _count_subspaces_built(monkeypatch)
+    projections = elementary_projections(M)
+    assert len(built) == 4 == len(projections) - 1
+
+
+def test_neighbours_match_row_reduced_reference():
+    """The directly built RREF bases equal those that row reduction gives,
+    in the same order, on every subspace of GF(2)^5, GF(3)^4 and GF(4)^3
+    and on two relabelled copies of GF(3)^4's."""
+    for M in _lift_cases():
+        assert ([N.space.basis for N in elementary_projections(M)]
+                == [N.space.basis for N in elementary_projections_reference(M)])
+        assert ([N.space.basis for N in elementary_lifts(M)]
+                == [N.space.basis for N in elementary_lifts_by_reduction(M)])
 
 
 def test_lattice_budgets_count_subspaces_built():
