@@ -519,16 +519,18 @@ def min_weight(U: Subspace, *, cap=DEFAULT_WEIGHT_CAP):
 # enumeration of all subspaces of F^n (desk scale)
 # ---------------------------------------------------------------------------
 
-def enumerate_subspaces(field, n, cap=100000):
-    """Generate all subspaces of F^n as RREF basis tuples, in a fixed order.
+def enumerate_subspaces(field, n, cap=100000, start=0):
+    """Generate the subspaces of F^n of dimension start or more as RREF
+    basis tuples, in a fixed order.
 
     Order: by dimension, then pivot-set lexicographic, then free-entry
-    assignment.  The count is the Galois number G_n(q); it is checked
-    against `cap` before the first subspace is built, and a caller that
-    stops early builds no more.
+    assignment, so start=k yields the suffix of the full order from
+    dimension k on.  The budget counts all G_n(q) subspaces, whatever
+    `start` skips; it is checked against `cap` before the first subspace is
+    built, and a caller that stops early builds no more.
     """
     check_budget(subspace_count(field.q, n), "subspaces", cap)
-    for d in range(n + 1):
+    for d in range(start, n + 1):
         for piv in combinations(range(n), d):
             free = [(i, c) for i in range(d)
                     for c in range(piv[i] + 1, n) if c not in piv]

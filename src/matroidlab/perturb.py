@@ -16,19 +16,21 @@ Distance is an A* search in the subspace lattice, guided by the
 subspace distance 2 dim(U + U2) - dim U - dim U2 of Koetter and
 Kschischang, which every step changes by exactly 1; the tests compare it
 with the breadth-first search in tests/oracles.py.  Each expansion of U
-does one sum S = U + U2 and one intersection W = U n U2.  It scores each
-lift U + <v> by one containment test, v in S, and each hyperplane
-ker(code) by one functional test, code vanishing on W's coordinates.
+does one elimination of U2 modulo U, n + dim U wide, which gives both
+S = U + U2 (as its part off U's pivots) and W = U n U2 (as coordinates
+in U's basis) without building either.  It scores each lift U + <v> by
+one containment test, v in S, and each hyperplane ker(code) by one
+functional test, code vanishing on W's coordinates.
 
 pert_exact reduces the minimum of rank(A1 - A2) over aligned generator
 matrices to a search over difference row spaces: a subspace V of U1+U2
 works iff U1 <= U2 + V and U2 <= U1 + V (any valid pair of matrices has
 such a V of dimension rank(A1 - A2); conversely pairing bases through V
 achieves dim V at row count dim U1 + dim U2).  It draws the candidate
-spaces lazily and stops at the first that works, and tests each by
-growing U2's and U1's echelons by V's rows (extend_echelon).  The tests
-compare it with the literal enumeration over coefficient matrices in
-tests/oracles.py.
+spaces lazily, from its lower bound up, and stops at the first that
+works; it tests each by growing U2's and U1's echelons by V's rows
+(extend_echelon).  The tests compare it with the literal enumeration
+over coefficient matrices in tests/oracles.py.
 """
 
 from bisect import bisect_left
@@ -163,17 +165,31 @@ def elementary_lifts(M: ReprMatroid, cap=DEFAULT_LATTICE_CAP):
 # lattice distance
 # ---------------------------------------------------------------------------
 
-def _subspace_distance(U: Subspace, W: Subspace) -> int:
-    """2 dim(U + W) - dim U - dim W: zero iff U = W, and changed by exactly
-    1 by every elementary projection or lift of U, which changes dim U by
-    1 and dim(U + W) by 0 or 1 in the same direction."""
-    return 2 * sum_spaces(U, W).dim - U.dim - W.dim
+def _modulo(U: Subspace, U2: Subspace):
+    """(Q, Q's pivots, tails) from one elimination of U2 modulo U.
+
+    For U's RREF basis B with pivots P, each row u of U2 is reduced to
+    q = u - sum_k u[P_k] B_k, which is zero on P, and the rows (q | u|P)
+    are put in RREF.  The rows that pivot in the q-part give Q, an RREF
+    basis of (U + U2) n {v : v|P = 0}, so dim(U + U2) = dim U + len(Q) and
+    a vector v zero on P lies in U + U2 exactly when it reduces to zero
+    modulo Q.  The other rows have zero q-part: each is (0 | w|P) for some
+    w of U2 that equals sum_k w[P_k] B_k, so it lies in U, and their tails
+    are a basis of the coordinates w|P of W = U n U2."""
+    F, n = U.field, len(U.ambient)
+    B, P = U.basis, U.pivots
+    red, piv = rref_rows(F, [reduce_vector(F, B, P, u) + [u[p] for p in P]
+                             for u in U2.basis])
+    k = bisect_left(piv, n)
+    return [r[:n] for r in red[:k]], piv[:k], [r[n:] for r in red[k:]]
 
 
-def _scored_steps(M: ReprMatroid, h: int, U2: Subspace, cap):
+def _scored_steps(M: ReprMatroid, U2: Subspace, cap):
     """Each elementary projection and lift N of M other than M itself,
-    with h(N) = _subspace_distance(N.space, U2) read off h = h(M) by one
-    test against S = U + U2 or W = U n U2, for U = M.space:
+    with h(N) the subspace distance 2 dim(N + U2) - dim N - dim U2 of
+    Koetter and Kschischang.  For U = M.space, S = U + U2 and W = U n U2,
+    h = h(M) = 2 dim S - dim U - dim U2, and h(N) is read off it by one
+    test against S or W:
 
     - a lift N > U has dim(N + U2) = dim S if N <= S, else dim S + 1, so
       h(N) = h - 1 exactly when N <= S;
@@ -181,45 +197,53 @@ def _scored_steps(M: ReprMatroid, h: int, U2: Subspace, cap):
       dim U2 - dim W when W <= N and one more otherwise: h(N) = h - 1
       exactly when W <= N.
 
-    A lift U + <v> lies in S exactly when v does: one containment test.
-    The projection to ker(code) holds W exactly when code vanishes on the
-    coordinates w|pivots of every row w of W, which is one combination of
-    the columns of those coordinates.  Both budgets are checked before any
-    neighbour is scored, and S and W are built once per call; no
-    neighbour is summed with U2."""
+    h and both tests read one elimination of U2 modulo U (_modulo), which
+    gives dim S = dim U + len(Q).  A lift U + <v> lies in S exactly when v
+    does, and v is zero on U's pivots, so exactly when v reduces to zero
+    modulo Q.  The projection to ker(code) holds W exactly when code
+    vanishes on the coordinates w|pivots of every row w of W, the tails:
+    one combination of their columns.  Both budgets are checked before any
+    neighbour is scored; no neighbour is summed with U2, and neither S nor
+    W is built as a subspace."""
     projections = elementary_projections(M, cap)[1:]
     lifts = elementary_lifts(M, cap)[1:]
     F, U = M.field, M.space
-    S, W = sum_spaces(U, U2), intersect_spaces(U, U2)
-    coords = [tuple(w[p] for w in W.basis) for p in U.pivots]
-    for code, N in zip(_points(F, U.dim), projections):
-        yield N, h + 1 if any(combine(F, code, coords)) else h - 1
+    Q, qpiv, tails = _modulo(U, U2)
+    h = U.dim + 2 * len(qpiv) - U2.dim
+    if tails:
+        cols = list(zip(*tails))
+        for code, N in zip(_points(F, U.dim), projections):
+            yield N, h + 1 if any(combine(F, code, cols)) else h - 1
+    else:  # W = 0 lies in every projection
+        for N in projections:
+            yield N, h - 1
     for v, N in zip(_lift_vectors(U), lifts):
-        yield N, h - 1 if S.contains(v) else h + 1
+        yield N, h + 1 if any(reduce_vector(F, Q, qpiv, v)) else h - 1
 
 
 def dist(pair: PerturbPair, cap=100000) -> int:
     """Minimum number of elementary projections and lifts from M1 to M2:
     a shortest path in the subspace lattice of F^E, found by A* search
-    under the consistent heuristic _subspace_distance to U2, deepest
-    first among equal estimates (cap bounds the subspaces visited).  Only
-    the start is scored with a sum of spaces; each expansion scores its
-    neighbours by containment (_scored_steps)."""
+    under the consistent heuristic 2 dim(U + U2) - dim U - dim U2, deepest
+    first among equal estimates (cap bounds the subspaces visited).  Each
+    expansion does one elimination of U2 modulo the current space and
+    scores all its neighbours from it by one test each (_scored_steps);
+    the start, expanded first whatever its estimate, is not scored."""
     U2 = pair.m2.space
     goal = U2.basis
     if pair.m1.space.basis == goal:
         return 0
     best = {pair.m1.space.basis: 0}
     order = count()
-    queue = [(_subspace_distance(pair.m1.space, U2), 0, next(order), pair.m1)]
+    queue = [(0, 0, next(order), pair.m1)]  # (estimate, -steps, tie, M)
     while queue:
-        f, neg_g, _, M = heappop(queue)
+        _, neg_g, _, M = heappop(queue)
         g = -neg_g
         if g > best[M.space.basis]:
             continue  # stale: M was pushed again with a shorter path
         # a goal next to M means M's estimate is g + 1, the least in the
         # queue, so no path to the goal is shorter
-        for N, h in _scored_steps(M, f - g, U2, cap):
+        for N, h in _scored_steps(M, U2, cap):
             nb = N.space.basis
             if nb == goal:
                 return g + 1
@@ -251,14 +275,14 @@ def _complement_rows(field, W: Subspace, rows):
 
 
 def pert_bounds(pair: PerturbPair, with_witness=False):
-    """(lo, hi): lo from row-space containment, hi from an explicit aligned
-    generator construction pairing complements through the intersection.
-    With with_witness=True, also returns the achieved difference matrix
-    (rows of A1 - A2), whose rank is hi."""
-    U1, U2 = pair.m1.space, pair.m2.space
-    S = sum_spaces(U1, U2)
-    lo = max(S.dim - U2.dim, S.dim - U1.dim)
-    A1, A2 = _aligned_generators(pair)
+    """(lo, hi): lo = max(dim U1, dim U2) - dim(U1 n U2) from row-space
+    containment (U1 <= U2 + V needs dim V >= dim U1 - dim(U1 n U2), and
+    symmetrically), hi from an explicit aligned generator construction
+    pairing complements through the intersection.  With with_witness=True,
+    also returns the achieved difference matrix (rows of A1 - A2), whose
+    rank is hi."""
+    A1, A2, w = _aligned_generators(pair)
+    lo = max(pair.m1.rank, pair.m2.rank) - w
     F = pair.field
     diff = [F.axpy(F.neg(1), r1, r2) for r1, r2 in zip(A1, A2)]
     _, piv = rref_rows(F, diff)
@@ -268,8 +292,9 @@ def pert_bounds(pair: PerturbPair, with_witness=False):
 
 
 def _aligned_generators(pair: PerturbPair):
-    """Generator row lists for (m1, m2) with a common row count, pairing a
-    shared basis of the intersection first and complements afterwards."""
+    """(A1, A2, dim(U1 n U2)): generator row lists for (m1, m2) with a
+    common row count, pairing a shared basis of the intersection first and
+    complements afterwards."""
     F = pair.field
     n = len(pair.ground)
     U1, U2 = pair.m1.space, pair.m2.space
@@ -281,7 +306,7 @@ def _aligned_generators(pair: PerturbPair):
     zero = [0] * n
     A1 = shared + [list(r) for r in x_rows] + [zero] * (height - len(x_rows))
     A2 = shared + [list(r) for r in y_rows] + [zero] * (height - len(y_rows))
-    return A1, A2
+    return A1, A2, W.dim
 
 
 def _covered(F, U: Subspace, rows, X: Subspace):
@@ -295,17 +320,18 @@ def _covered(F, U: Subspace, rows, X: Subspace):
 
 def pert_exact(pair: PerturbPair, cap=DEFAULT_LATTICE_CAP) -> int:
     """Exact minimum rank(A1 - A2) via the difference-space reduction.
-    Each candidate V is tested by growing U2's and U1's echelons by V's
-    rows, without building U2 + V or U1 + V as subspaces."""
+    The candidate spaces V of U1 + U2 are drawn from dimension lo =
+    s - min(dim U1, dim U2) up (no smaller V works: U1 <= U2 + V needs
+    dim V >= s - dim U2), though the budget counts all G_s(q) of them.
+    Each is tested by growing U2's and U1's echelons by V's rows, without
+    building U2 + V or U1 + V as subspaces."""
     F = pair.field
     U1, U2 = pair.m1.space, pair.m2.space
     if U1 == U2:
         return 0
     S = sum_spaces(U1, U2)
-    lo = S.dim - min(U1.dim, U2.dim)  # U1 <= U2 + V needs dim V >= s - dim U2
-    for vb in enumerate_subspaces(F, S.dim, cap=cap):  # ascending dimension
-        if len(vb) < lo:
-            continue
+    lo = S.dim - min(U1.dim, U2.dim)
+    for vb in enumerate_subspaces(F, S.dim, cap=cap, start=lo):  # ascending dimension
         V_rows = [combine(F, c, S.basis) for c in vb]
         if _covered(F, U2, V_rows, U1) and _covered(F, U1, V_rows, U2):
             return len(vb)

@@ -556,6 +556,11 @@ def elementary_lifts_by_reduction(M: ReprMatroid):
     return out
 
 
+def subspace_distance(U: Subspace, W: Subspace) -> int:
+    """2 dim(U + W) - dim U - dim W, with U + W built by sum_spaces."""
+    return 2 * sum_spaces(U, W).dim - U.dim - W.dim
+
+
 def dist_bfs(pair, cap=100000) -> int:
     """Breadth-first search of the subspace lattice from M1 to M2, level by
     level; cap bounds the subspaces visited, counted as each is first seen."""

@@ -137,6 +137,21 @@ def test_enumerate_subspaces_is_lazy_and_checks_its_budget_first():
         next(enumerate_subspaces(GF2, 3, cap=15))
 
 
+@pytest.mark.parametrize("field,n", [(GF2, 4), (GF3, 3)])
+def test_enumerate_subspaces_from_a_start_dimension(field, n):
+    """start=k yields the suffix of the full order from dimension k on, and
+    its budget still counts every subspace."""
+    full = list(enumerate_subspaces(field, n))
+    total = subspace_count(field.q, n)
+    for k in range(n + 2):
+        got = list(enumerate_subspaces(field, n, start=k))
+        assert got == [rows for rows in full if len(rows) >= k]
+        assert got == full[len(full) - len(got):]
+        with pytest.raises(CapExceeded, match=rf"^{total} subspaces exceed the budget {total - 1}; "):
+            next(enumerate_subspaces(field, n, cap=total - 1, start=k))
+        assert list(enumerate_subspaces(field, n, cap=total, start=k)) == got
+
+
 def test_gaussian_binomial_values():
     assert gaussian_binomial(4, 2, 2) == 35
     assert gaussian_binomial(3, 1, 3) == 13

@@ -9,6 +9,7 @@ from oracles import (
     elementary_lifts_reference,
     elementary_projections_reference,
     pert_exact_tiny,
+    subspace_distance,
 )
 
 from matroidlab import perturb
@@ -28,7 +29,6 @@ from matroidlab.perturb import (
     _aligned_generators,
     _points,
     _scored_steps,
-    _subspace_distance,
     apply_perturbation,
     dist,
     elementary_lifts,
@@ -238,23 +238,40 @@ def test_dist_bfs_budget_counts_visited_subspaces():
             dist_bfs(pair, cap=cap)
 
 
-@pytest.mark.parametrize("p,k,n", [(2, 1, 4), (3, 1, 3)])
-def test_subspace_distance_is_a_consistent_heuristic(p, k, n):
+@pytest.mark.parametrize("field,ground", [
+    (GF2, (0, 1, 2, 3)), (GF3, (0, 1, 2)), (GF4, (0, 1)),
+    (GF3, ("c", "a", "b")),  # given unsorted: pivots are sorted positions
+], ids=["2-1-4", "3-1-3", "2-2-2", "3-1-3-relabelled"])
+def test_subspace_distance_is_a_consistent_heuristic(field, ground):
     """The A* heuristic is 0 exactly at the target, every elementary
-    projection or lift changes it by exactly 1, and the estimate dist
-    reads off each step by a containment test is that distance."""
-    spaces = all_matroids(make_field(p, k), n)
-    targets = random.Random(15).sample(spaces, 6)
+    projection or lift changes it by exactly 1, and for every ordered pair
+    (U, U2) of subspaces the estimate that _scored_steps reads off each
+    step is that distance, as computed from sum_spaces."""
+    spaces = [ReprMatroid(Subspace(field, ground, list(rows)))
+              for rows in enumerate_subspaces(field, len(ground))]
+    table = {(a.space.basis, b.space.basis): subspace_distance(a.space, b.space)
+             for a in spaces for b in spaces}
+    kinds = set()
     for M in spaces:
+        U = M.space
         steps = elementary_projections(M)[1:] + elementary_lifts(M)[1:]
-        for T in targets:
-            h = _subspace_distance(M.space, T.space)
+        for T in spaces:
+            U2 = T.space
+            h = table[U.basis, U2.basis]
             assert (h == 0) == (M == T)
-            scored = list(_scored_steps(M, h, T.space, DEFAULT_LATTICE_CAP))
+            scored = list(_scored_steps(M, U2, DEFAULT_LATTICE_CAP))
             assert [N for N, _ in scored] == steps
             for N, estimate in scored:
-                assert estimate == _subspace_distance(N.space, T.space)
+                assert estimate == table[N.space.basis, U2.basis]
                 assert abs(estimate - h) == 1
+            meet = U.dim + U2.dim - sum_spaces(U, U2).dim
+            kinds.update(kind for kind, holds in (
+                ("dim U = 0", U.dim == 0), ("dim U2 = 0", U2.dim == 0),
+                ("U = U2", U == U2), ("U < U2", U.dim == meet < U2.dim),
+                ("U2 < U", U2.dim == meet < U.dim),
+                ("W = 0 < U, U2", meet == 0 < min(U.dim, U2.dim)))
+                if holds)
+    assert len(kinds) == 6
 
 
 @pytest.mark.parametrize("p,k,n,seed", [(2, 1, 5, 0), (3, 1, 4, 1), (2, 2, 3, 2)])
@@ -265,7 +282,7 @@ def test_dist_matches_bfs_on_seeded_pairs(p, k, n, seed):
         pair = PerturbPair(rng.choice(spaces), rng.choice(spaces))
         d = dist(pair)
         assert d == dist_bfs(pair)
-        assert d == _subspace_distance(pair.m1.space, pair.m2.space)
+        assert d == subspace_distance(pair.m1.space, pair.m2.space)
 
 
 # ---------------------------------------------------------------------------
@@ -360,13 +377,14 @@ def test_pert_exact_matches_literal_enumeration_gf3():
 
 
 def test_pert_exact_stops_enumerating_at_its_answer(monkeypatch):
-    """pert_exact draws difference spaces only up to the first feasible
-    one, of dimension lo = s - min(dim U1, dim U2), so when lo < s it never
-    reaches the last of the G_s(q) subspaces of U1 + U2."""
+    """pert_exact draws difference spaces from its lower bound
+    lo = s - min(dim U1, dim U2) up to the first feasible one, which has
+    dimension lo, so when lo < s it never reaches the last of the G_s(q)
+    subspaces of U1 + U2."""
     drawn = []
 
-    def counted(field, n, cap):
-        for rows in enumerate_subspaces(field, n, cap=cap):
+    def counted(field, n, cap, start):
+        for rows in enumerate_subspaces(field, n, cap=cap, start=start):
             drawn.append(rows)
             yield rows
 
@@ -380,7 +398,9 @@ def test_pert_exact_stops_enumerating_at_its_answer(monkeypatch):
                 continue  # no search, or lo = s
             drawn.clear()
             value = pert_exact(PerturbPair(a, b))
-            assert value == s - min(a.rank, b.rank) == len(drawn[-1])
+            lo = s - min(a.rank, b.rank)
+            assert value == lo == len(drawn[-1])
+            assert all(len(rows) >= lo for rows in drawn)  # none below lo
             assert len(drawn) < subspace_count(field.q, s)
             checked += 1
         assert checked > 100
@@ -403,7 +423,7 @@ def test_aligned_generators_span_both_spaces(p, k):
         pair = PerturbPair(*(
             mk(F, [[rng.randrange(F.q) for _ in range(n)] for _ in range(rng.randint(0, n))], n)
             for _ in range(2)))
-        A1, A2 = _aligned_generators(pair)
+        A1, A2, _ = _aligned_generators(pair)
         assert len(A1) == len(A2)
         assert Subspace(F, pair.ground, A1) == pair.m1.space
         assert Subspace(F, pair.ground, A2) == pair.m2.space
