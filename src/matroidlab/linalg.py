@@ -267,14 +267,17 @@ class Subspace:
         self._index = index  # shared with every Subspace on this ambient
 
     @classmethod
-    def _of_reduced(cls, field, ambient, basis, pivots):
+    def _of_reduced(cls, field, ambient, basis, pivots, index=None):
         """The subspace whose RREF basis over `ambient`, which must already
-        be sorted, is `basis` with `pivots`: taken as given, not reduced."""
-        order, perm, index = _layout_of(ambient)
-        if perm is not None:
-            raise LabelMismatch("reduced rows need a sorted ambient")
+        be sorted, is `basis` with `pivots`: taken as given, not reduced.
+        A caller holding a Subspace on the same ambient passes its
+        `ambient` and `_index`, and the layout is shared unchecked."""
+        if index is None:
+            ambient, perm, index = _layout_of(ambient)
+            if perm is not None:
+                raise LabelMismatch("reduced rows need a sorted ambient")
         self = object.__new__(cls)
-        self.field, self.ambient, self._index = field, order, index
+        self.field, self.ambient, self._index = field, ambient, index
         self.basis, self.pivots = tuple(basis), tuple(pivots)
         return self
 
@@ -341,7 +344,7 @@ def intersect_spaces(U: Subspace, V: Subspace) -> Subspace:
     red, piv = rref_rows(U.field, rows)
     k = sum(p < n for p in piv)  # pivots ascend: the right-half rows come last
     return Subspace._of_reduced(U.field, U.ambient, [row[n:] for row in red[k:]],
-                                [p - n for p in piv[k:]])
+                                [p - n for p in piv[k:]], U._index)
 
 
 # ---------------------------------------------------------------------------

@@ -12,15 +12,19 @@ Both are built in RREF directly from U's RREF basis, by one rank-one
 update each, not by row reduction: a lift clears one column of U's rows
 with its new vector, and a hyperplane subtracts multiples of one row of
 U from the others.  The tests compare both with row-reduced references.
-Distance is an A* search in the subspace lattice, guided by the
-subspace distance 2 dim(U + U2) - dim U - dim U2 of Koetter and
-Kschischang, which every step changes by exactly 1; the tests compare it
-with the breadth-first search in tests/oracles.py.  Each expansion of U
-does one elimination of U2 modulo U, n + dim U wide, which gives both
-S = U + U2 (as its part off U's pivots) and W = U n U2 (as coordinates
-in U's basis) without building either.  It scores each lift U + <v> by
-one containment test, v in S, and each hyperplane ker(code) by one
-functional test, code vanishing on W's coordinates.
+Both share U's ambient layout instead of looking it up again.
+Distance is the subspace distance 2 dim(U + U2) - dim U - dim U2 of
+Koetter and Kschischang, which every step changes by exactly 1 and some
+step from every U != U2 lowers, so dist walks straight down it: the walk
+visits what an A* search under that heuristic would, in the same order,
+with the same budget.  The tests compare it with that A* search and with
+the breadth-first search in tests/oracles.py.  Each step from U does one
+elimination of U2 modulo U, n + dim U wide, which gives both S = U + U2
+(as its part off U's pivots) and W = U n U2 (as coordinates in U's
+basis) without building either.  It scores each lift U + <v> by one
+containment test, v in S, and each hyperplane ker(code) by one
+functional test, code vanishing on W's coordinates, and stops at the
+first neighbour that is closer.
 
 pert_exact reduces the minimum of rank(A1 - A2) over aligned generator
 matrices to a search over difference row spaces: a subspace V of U1+U2
@@ -28,16 +32,16 @@ works iff U1 <= U2 + V and U2 <= U1 + V (any valid pair of matrices has
 such a V of dimension rank(A1 - A2); conversely pairing bases through V
 achieves dim V at row count dim U1 + dim U2).  It draws the candidate
 spaces lazily, from its lower bound up, and stops at the first that
-works; it tests each by growing U2's and U1's echelons by V's rows
-(extend_echelon).  The tests compare it with the literal enumeration
-over coefficient matrices in tests/oracles.py.
+works; it tests each by a rank count: U2 + V and U1 + V lie in U1 + U2,
+so each covers the other space exactly when it has the dimension of
+U1 + U2.  The tests compare it with the literal enumeration over
+coefficient matrices in tests/oracles.py.
 """
 
 from bisect import bisect_left
 from dataclasses import dataclass
 from functools import lru_cache
-from heapq import heappop, heappush
-from itertools import count, product
+from itertools import product
 
 from .errors import LabelMismatch, ShapeMismatch, check_budget
 from .linalg import (
@@ -119,7 +123,7 @@ def elementary_projections(M: ReprMatroid, cap=DEFAULT_LATTICE_CAP):
         rows = [B[k] if not c else tuple(F.axpy(F.mul(c, f), B[k], B[m]))
                 for k, c in enumerate(code) if k != m]
         out.append(ReprMatroid(Subspace._of_reduced(
-            F, U.ambient, rows, pivots[:m] + pivots[m + 1:])))
+            F, U.ambient, rows, pivots[:m] + pivots[m + 1:], U._index)))
     return out
 
 
@@ -157,7 +161,7 @@ def elementary_lifts(M: ReprMatroid, cap=DEFAULT_LATTICE_CAP):
         rows = [tuple(F.axpy(F.neg(b[p]), b, v)) if b[p] else b for b in U.basis]
         rows.insert(at, v)
         out.append(ReprMatroid(Subspace._of_reduced(
-            F, U.ambient, rows, U.pivots[:at] + (p,) + U.pivots[at:])))
+            F, U.ambient, rows, U.pivots[:at] + (p,) + U.pivots[at:], U._index)))
     return out
 
 
@@ -184,12 +188,14 @@ def _modulo(U: Subspace, U2: Subspace):
     return [r[:n] for r in red[:k]], piv[:k], [r[n:] for r in red[k:]]
 
 
-def _scored_steps(M: ReprMatroid, U2: Subspace, cap):
-    """Each elementary projection and lift N of M other than M itself,
-    with h(N) the subspace distance 2 dim(N + U2) - dim N - dim U2 of
-    Koetter and Kschischang.  For U = M.space, S = U + U2 and W = U n U2,
-    h = h(M) = 2 dim S - dim U - dim U2, and h(N) is read off it by one
-    test against S or W:
+def _scored_steps(M: ReprMatroid, U2: Subspace, projections, lifts):
+    """(h, steps): h = h(M), the subspace distance 2 dim(U + U2) - dim U -
+    dim U2 of Koetter and Kschischang for U = M.space, and an iterator of
+    (N, h(N)) over M's elementary projections and lifts other than M, in
+    the order elementary_projections and elementary_lifts list them, which
+    scores each N only as it is read.  For S = U + U2 and W = U n U2, h =
+    2 dim S - dim U - dim U2, and h(N) is read off it by one test against
+    S or W:
 
     - a lift N > U has dim(N + U2) = dim S if N <= S, else dim S + 1, so
       h(N) = h - 1 exactly when N <= S;
@@ -202,59 +208,75 @@ def _scored_steps(M: ReprMatroid, U2: Subspace, cap):
     does, and v is zero on U's pivots, so exactly when v reduces to zero
     modulo Q.  The projection to ker(code) holds W exactly when code
     vanishes on the coordinates w|pivots of every row w of W, the tails:
-    one combination of their columns.  Both budgets are checked before any
-    neighbour is scored; no neighbour is summed with U2, and neither S nor
-    W is built as a subspace."""
-    projections = elementary_projections(M, cap)[1:]
-    lifts = elementary_lifts(M, cap)[1:]
+    one combination of their columns.  No neighbour is summed with U2, and
+    neither S nor W is built as a subspace."""
     F, U = M.field, M.space
     Q, qpiv, tails = _modulo(U, U2)
     h = U.dim + 2 * len(qpiv) - U2.dim
-    if tails:
-        cols = list(zip(*tails))
-        for code, N in zip(_points(F, U.dim), projections):
-            yield N, h + 1 if any(combine(F, code, cols)) else h - 1
-    else:  # W = 0 lies in every projection
-        for N in projections:
-            yield N, h - 1
-    for v, N in zip(_lift_vectors(U), lifts):
-        yield N, h + 1 if any(reduce_vector(F, Q, qpiv, v)) else h - 1
+
+    def steps():
+        if tails:
+            cols = list(zip(*tails))
+            for code, N in zip(_points(F, U.dim), projections):
+                yield N, h + 1 if any(combine(F, code, cols)) else h - 1
+        else:  # W = 0 lies in every projection
+            for N in projections:
+                yield N, h - 1
+        for v, N in zip(_lift_vectors(U), lifts):
+            yield N, h + 1 if any(reduce_vector(F, Q, qpiv, v)) else h - 1
+
+    return h, steps()
 
 
 def dist(pair: PerturbPair, cap=100000) -> int:
     """Minimum number of elementary projections and lifts from M1 to M2:
-    a shortest path in the subspace lattice of F^E, found by A* search
-    under the consistent heuristic 2 dim(U + U2) - dim U - dim U2, deepest
-    first among equal estimates (cap bounds the subspaces visited).  Each
-    expansion does one elimination of U2 modulo the current space and
-    scores all its neighbours from it by one test each (_scored_steps);
-    the start, expanded first whatever its estimate, is not scored."""
+    a shortest path in the subspace lattice of F^E, walked straight down
+    the subspace distance h(U) = 2 dim(U + U2) - dim U - dim U2 (cap
+    bounds the subspaces visited, counted as each is first seen).
+
+    From U after g steps, the walk visits every neighbour (elementary
+    projections, then lifts), returns g + 1 at the goal, and otherwise
+    steps to the first neighbour that _scored_steps scores h(U) - 1; the
+    neighbours after it are not scored.
+
+    h is the lattice distance.  Every step changes it by exactly 1, so no
+    path is shorter than h.  And from U != U2 some step lowers it: if
+    W = U n U2 != U, a hyperplane of U that holds W meets U2 in W too, one
+    dimension lower; if W = U < U2, a lift of U by a vector of U2 lies in
+    U2.  So the walk takes h(M1) steps.
+
+    It also visits what A* under h, deepest first among equal estimates,
+    visits, in the same order and with the same budget (tests/oracles.py's
+    dist_astar).  With an exact heuristic every entry on a shortest path
+    has estimate h(M1) and the others more; A* pops the deepest of those,
+    the first closer neighbour of the node it just expanded.  No closer
+    neighbour was seen before: a subspace seen from a node at depth g' < g
+    is within one step of it, so its distance to U2 is at least
+    h(M1) - g' - 1 >= h(M1) - g, one more than a closer neighbour's.  So
+    each first sight is a budget charge in both, and A*'s stale check and
+    shorter-path updates never fire."""
     U2 = pair.m2.space
     goal = U2.basis
-    if pair.m1.space.basis == goal:
+    M = pair.m1
+    if M.space.basis == goal:
         return 0
-    best = {pair.m1.space.basis: 0}
-    order = count()
-    queue = [(0, 0, next(order), pair.m1)]  # (estimate, -steps, tie, M)
-    while queue:
-        _, neg_g, _, M = heappop(queue)
-        g = -neg_g
-        if g > best[M.space.basis]:
-            continue  # stale: M was pushed again with a shorter path
-        # a goal next to M means M's estimate is g + 1, the least in the
-        # queue, so no path to the goal is shorter
-        for N, h in _scored_steps(M, U2, cap):
+    seen = {M.space.basis}
+    g = 0
+    while True:
+        projections = elementary_projections(M, cap)[1:]
+        lifts = elementary_lifts(M, cap)[1:]
+        for N in projections + lifts:
             nb = N.space.basis
             if nb == goal:
                 return g + 1
-            if nb in best:
-                if best[nb] <= g + 1:
-                    continue
-            else:
-                check_budget(len(best) + 1, "visited subspaces", cap)
-            best[nb] = g + 1
-            heappush(queue, (g + 1 + h, -(g + 1), next(order), N))
-    raise AssertionError("subspace lattice is connected")  # unreachable
+            if nb not in seen:
+                check_budget(len(seen) + 1, "visited subspaces", cap)
+                seen.add(nb)
+        h, steps = _scored_steps(M, U2, projections, lifts)
+        M = next((N for N, estimate in steps if estimate < h), None)
+        if M is None:
+            raise AssertionError("some step lowers the subspace distance")  # unreachable
+        g += 1
 
 
 # ---------------------------------------------------------------------------
@@ -309,13 +331,18 @@ def _aligned_generators(pair: PerturbPair):
     return A1, A2, W.dim
 
 
-def _covered(F, U: Subspace, rows, X: Subspace):
-    """X <= U + span(rows): U's echelon grown by the rows (extend_echelon),
-    then each row of X's basis reduced by it."""
-    ech = U.basis, U.pivots
-    for row in rows:
-        ech = extend_echelon(F, *ech, row)
-    return not any(any(reduce_vector(F, *ech, x)) for x in X.basis)
+def _is_difference_space(F, U1: Subspace, U2: Subspace, s, rows):
+    """Whether V = span(rows), a subspace of S = U1 + U2 with s = dim S,
+    has U1 <= U2 + V and U2 <= U1 + V.  U2 + V lies in S, so U1 <= U2 + V
+    exactly when U2 + V = S, that is when U2's echelon grown by the rows
+    (extend_echelon) has s rows; and symmetrically."""
+    for U in (U2, U1):
+        basis, pivots = U.basis, U.pivots
+        for row in rows:
+            basis, pivots = extend_echelon(F, basis, pivots, row)
+        if len(pivots) < s:
+            return False
+    return True
 
 
 def pert_exact(pair: PerturbPair, cap=DEFAULT_LATTICE_CAP) -> int:
@@ -323,7 +350,7 @@ def pert_exact(pair: PerturbPair, cap=DEFAULT_LATTICE_CAP) -> int:
     The candidate spaces V of U1 + U2 are drawn from dimension lo =
     s - min(dim U1, dim U2) up (no smaller V works: U1 <= U2 + V needs
     dim V >= s - dim U2), though the budget counts all G_s(q) of them.
-    Each is tested by growing U2's and U1's echelons by V's rows, without
+    Each is tested by a rank count (_is_difference_space), without
     building U2 + V or U1 + V as subspaces."""
     F = pair.field
     U1, U2 = pair.m1.space, pair.m2.space
@@ -332,8 +359,7 @@ def pert_exact(pair: PerturbPair, cap=DEFAULT_LATTICE_CAP) -> int:
     S = sum_spaces(U1, U2)
     lo = S.dim - min(U1.dim, U2.dim)
     for vb in enumerate_subspaces(F, S.dim, cap=cap, start=lo):  # ascending dimension
-        V_rows = [combine(F, c, S.basis) for c in vb]
-        if _covered(F, U2, V_rows, U1) and _covered(F, U1, V_rows, U2):
+        if _is_difference_space(F, U1, U2, S.dim, [combine(F, c, S.basis) for c in vb]):
             return len(vb)
     raise AssertionError("V = U1 + U2 is always feasible")  # unreachable
 

@@ -1,7 +1,8 @@
 """Slow, independent reference implementations used only by the tests."""
 
 from fractions import Fraction
-from itertools import combinations, permutations, product
+from heapq import heappop, heappush
+from itertools import combinations, count, permutations, product
 import random
 
 import numpy as np
@@ -559,6 +560,41 @@ def elementary_lifts_by_reduction(M: ReprMatroid):
 def subspace_distance(U: Subspace, W: Subspace) -> int:
     """2 dim(U + W) - dim U - dim W, with U + W built by sum_spaces."""
     return 2 * sum_spaces(U, W).dim - U.dim - W.dim
+
+
+def dist_astar(pair, cap=100000) -> int:
+    """A* search of the subspace lattice from M1 to M2 under the heuristic
+    subspace_distance, deepest first among equal estimates, then first
+    pushed; cap bounds the subspaces visited, counted as each is first
+    seen.  The start is pushed with estimate 0, since it is popped first
+    whatever its estimate."""
+    U2 = pair.m2.space
+    goal = U2.basis
+    if pair.m1.space.basis == goal:
+        return 0
+    best = {pair.m1.space.basis: 0}
+    order = count()
+    queue = [(0, 0, next(order), pair.m1)]  # (estimate, -steps, tie, M)
+    while queue:
+        _, neg_g, _, M = heappop(queue)
+        g = -neg_g
+        if g > best[M.space.basis]:
+            continue  # stale: M was pushed again with a shorter path
+        # a goal next to M means M's estimate is g + 1, the least in the
+        # queue, so no path to the goal is shorter
+        for N in elementary_projections(M, cap)[1:] + elementary_lifts(M, cap)[1:]:
+            nb = N.space.basis
+            if nb == goal:
+                return g + 1
+            if nb in best:
+                if best[nb] <= g + 1:
+                    continue
+            else:
+                check_budget(len(best) + 1, "visited subspaces", cap)
+            best[nb] = g + 1
+            heappush(queue, (g + 1 + subspace_distance(N.space, U2), -(g + 1),
+                             next(order), N))
+    raise AssertionError("subspace lattice is connected")
 
 
 def dist_bfs(pair, cap=100000) -> int:

@@ -1,9 +1,11 @@
 import random
+from functools import cache
 from itertools import product
 
 import pytest
 
 from oracles import (
+    dist_astar,
     dist_bfs,
     elementary_lifts_by_reduction,
     elementary_lifts_reference,
@@ -18,15 +20,16 @@ from matroidlab.field import make_field
 from matroidlab.linalg import (
     Matrix,
     Subspace,
+    combine,
     enumerate_subspaces,
     subspace_count,
     sum_spaces,
 )
 from matroidlab.matroid import ReprMatroid, contract, delete, from_generator
 from matroidlab.perturb import (
-    DEFAULT_LATTICE_CAP,
     PerturbPair,
     _aligned_generators,
+    _is_difference_space,
     _points,
     _scored_steps,
     apply_perturbation,
@@ -219,8 +222,9 @@ def _six_steps_apart():
 
 
 def test_dist_budget_counts_visited_subspaces():
-    # the budget is checked as each subspace is first visited; A* visits
-    # 151 subspaces on this pair, so 151 is its least sufficient budget
+    # the budget is checked as each subspace is first visited; the walk
+    # visits 151 subspaces on this pair, as A* does, so 151 is its least
+    # sufficient budget
     pair = _six_steps_apart()
     for cap in (60, 150):
         with pytest.raises(CapExceeded, match=rf"^{cap + 1} visited subspaces exceed "
@@ -243,10 +247,10 @@ def test_dist_bfs_budget_counts_visited_subspaces():
     (GF3, ("c", "a", "b")),  # given unsorted: pivots are sorted positions
 ], ids=["2-1-4", "3-1-3", "2-2-2", "3-1-3-relabelled"])
 def test_subspace_distance_is_a_consistent_heuristic(field, ground):
-    """The A* heuristic is 0 exactly at the target, every elementary
+    """The subspace distance is 0 exactly at the target, every elementary
     projection or lift changes it by exactly 1, and for every ordered pair
-    (U, U2) of subspaces the estimate that _scored_steps reads off each
-    step is that distance, as computed from sum_spaces."""
+    (U, U2) of subspaces the estimates that _scored_steps reads off U and
+    off each step are that distance, as computed from sum_spaces."""
     spaces = [ReprMatroid(Subspace(field, ground, list(rows)))
               for rows in enumerate_subspaces(field, len(ground))]
     table = {(a.space.basis, b.space.basis): subspace_distance(a.space, b.space)
@@ -254,12 +258,15 @@ def test_subspace_distance_is_a_consistent_heuristic(field, ground):
     kinds = set()
     for M in spaces:
         U = M.space
-        steps = elementary_projections(M)[1:] + elementary_lifts(M)[1:]
+        projections, lifts = elementary_projections(M)[1:], elementary_lifts(M)[1:]
+        steps = projections + lifts
         for T in spaces:
             U2 = T.space
             h = table[U.basis, U2.basis]
             assert (h == 0) == (M == T)
-            scored = list(_scored_steps(M, U2, DEFAULT_LATTICE_CAP))
+            h_read, scored = _scored_steps(M, U2, projections, lifts)
+            assert h_read == h
+            scored = list(scored)
             assert [N for N, _ in scored] == steps
             for N, estimate in scored:
                 assert estimate == table[N.space.basis, U2.basis]
@@ -283,6 +290,40 @@ def test_dist_matches_bfs_on_seeded_pairs(p, k, n, seed):
         d = dist(pair)
         assert d == dist_bfs(pair)
         assert d == subspace_distance(pair.m1.space, pair.m2.space)
+
+
+def _outcome(search, pair, cap):
+    """search's value under the budget cap, or its CapExceeded message."""
+    try:
+        return search(pair, cap=cap)
+    except CapExceeded as exc:
+        return str(exc)
+
+
+@pytest.mark.parametrize("p,k,n,seed", [(2, 1, 5, 0), (3, 1, 4, 1), (2, 2, 3, 2), (None,) * 4],
+                         ids=["2-1-5", "3-1-4", "2-2-3", "six-steps-apart"])
+def test_dist_walk_matches_astar_under_every_budget(p, k, n, seed):
+    """Under every budget from 1 to the least sufficient one, the walk
+    returns what A* under the subspace distance returns, or raises the same
+    CapExceeded message: both visit the same subspaces in the same order."""
+    if p is None:
+        pairs = [_six_steps_apart()]
+    else:
+        spaces = all_matroids(make_field(p, k), n)
+        rng = random.Random(seed)
+        pairs = [PerturbPair(rng.choice(spaces), rng.choice(spaces)) for _ in range(12)]
+    refusals = set()
+    for pair in pairs:
+        cap = 0
+        while True:
+            cap += 1
+            want = _outcome(dist_astar, pair, cap)
+            assert _outcome(dist, pair, cap) == want
+            if isinstance(want, int):
+                break
+            refusals.update(kind for kind in ("hyperplanes", "lifts", "visited subspaces")
+                            if f" {kind} exceed " in want)
+    assert len(refusals) == 3
 
 
 # ---------------------------------------------------------------------------
@@ -404,6 +445,34 @@ def test_pert_exact_stops_enumerating_at_its_answer(monkeypatch):
             assert len(drawn) < subspace_count(field.q, s)
             checked += 1
         assert checked > 100
+
+
+@pytest.mark.parametrize("field,n", [(GF2, 4), (GF3, 3)], ids=["2-1-4", "3-1-3"])
+def test_difference_space_is_tested_by_a_rank_count(field, n):
+    """For every ordered pair (U1, U2) of subspaces and every V <= U1 + U2
+    that pert_exact could draw, the rank count agrees with U1 <= U2 + V
+    and U2 <= U1 + V checked through sum_spaces."""
+    ground = tuple(range(n))
+    spaces = [Subspace(field, ground, list(rows)) for rows in enumerate_subspaces(field, n)]
+    plus = cache(sum_spaces)  # subspaces repeat across the pairs
+
+    @cache
+    def drawn(S):
+        """(rows, V) for each V of S, as pert_exact draws it."""
+        return [(rows, Subspace(field, ground, rows))
+                for rows in ([combine(field, c, S.basis) for c in vb]
+                             for vb in enumerate_subspaces(field, S.dim))]
+
+    seen = set()
+    for U1, U2 in product(spaces, repeat=2):
+        S = plus(U1, U2)
+        meet = U1.dim + U2.dim - S.dim
+        for rows, V in drawn(S):
+            A, B = plus(U2, V), plus(U1, V)
+            want = plus(A, U1) == A and plus(B, U2) == B
+            assert _is_difference_space(field, U1, U2, S.dim, rows) == want
+            seen.add((want, meet > 0))
+    assert seen == {(False, False), (False, True), (True, False), (True, True)}
 
 
 def test_pert_lower_bound_is_intersection_defect():
