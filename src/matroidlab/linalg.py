@@ -327,11 +327,6 @@ def _check_common(U: Subspace, V: Subspace):
         raise LabelMismatch("sum needs identical field and ambient set")
 
 
-def sum_spaces(U: Subspace, V: Subspace) -> Subspace:
-    _check_common(U, V)
-    return Subspace(U.field, U.ambient, list(U.basis) + list(V.basis))
-
-
 def intersect_spaces(U: Subspace, V: Subspace) -> Subspace:
     """The intersection of U and V by Zassenhaus' method: one RREF of the
     rows (u | u) and (v | 0).  A row with zero left half is (u + v | u)
@@ -554,5 +549,9 @@ def gaussian_binomial(n, k, q):
     return num // den
 
 
+@lru_cache(maxsize=256)
 def subspace_count(q, n):
+    """G_n(q), the number of subspaces of F^n over a field of q elements,
+    cached for the last 256 (q, n) asked for, since enumerate_subspaces
+    checks its budget against it on every call."""
     return sum(gaussian_binomial(n, k, q) for k in range(n + 1))

@@ -12,7 +12,11 @@ Both are built in RREF directly from U's RREF basis, by one rank-one
 update each, not by row reduction: a lift clears one column of U's rows
 with its new vector, and a hyperplane subtracts multiples of one row of
 U from the others.  The tests compare both with row-reduced references.
-Both share U's ambient layout instead of looking it up again.
+Both share U's ambient layout instead of looking it up again, and both
+read what does not depend on U's entries from a cached plan: each
+hyperplane's row index and coefficients per field and dim U
+(_projection_plan), each lift's vector and pivots per field, |E| and
+U's pivots (_lift_plan), built after the budget check that covers it.
 Distance is the subspace distance 2 dim(U + U2) - dim U - dim U2 of
 Koetter and Kschischang, which every step changes by exactly 1 and some
 step from every U != U2 lowers, so dist walks straight down it: the walk
@@ -34,8 +38,12 @@ achieves dim V at row count dim U1 + dim U2).  It draws the candidate
 spaces lazily, from its lower bound up, and stops at the first that
 works; it tests each by a rank count: U2 + V and U1 + V lie in U1 + U2,
 so each covers the other space exactly when it has the dimension of
-U1 + U2.  The tests compare it with the literal enumeration over
-coefficient matrices in tests/oracles.py.
+U1 + U2, whose echelon basis comes from one row reduction of both bases.
+The tests compare it with the literal enumeration over coefficient
+matrices in tests/oracles.py.  pert_bounds pairs complements through the
+intersection; the difference of that pair has rank max(dim U1, dim U2) -
+dim(U1 n U2) by a theorem, so it is not reduced, and both bounds are
+that number.
 """
 
 from bisect import bisect_left
@@ -53,7 +61,6 @@ from .linalg import (
     intersect_spaces,
     reduce_vector,
     rref_rows,
-    sum_spaces,
 )
 from .matroid import ReprMatroid
 
@@ -101,6 +108,25 @@ def _points(F, k):
                  for tail in product(elements, repeat=k - 1 - i))
 
 
+@lru_cache(maxsize=64)
+def _projection_plan(F, d):
+    """One (m, coeffs) per normalized functional `code` on F^d, in _points
+    order: m is the last nonzero index of `code` and coeffs[k] =
+    -code_k / code_m for k < m.
+
+    A plan depends only on the field and d, so it is built once for every
+    subspace of that dimension.  The cache keeps at most 64 plans, each of
+    (q^d - 1)/(q - 1) entries, as many as the hyperplanes that
+    elementary_projections builds from it after checking its budget."""
+    neg, inv, mul = F.neg, F.inv, F.mul
+    plan = []
+    for code in _points(F, d):
+        m = max(k for k, c in enumerate(code) if c)
+        f = neg(inv(code[m]))
+        plan.append((m, tuple(mul(c, f) for c in code[:m])))
+    return tuple(plan)
+
+
 def elementary_projections(M: ReprMatroid, cap=DEFAULT_LATTICE_CAP):
     """M itself plus every (E, U') with U' a codimension-1 subspace of U:
     one per normalized functional `code` on U's coordinates, the kernel
@@ -110,42 +136,53 @@ def elementary_projections(M: ReprMatroid, cap=DEFAULT_LATTICE_CAP):
     entry of `code`.  The rows B_k - (code_k / code_m) B_m for k != m span
     it; each is 1 at U's pivot k and 0 at U's other pivots (B_m vanishes
     there, and code_k = 0 for k > m), so they are its RREF basis, with U's
-    pivots minus pivots[m]."""
+    pivots minus pivots[m].  m and the coefficients come from
+    _projection_plan, so each kernel costs only its row updates."""
     F = M.field
     d = M.rank
     check_budget((F.q ** d - 1) // (F.q - 1), "hyperplanes", cap)
     out = [M]
     U = M.space
-    B, pivots = U.basis, U.pivots
-    for code in _points(F, d):
-        m = max(k for k, c in enumerate(code) if c)
-        f = F.neg(F.inv(code[m]))
-        rows = [B[k] if not c else tuple(F.axpy(F.mul(c, f), B[k], B[m]))
-                for k, c in enumerate(code) if k != m]
+    B, pivots, axpy = U.basis, U.pivots, F.axpy
+    for m, coeffs in _projection_plan(F, d):
+        Bm = B[m]
+        rows = [tuple(axpy(a, b, Bm)) if a else b for a, b in zip(coeffs, B)]
+        rows += B[m + 1:]
         out.append(ReprMatroid(Subspace._of_reduced(
             F, U.ambient, rows, pivots[:m] + pivots[m + 1:], U._index)))
     return out
 
 
-def _lift_vectors(U: Subspace):
-    """One vector per point of F^E/U, in _points order: the normalized
-    vectors supported off U's pivot columns.
+@lru_cache(maxsize=256)
+def _lift_plan(F, n, pivots):
+    """One (v, p, at, grown) per point of F^n/U, for every U <= F^n whose
+    RREF basis has these pivots, in _points order: v is the normalized
+    vector supported off the pivot columns, p its first nonzero column
+    (where v is 1), `at` the place of p among the pivots, and grown the
+    pivots with p inserted there.
 
     U's basis is in RREF, so every coset of U holds exactly one vector
-    that is zero on U's pivot columns."""
-    n = len(U.ambient)
-    free = [j for j in range(n) if j not in U.pivots]
+    that is zero on U's pivot columns; which vectors those are depends
+    only on the pivots.  The cache keeps at most 256 plans, each of
+    (q^(n-d) - 1)/(q - 1) entries, as many as the lifts that
+    elementary_lifts builds from it after checking its budget."""
+    free = [j for j in range(n) if j not in pivots]
     # entry j of a vector is entry gather[j] of (0,) + code
     gather = [0] * n
     for i, j in enumerate(free, 1):
         gather[j] = i
-    for code in _points(U.field, len(free)):
-        yield tuple(map(((0,) + code).__getitem__, gather))
+    plan = []
+    for code in _points(F, len(free)):
+        p = free[code.index(1)]
+        at = bisect_left(pivots, p)
+        plan.append((tuple(map(((0,) + code).__getitem__, gather)), p, at,
+                     pivots[:at] + (p,) + pivots[at:]))
+    return tuple(plan)
 
 
 def elementary_lifts(M: ReprMatroid, cap=DEFAULT_LATTICE_CAP):
     """M itself plus every (E, U') with U <= U' of dimension dim U + 1:
-    U + <v> for each v of _lift_vectors(U), (q^(n-d) - 1)/(q - 1) in all.
+    U + <v> for each v of _lift_plan, (q^(n-d) - 1)/(q - 1) in all.
 
     Each lift is built in RREF directly.  v is zero on U's pivots and 1 at
     its first nonzero column p, so U + <v> has U's rows with column p
@@ -155,13 +192,11 @@ def elementary_lifts(M: ReprMatroid, cap=DEFAULT_LATTICE_CAP):
     U = M.space
     check_budget((F.q ** (M.size - U.dim) - 1) // (F.q - 1), "lifts", cap)
     out = [M]
-    for v in _lift_vectors(U):
-        p = v.index(1)
-        at = bisect_left(U.pivots, p)
-        rows = [tuple(F.axpy(F.neg(b[p]), b, v)) if b[p] else b for b in U.basis]
+    axpy, neg = F.axpy, F.neg
+    for v, p, at, grown in _lift_plan(F, M.size, U.pivots):
+        rows = [tuple(axpy(neg(b[p]), b, v)) if b[p] else b for b in U.basis]
         rows.insert(at, v)
-        out.append(ReprMatroid(Subspace._of_reduced(
-            F, U.ambient, rows, U.pivots[:at] + (p,) + U.pivots[at:], U._index)))
+        out.append(ReprMatroid(Subspace._of_reduced(F, U.ambient, rows, grown, U._index)))
     return out
 
 
@@ -206,10 +241,11 @@ def _scored_steps(M: ReprMatroid, U2: Subspace, projections, lifts):
     h and both tests read one elimination of U2 modulo U (_modulo), which
     gives dim S = dim U + len(Q).  A lift U + <v> lies in S exactly when v
     does, and v is zero on U's pivots, so exactly when v reduces to zero
-    modulo Q.  The projection to ker(code) holds W exactly when code
-    vanishes on the coordinates w|pivots of every row w of W, the tails:
-    one combination of their columns.  No neighbour is summed with U2, and
-    neither S nor W is built as a subspace."""
+    modulo Q; v is read from the _lift_plan that elementary_lifts built.
+    The projection to ker(code) holds W exactly when code vanishes on the
+    coordinates w|pivots of every row w of W, the tails: one combination
+    of their columns.  No neighbour is summed with U2, and neither S nor
+    W is built as a subspace."""
     F, U = M.field, M.space
     Q, qpiv, tails = _modulo(U, U2)
     h = U.dim + 2 * len(qpiv) - U2.dim
@@ -222,7 +258,7 @@ def _scored_steps(M: ReprMatroid, U2: Subspace, projections, lifts):
         else:  # W = 0 lies in every projection
             for N in projections:
                 yield N, h - 1
-        for v, N in zip(_lift_vectors(U), lifts):
+        for (v, *_), N in zip(_lift_plan(F, len(U.ambient), U.pivots), lifts):
             yield N, h + 1 if any(reduce_vector(F, Q, qpiv, v)) else h - 1
 
     return h, steps()
@@ -299,18 +335,26 @@ def _complement_rows(field, W: Subspace, rows):
 def pert_bounds(pair: PerturbPair, with_witness=False):
     """(lo, hi): lo = max(dim U1, dim U2) - dim(U1 n U2) from row-space
     containment (U1 <= U2 + V needs dim V >= dim U1 - dim(U1 n U2), and
-    symmetrically), hi from an explicit aligned generator construction
-    pairing complements through the intersection.  With with_witness=True,
-    also returns the achieved difference matrix (rows of A1 - A2), whose
-    rank is hi."""
+    symmetrically), hi = len(A1) - dim W, the rank of A1 - A2 for the
+    aligned generators of _aligned_generators.  With with_witness=True,
+    also returns that difference matrix (rows of A1 - A2).
+
+    hi is that rank by a theorem, so the difference is not reduced.  Let W
+    = U1 n U2 with basis w, and x and y the rows that extend w to bases
+    of U1 and U2.  Then w, x and y together are independent: in a
+    relation, the part on x lies in U1 and in U2, so in W, and x is
+    independent modulo W, so that part is zero; then w and y, a basis of
+    U2, carry the rest.  The rows of A1 - A2 are 0 on w's rows and then
+    x_i - y_i, x_i or -y_i, each with its own x_i or y_i, so the nonzero
+    ones are independent: max(len x, len y) = len(A1) - dim W of them.
+    That is max(dim U1, dim U2) - dim W, so hi = lo."""
     A1, A2, w = _aligned_generators(pair)
     lo = max(pair.m1.rank, pair.m2.rank) - w
-    F = pair.field
-    diff = [F.axpy(F.neg(1), r1, r2) for r1, r2 in zip(A1, A2)]
-    _, piv = rref_rows(F, diff)
+    hi = len(A1) - w
     if with_witness:
-        return lo, len(piv), diff
-    return lo, len(piv)
+        F = pair.field
+        return lo, hi, [F.axpy(F.neg(1), r1, r2) for r1, r2 in zip(A1, A2)]
+    return lo, hi
 
 
 def _aligned_generators(pair: PerturbPair):
@@ -347,19 +391,21 @@ def _is_difference_space(F, U1: Subspace, U2: Subspace, s, rows):
 
 def pert_exact(pair: PerturbPair, cap=DEFAULT_LATTICE_CAP) -> int:
     """Exact minimum rank(A1 - A2) via the difference-space reduction.
-    The candidate spaces V of U1 + U2 are drawn from dimension lo =
+    The candidate spaces V of S = U1 + U2 are drawn from dimension lo =
     s - min(dim U1, dim U2) up (no smaller V works: U1 <= U2 + V needs
     dim V >= s - dim U2), though the budget counts all G_s(q) of them.
-    Each is tested by a rank count (_is_difference_space), without
-    building U2 + V or U1 + V as subspaces."""
+    S's RREF basis comes from one rref_rows over both bases, with no
+    Subspace built, and each V is tested by a rank count
+    (_is_difference_space), without building U2 + V or U1 + V."""
     F = pair.field
     U1, U2 = pair.m1.space, pair.m2.space
     if U1 == U2:
         return 0
-    S = sum_spaces(U1, U2)
-    lo = S.dim - min(U1.dim, U2.dim)
-    for vb in enumerate_subspaces(F, S.dim, cap=cap, start=lo):  # ascending dimension
-        if _is_difference_space(F, U1, U2, S.dim, [combine(F, c, S.basis) for c in vb]):
+    S, piv = rref_rows(F, U1.basis + U2.basis)
+    s = len(piv)
+    lo = s - min(U1.dim, U2.dim)
+    for vb in enumerate_subspaces(F, s, cap=cap, start=lo):  # ascending dimension
+        if _is_difference_space(F, U1, U2, s, [combine(F, c, S) for c in vb]):
             return len(vb)
     raise AssertionError("V = U1 + U2 is always feasible")  # unreachable
 

@@ -20,13 +20,13 @@ from matroidlab.field import subfield_lattice
 from matroidlab.linalg import (
     Matrix,
     Subspace,
+    _check_common,
     combine,
     label_key,
     null_space_rows,
     orth_complement,
     rref_rows,
     sort_labels,
-    sum_spaces,
 )
 from matroidlab.matroid import (
     ReprMatroid,
@@ -555,6 +555,12 @@ def elementary_lifts_by_reduction(M: ReprMatroid):
             continue
         out.append(ReprMatroid(Subspace(F, M.ground, list(U.basis) + [v])))
     return out
+
+
+def sum_spaces(U: Subspace, V: Subspace) -> Subspace:
+    """U + V, row-reduced by Subspace from both bases."""
+    _check_common(U, V)
+    return Subspace(U.field, U.ambient, list(U.basis) + list(V.basis))
 
 
 def subspace_distance(U: Subspace, W: Subspace) -> int:

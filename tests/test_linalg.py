@@ -14,6 +14,7 @@ from oracles import (
     rref_reference,
     scale_reference,
     seeded,
+    sum_spaces,
 )
 
 from matroidlab import linalg
@@ -34,7 +35,6 @@ from matroidlab.linalg import (
     rref_rows,
     sort_labels,
     subspace_count,
-    sum_spaces,
 )
 
 GF2 = make_field(2, 1)

@@ -12,25 +12,28 @@ from oracles import (
     elementary_projections_reference,
     pert_exact_tiny,
     subspace_distance,
+    sum_spaces,
 )
 
 from matroidlab import perturb
 from matroidlab.errors import CapExceeded, ShapeMismatch
-from matroidlab.field import make_field
+from matroidlab.field import FiniteField, make_field
 from matroidlab.linalg import (
     Matrix,
     Subspace,
     combine,
     enumerate_subspaces,
+    rref_rows,
     subspace_count,
-    sum_spaces,
 )
 from matroidlab.matroid import ReprMatroid, contract, delete, from_generator
 from matroidlab.perturb import (
     PerturbPair,
     _aligned_generators,
     _is_difference_space,
+    _lift_plan,
     _points,
+    _projection_plan,
     _scored_steps,
     apply_perturbation,
     dist,
@@ -213,6 +216,53 @@ def test_lattice_budgets_count_subspaces_built():
         elementary_lifts(space_matroid(GF2, 7, []), cap=100)
     with pytest.raises(CapExceeded, match=r"^127 hyperplanes exceed the budget 100; raise it with --cap$"):
         elementary_projections(M2, cap=100)
+
+
+def test_neighbour_plans_are_keyed_by_the_field():
+    """Two fields of 8 elements with different moduli share q, and so the
+    shape of every plan, but not their arithmetic: calls on the two,
+    interleaved over every subspace of GF(8)^2, on sorted and on
+    relabelled ground sets, each build their own field's neighbours."""
+    A = make_field(2, 3)
+    B = FiniteField(2, 3, modulus=(1, 0, 1, 1))
+    assert A.modulus == (1, 1, 0, 1) and A.q == B.q and A != B
+    cases = 0
+    for ground in ((0, 1), ("b", "a")):
+        for rows in enumerate_subspaces(A, 2):
+            for F in (A, B, A, B):
+                M = ReprMatroid(Subspace(F, ground, list(rows)))
+                assert ([N.space.basis for N in elementary_projections(M)]
+                        == [N.space.basis for N in elementary_projections_reference(M)])
+                assert ([N.space.basis for N in elementary_lifts(M)]
+                        == [N.space.basis for N in elementary_lifts_by_reduction(M)])
+                cases += 1
+    assert cases == 2 * 11 * 4
+
+
+@pytest.mark.parametrize("plan", [_projection_plan, _lift_plan, _points],
+                         ids=lambda plan: plan.__name__)
+def test_plan_caches_are_bounded(plan):
+    """Each cache keeps a fixed number of entries, which the plans'
+    docstrings state."""
+    maxsize = plan.cache_info().maxsize
+    assert maxsize is not None
+    if plan is not _points:
+        assert f"at most {maxsize} plans" in " ".join(plan.__doc__.split())
+
+
+def test_refused_neighbours_build_no_plan():
+    """The budget is checked before the plan, whose size it covers, is
+    built: a refused call leaves the plan caches as they were."""
+    empty = space_matroid(GF2, 7, [])
+    full = space_matroid(GF2, 7, [tuple(int(i == j) for j in range(7)) for i in range(7)])
+    for plan, call, M in ((_lift_plan, elementary_lifts, empty),
+                          (_projection_plan, elementary_projections, full)):
+        plan.cache_clear()
+        with pytest.raises(CapExceeded, match=r"^127 .* exceed the budget 100; "):
+            call(M, cap=100)
+        assert plan.cache_info().currsize == 0
+        assert len(call(M, cap=127)) == 128
+        assert plan.cache_info().currsize == 1
 
 
 def _six_steps_apart():
@@ -473,6 +523,25 @@ def test_difference_space_is_tested_by_a_rank_count(field, n):
             assert _is_difference_space(field, U1, U2, S.dim, rows) == want
             seen.add((want, meet > 0))
     assert seen == {(False, False), (False, True), (True, False), (True, True)}
+
+
+@pytest.mark.parametrize("field,n", [(GF2, 4), (GF3, 3), (GF4, 2)],
+                         ids=["2-1-4", "3-1-3", "2-2-2"])
+def test_pert_hi_is_the_witness_rank(field, n):
+    """pert_bounds reads hi off the row count, not off the witness: for
+    every ordered pair of subspaces, the witness difference, row-reduced,
+    has rank hi, and hi = lo = pert_exact."""
+    spaces = all_matroids(field, n)
+    kinds = set()
+    for a, b in product(spaces, repeat=2):
+        pair = PerturbPair(a, b)
+        lo, hi, diff = pert_bounds(pair, with_witness=True)
+        assert len(rref_rows(field, diff)[1]) == hi == lo == pert_exact(pair)
+        _, _, w = _aligned_generators(pair)
+        kinds.update(kind for kind, holds in (
+            ("dim W = 0", w == 0), ("d1 < d2", a.rank < b.rank),
+            ("d1 = d2", a.rank == b.rank), ("d1 > d2", a.rank > b.rank)) if holds)
+    assert len(kinds) == 4
 
 
 def test_pert_lower_bound_is_intersection_defect():
