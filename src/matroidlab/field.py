@@ -9,6 +9,15 @@ integer, are smallest.  Fixing the modulus this way keeps element codes
 reproducible across runs and machines, which matters because matrices are
 serialized as raw codes.
 
+Every field has one representation of its cyclic multiplicative group:
+exp[i] = g^i for 0 <= i < 2(q-1), where g = generator() is the smallest
+primitive element, and log[a] = the i < q-1 with g^i = a.  Products,
+inverses, powers, discrete logs and orders are index arithmetic on them.
+Addition is XOR over characteristic 2, mod p over a prime field, and by
+Zech logarithms Z(i) = log(1 + g^i) otherwise (Huber, IEEE Trans. IT
+1990).  Fields with q <= 256 also keep q x q addition and multiplication
+tables, built from these, as a lookup is faster there.
+
 Every field also carries the row kernel of the library's eliminations:
 F.axpy(f, xs, ys), the list x + f*y, and F.scale(f, xs), the list f*x.
 Both take row lists of equal length; axpy needs f != 0, since over GF(2)
@@ -21,60 +30,41 @@ needed by frame matrices and by subfield confinement.
 
 from dataclasses import dataclass
 from functools import lru_cache
+from math import gcd, isqrt
+
+import numpy as np
 
 from .errors import CapExceeded, DegreeZero, NotASubfield, NotPrime
 
 DEFAULT_ORDER_CAP = 1 << 16
-_TABLE_MAX = 256  # build full q x q tables only below this order
+_TABLE_MAX = 256  # build full q x q tables only up to this order
 
 
 def is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 1
-    return True
+    return n >= 2 and all(n % d for d in range(2, isqrt(n) + 1))
 
 
 # ---------------------------------------------------------------------------
 # polynomial helpers over GF(p); polys are little-endian coefficient tuples
 # ---------------------------------------------------------------------------
 
-def _poly_trim(c):
-    c = list(c)
-    while c and c[-1] == 0:
-        c.pop()
-    return c
-
-
 def _poly_mul(a, b, p):
-    out = [0] * (len(a) + len(b) - 1) if a and b else []
+    out = [0] * (len(a) + len(b) - 1)
     for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                out[i + j] = (out[i + j] + ai * bj) % p
-    return _poly_trim(out)
+        for j, bj in enumerate(b):
+            out[i + j] += ai * bj
+    return [c % p for c in out]
 
 
 def _poly_mod(a, m, p):
-    # m monic
+    """a modulo the monic m, as len(m) - 1 coefficients when a is longer."""
     a = list(a)
-    dm = len(m) - 1
-    while len(a) - 1 >= dm and a:
-        lead = a[-1]
-        if lead:
-            shift = len(a) - 1 - dm
-            for i, mi in enumerate(m):
-                a[shift + i] = (a[shift + i] - lead * mi) % p
-        a.pop()
-    return _poly_trim(a)
-
-
-def _poly_divisible(a, m, p):
-    return not _poly_mod(a, m, p)
+    while len(a) >= len(m):
+        lead = a.pop()
+        shift = len(a) - len(m) + 1
+        for i, mi in enumerate(m[:-1]):
+            a[shift + i] = (a[shift + i] - lead * mi) % p
+    return a
 
 
 def _is_irreducible(poly, p):
@@ -85,7 +75,7 @@ def _is_irreducible(poly, p):
     for d in range(1, deg // 2 + 1):
         for code in range(p ** d):
             div = _digits(code, p, d) + [1]
-            if _poly_divisible(poly, div, p):
+            if not any(_poly_mod(poly, div, p)):
                 return False
     return True
 
@@ -107,11 +97,8 @@ def _undigits(digits, p):
 
 @lru_cache(maxsize=None)
 def _least_irreducible(p: int, k: int) -> tuple:
-    for code in range(p ** k):
-        cand = _digits(code, p, k) + [1]
-        if _is_irreducible(cand, p):
-            return tuple(cand)
-    raise AssertionError("no irreducible polynomial found")  # unreachable
+    cands = (_digits(code, p, k) + [1] for code in range(p ** k))
+    return tuple(next(c for c in cands if _is_irreducible(c, p)))
 
 
 class FiniteField:
@@ -129,10 +116,7 @@ class FiniteField:
             raise CapExceeded(f"field order {order} exceeds cap {DEFAULT_ORDER_CAP}")
         if not is_prime(p):
             raise NotPrime(f"{p} is not prime")
-        q = p ** k
-        self.p = p
-        self.k = k
-        self.q = q
+        self.p, self.k, self.q = p, k, p ** k
         if k == 1:
             self.modulus = None
         else:
@@ -145,38 +129,72 @@ class FiniteField:
 
     def _init_tables(self):
         p, k, q = self.p, self.k, self.q
+        n = q - 1
+        self._gen = self._primitive()
+        exp = self._powers(self._gen)
+        log = np.zeros(q, dtype=np.int64)
+        log[exp] = np.arange(n)
+        # exp spans two periods, so a sum of two logs indexes it unreduced;
+        # log[0] is a placeholder, as every caller handles 0 first
+        self.exp = exp.tolist() * 2
+        self.log = log.tolist()
+        self._half = n // 2 if p > 2 else 0  # -1 = g^half
+        self.add_t = self.mul_t = self._zech = None
         if q <= _TABLE_MAX:
-            if k == 1:
-                self.add_t = [[(a + b) % p for b in range(q)] for a in range(q)]
-                self.mul_t = [[(a * b) % p for b in range(q)] for a in range(q)]
-            else:
-                self.add_t = [
-                    [self._add_raw(a, b) for b in range(q)] for a in range(q)
-                ]
-                self.mul_t = [
-                    [self._mul_raw(a, b) for b in range(q)] for a in range(q)
-                ]
-            self.neg_t = [self.add_t[a].index(0) for a in range(q)]
-            inv = [0] * q
-            for a in range(1, q):
-                inv[a] = self.mul_t[a].index(1)
-            self.inv_t = inv
-        else:
-            self.add_t = self.mul_t = self.neg_t = self.inv_t = None
-        self._dlog = None
-        self._gen = None
+            weights = p ** np.arange(k)
+            digits = np.arange(q)[:, None] // weights % p
+            self.add_t = ((digits[:, None] + digits[None]) % p @ weights).tolist()
+            mul = np.tile(exp, 2)[log[:, None] + log[None]]
+            mul[0] = mul[:, 0] = 0
+            self.mul_t = mul.tolist()
+        elif p > 2 and k > 1:
+            # 1 + g^i adds 1 to the lowest digit, and is 0 at i = half;
+            # doubled, zech[i] = Z(i) for -n < i < 2n (negative i wrap)
+            zech = log[exp - exp % p + (exp + 1) % p].tolist()
+            zech[self._half] = None
+            self._zech = zech * 2
         self.axpy, self.scale = self._row_kernel()
+
+    def _primitive(self):
+        """The smallest code g with g^((q-1)/l) != 1 for each prime l | q-1."""
+        n = self.q - 1
+        cofactors = [n // l for l in _divisors(n) if is_prime(l)]
+
+        def power(a, e):
+            out = 1
+            while e:
+                if e & 1:
+                    out = self._mul_raw(out, a)
+                a = self._mul_raw(a, a)
+                e >>= 1
+            return out
+
+        return next(a for a in range(1, self.q) if all(power(a, e) != 1 for e in cofactors))
+
+    def _powers(self, g):
+        """g^0, ..., g^(q-2) as a numpy array.  Multiplying by g is a linear
+        map A of digit vectors (row j: the digits of g*x^j), so the digits
+        of g^(i+m) are those of g^i times A^m: the list doubles per step."""
+        p, k, n = self.p, self.k, self.q - 1
+        A = np.array([_digits(self._mul_raw(g, p ** j), p, k) for j in range(k)],
+                     dtype=np.int64)
+        rows = np.eye(1, k, dtype=np.int64)  # the digits of g^0 = 1
+        while len(rows) < n:
+            rows = np.concatenate([rows, rows @ A % p])
+            A = A @ A % p
+        return rows[:n] @ p ** np.arange(k)
 
     def _row_kernel(self):
         """(axpy, scale): axpy(f, xs, ys) is the list x + f*y and scale(f, xs)
         the list f*x, over row lists of equal length, with f != 0 for axpy.
 
         The implementation is chosen once, from (p, k, q): GF(2) adds rows
-        by XOR, ignoring f, and a prime field reduces mod p; an extension
-        field with tables looks up f's row of mul_t once per call, then
-        add_t; one above the table limit keeps the scalar digit arithmetic."""
+        by XOR, ignoring f, and a prime field reduces mod p; a tabled field
+        looks up f's row of mul_t once per call, then add_t; any other adds
+        logs to multiply, then adds by XOR (p = 2) or by Zech logs."""
         p, k = self.p, self.k
         mul_t, add_t = self.mul_t, self.add_t
+        exp, log = self.exp, self.log
         if k == 1:
             if p == 2:
                 def axpy(f, xs, ys):
@@ -196,75 +214,82 @@ class FiniteField:
                 mf = mul_t[f]
                 return [mf[x] for x in xs]
         else:
-            add, mul = self._add_raw, self._mul_raw
+            if p == 2:
+                def axpy(f, xs, ys):
+                    lf = log[f]
+                    return [x ^ exp[lf + log[y]] if y else x for x, y in zip(xs, ys)]
+            else:
+                plus = self._plus
 
-            def axpy(f, xs, ys):
-                return [add(x, mul(f, y)) for x, y in zip(xs, ys)]
+                def axpy(f, xs, ys):
+                    lf = log[f]
+                    return [plus(x, lf + log[y]) if y else x for x, y in zip(xs, ys)]
 
             def scale(f, xs):
-                return [mul(f, x) for x in xs]
+                lf = log[f]
+                return [exp[lf + log[x]] if x else 0 for x in xs]
         return axpy, scale
 
     # the row kernel is closures, which do not pickle: rebuild the field
     def __reduce__(self):
         return FiniteField, (self.p, self.k, self.modulus)
 
-    # raw digit arithmetic, used to build tables and for big fields
-    def _add_raw(self, a, b):
-        p, k = self.p, self.k
-        if k == 1:
-            return (a + b) % p
-        da, db = _digits(a, p, k), _digits(b, p, k)
-        return _undigits([(x + y) % p for x, y in zip(da, db)], p)
-
     def _mul_raw(self, a, b):
+        """a*b by polynomial arithmetic; used only to find g and build exp."""
         p, k = self.p, self.k
         if k == 1:
             return (a * b) % p
         prod = _poly_mul(_digits(a, p, k), _digits(b, p, k), p)
-        red = _poly_mod(prod, list(self.modulus), p)
-        return _undigits(red + [0] * (k - len(red)), p)
+        return _undigits(_poly_mod(prod, self.modulus, p), p)
+
+    def _plus(self, x, t):
+        """x + g^t for 0 <= t < 2(q-1), over an untabled extension field of
+        odd p: x + g^t = g^lx * (1 + g^(t - lx)) = g^(lx + Z(t - lx))."""
+        if not x:
+            return self.exp[t]
+        lx = self.log[x]
+        z = self._zech[t - lx]
+        return 0 if z is None else self.exp[lx + z]
 
     # ------------------------------------------------------------------
     # arithmetic on integer codes
     # ------------------------------------------------------------------
     def add(self, a, b):
-        return self.add_t[a][b] if self.add_t is not None else self._add_raw(a, b)
+        t = self.add_t
+        if t is not None:
+            return t[a][b]
+        if self.k == 1:
+            return (a + b) % self.p
+        if self.p == 2:
+            return a ^ b
+        return self._plus(a, self.log[b]) if b else a
 
     def neg(self, a):
-        if self.neg_t is not None:
-            return self.neg_t[a]
-        p, k = self.p, self.k
-        if k == 1:
-            return -a % p
-        return _undigits([(-d) % p for d in _digits(a, p, k)], p)
+        return self.exp[self.log[a] + self._half] if a else 0
 
     def sub(self, a, b):
         return self.add(a, self.neg(b))
 
     def mul(self, a, b):
-        return self.mul_t[a][b] if self.mul_t is not None else self._mul_raw(a, b)
+        t = self.mul_t
+        if t is not None:
+            return t[a][b]
+        return self.exp[self.log[a] + self.log[b]] if a and b else 0
 
     def inv(self, a):
         if a == 0:
             raise ZeroDivisionError("0 has no inverse")
-        if self.inv_t is not None:
-            return self.inv_t[a]
-        return self.pow(a, self.q - 2)
+        return self.exp[self.q - 1 - self.log[a]]
 
     def div(self, a, b):
         return self.mul(a, self.inv(b))
 
     def pow(self, a, e):
-        if e < 0:
-            a, e = self.inv(a), -e
-        out, base = 1, a
-        while e:
-            if e & 1:
-                out = self.mul(out, base)
-            base = self.mul(base, base)
-            e >>= 1
-        return out
+        if a == 0:
+            if e < 0:
+                raise ZeroDivisionError("0 has no inverse")
+            return 0 if e else 1
+        return self.exp[self.log[a] * e % (self.q - 1)]
 
     def elements(self):
         return range(self.q)
@@ -278,42 +303,25 @@ class FiniteField:
     def element_order(self, a):
         if a == 0:
             raise ZeroDivisionError("0 has no multiplicative order")
-        x, n = a, 1
-        while x != 1:
-            x = self.mul(x, a)
-            n += 1
-        return n
+        return (self.q - 1) // gcd(self.log[a], self.q - 1)
 
     def generator(self):
         """Smallest code generating the (cyclic) multiplicative group."""
-        if self._gen is None:
-            target = self.q - 1
-            for a in self.nonzero():
-                if self.element_order(a) == target:
-                    self._gen = a
-                    break
         return self._gen
 
     def dlog(self, a):
         """Discrete log base generator(); a must be nonzero."""
         if a == 0:
             raise ZeroDivisionError("dlog of 0")
-        if self._dlog is None:
-            g = self.generator()
-            table = {}
-            x = 1
-            for i in range(self.q - 1):
-                table[x] = i
-                x = self.mul(x, g)
-            self._dlog = table
-        return self._dlog[a]
+        return self.log[a]
 
     def subfield_codes(self, d):
-        """Codes of the subfield of order p^d, i.e. fixed points of x -> x^(p^d)."""
+        """Codes of the subfield of order p^d: 0 and the subgroup of order
+        p^d - 1, whose logs are the multiples of (q-1)/(p^d-1)."""
         if self.k % d != 0:
             raise NotASubfield(f"GF({self.p}^{d}) is not a subfield of {self!r}")
-        q0 = self.p ** d
-        return frozenset(a for a in self.elements() if self.pow(a, q0) == a)
+        n = self.q - 1
+        return frozenset([0, *self.exp[:n:n // (self.p ** d - 1)]])
 
     # ------------------------------------------------------------------
     def __eq__(self, other):
@@ -347,17 +355,17 @@ class MultSubgroup:
     elements: frozenset
 
     def __post_init__(self):
-        if 1 not in self.elements:
+        F, S = self.field, self.elements
+        if 1 not in S:
             raise ValueError("subgroup must contain 1")
-        if (self.field.q - 1) % len(self.elements) != 0:
+        n = F.q - 1
+        if n % len(S) != 0:
             raise ValueError("subgroup order must divide q-1")
-        F = self.field
-        for a in self.elements:
-            if a == 0 or F.inv(a) not in self.elements:
-                raise ValueError("not closed under inverse")
-            for b in self.elements:
-                if F.mul(a, b) not in self.elements:
-                    raise ValueError("not closed under product")
+        # F^x is cyclic: its one subgroup of order m = |S| is the g^i with
+        # n/m dividing i, and S is a subgroup exactly when it lies inside it
+        step = n // len(S)
+        if not all(0 < a <= n and F.log[a] % step == 0 for a in S):
+            raise ValueError("not a subgroup: not closed under product or inverse")
 
     @property
     def order(self):
@@ -371,24 +379,15 @@ class MultSubgroup:
 
 
 def _divisors(n):
-    out = [d for d in range(1, n + 1) if n % d == 0]
-    return out
+    return [d for d in range(1, n + 1) if n % d == 0]
 
 
 def subgroup_of_order(F: FiniteField, m: int) -> MultSubgroup:
     """The unique multiplicative subgroup of order m (m must divide q-1)."""
     n = F.q - 1
-    if n == 0:
-        raise ValueError("GF(1) does not exist")
     if m < 1 or n % m != 0:
         raise ValueError(f"{m} does not divide q-1={n}")
-    g = F.generator()
-    h = F.pow(g, n // m)
-    elems, x = set(), 1
-    for _ in range(m):
-        elems.add(x)
-        x = F.mul(x, h)
-    return MultSubgroup(F, frozenset(elems))
+    return MultSubgroup(F, frozenset(F.exp[:n:n // m]))
 
 
 def mult_subgroups(F: FiniteField):

@@ -65,6 +65,74 @@ def scale_reference(F, f, xs):
     return [F.mul(f, x) for x in xs]
 
 
+class PolyField:
+    """GF(p^k) by its definition, independent of FiniteField's tables: a
+    code's little-endian base-p digits are a polynomial over GF(p), a sum
+    adds digits mod p, and a product is the polynomial product reduced by
+    the modulus of F.  Every operation takes codes or numpy arrays of codes
+    and works entry by entry, with broadcasting."""
+
+    def __init__(self, F):
+        self.p, self.k, self.q = F.p, F.k, F.q
+        # x^k = sum of low[i] x^i modulo the modulus
+        self.low = [-c % F.p for c in F.modulus[:-1]] if F.k > 1 else []
+        self.weights = F.p ** np.arange(F.k)
+        self.divisors = [d for d in range(1, F.q) if (F.q - 1) % d == 0]
+
+    def digits(self, a):
+        return np.asarray(a, dtype=np.int64)[..., None] // self.weights % self.p
+
+    def code(self, digits):
+        return digits % self.p @ self.weights
+
+    def add(self, a, b):
+        return self.code(self.digits(a) + self.digits(b))
+
+    def neg(self, a):
+        return self.code(-self.digits(a))
+
+    def sub(self, a, b):
+        return self.code(self.digits(a) - self.digits(b))
+
+    def mul(self, a, b):
+        da, db = np.broadcast_arrays(self.digits(a), self.digits(b))
+        k = self.k
+        prod = np.zeros(da.shape[:-1] + (2 * k - 1,), dtype=np.int64)
+        for i in range(k):
+            prod[..., i:i + k] += da[..., i:i + 1] * db
+        for d in range(2 * k - 2, k - 1, -1):
+            for i, c in enumerate(self.low):
+                prod[..., d - k + i] += prod[..., d] % self.p * c
+        return self.code(prod[..., :k])
+
+    def pow(self, a, e):
+        """a^e; a negative e inverts a first."""
+        a, e = np.broadcast_arrays(np.asarray(a, dtype=np.int64), np.asarray(e, dtype=np.int64))
+        if (e < 0).any():
+            a, e = np.where(e < 0, self.inv(a), a), abs(e)
+        out = np.ones_like(a)
+        while e.any():
+            out = np.where(e & 1, self.mul(out, a), out)
+            a, e = self.mul(a, a), e >> 1
+        return out
+
+    def inv(self, a):
+        return self.pow(a, self.q - 2)  # for a != 0
+
+    def element_order(self, a):
+        """The least divisor d of q-1 with a^d = 1 (a != 0)."""
+        order = np.zeros_like(np.asarray(a))
+        for d in reversed(self.divisors):
+            order[self.pow(a, d) == 1] = d
+        return order
+
+    def axpy(self, f, xs, ys):
+        return self.add(xs, self.mul(f, ys))
+
+    def scale(self, f, xs):
+        return self.mul(f, xs)
+
+
 def rref_reference(F, rows):
     """(nonzero RREF rows, pivot columns) by scalar elimination, through
     F.add, F.mul, F.neg and F.inv only; the RREF is unique, so this must

@@ -1,13 +1,15 @@
+from itertools import combinations
 import pickle
 import random
 
 import pytest
 
-from oracles import prime_subfield
+from oracles import PolyField, prime_subfield
 
 from matroidlab.errors import CapExceeded, DegreeZero, NotASubfield, NotPrime
 from matroidlab.field import (
     FiniteField,
+    MultSubgroup,
     _embedding,
     make_field,
     mult_subgroups,
@@ -172,7 +174,7 @@ def test_large_prime_field_matches_integer_arithmetic(p):
         assert F.mul(a, b) == a * b % p
 
 
-@pytest.mark.parametrize("p,k", [(2, 1), (3, 1), (2, 2), (3, 2), (257, 1), (2, 9)])
+@pytest.mark.parametrize("p,k", [(2, 1), (3, 1), (2, 2), (3, 2), (257, 1), (2, 9), (3, 6)])
 def test_field_pickles_with_its_row_kernel(p, k):
     F = make_field(p, k)
     G = pickle.loads(pickle.dumps(F))
@@ -180,3 +182,130 @@ def test_field_pickles_with_its_row_kernel(p, k):
     xs, ys = [1, 0, 1, F.q - 1], [1, 1, 0, 1]
     assert G.axpy(1, xs, ys) == F.axpy(1, xs, ys)
     assert G.scale(F.q - 1, xs) == F.scale(F.q - 1, xs)
+
+
+def _check_against_oracle(F, units, xs, ys, fs):
+    """F's unary operations on the codes units, its binary ones on the pairs
+    of xs and ys, and its row kernel on units with each scalar of fs,
+    against the polynomial definition."""
+    O = PolyField(F)
+    assert O.add(xs, ys).tolist() == [F.add(a, b) for a, b in zip(xs, ys)]
+    assert O.sub(xs, ys).tolist() == [F.sub(a, b) for a, b in zip(xs, ys)]
+    assert O.mul(xs, ys).tolist() == [F.mul(a, b) for a, b in zip(xs, ys)]
+    nonzero = [a for a in units if a]
+    assert O.neg(units).tolist() == [F.neg(a) for a in units]
+    assert O.inv(nonzero).tolist() == [F.inv(a) for a in nonzero]
+    for e in (0, 1, 2, 3, F.q - 2, F.q - 1, F.q, 2 * F.q + 5):
+        assert O.pow(units, e).tolist() == [F.pow(a, e) for a in units]
+    for e in (-1, -2, -F.q):
+        assert O.pow(nonzero, e).tolist() == [F.pow(a, e) for a in nonzero]
+    logs = [F.dlog(a) for a in nonzero]
+    assert all(0 <= i < F.q - 1 for i in logs)
+    assert O.pow(F.generator(), logs).tolist() == nonzero
+    assert O.element_order(nonzero).tolist() == [F.element_order(a) for a in nonzero]
+    rotated = units[1:] + units[:1]
+    for f in fs:
+        assert O.axpy(f, units, rotated).tolist() == F.axpy(f, units, rotated)
+        assert O.scale(f, units).tolist() == F.scale(f, units)
+
+
+@pytest.mark.parametrize("p,k", [(2, 2), (2, 3), (3, 2), (2, 9)])
+def test_field_matches_polynomial_definition_exhaustively(p, k):
+    F = make_field(p, k)
+    units = list(F.elements())
+    _check_against_oracle(F, units, [a for a in units for _ in units], units * F.q,
+                          F.nonzero())
+    # the generator is the smallest code of order q-1
+    orders = PolyField(F).element_order(units[1:]).tolist()
+    assert F.generator() == 1 + orders.index(F.q - 1)
+
+
+@pytest.mark.parametrize("p,k", [(3, 6), (2, 16), (65521, 1)])
+def test_field_matches_polynomial_definition_on_samples(p, k):
+    F = make_field(p, k)
+    rng = random.Random(F.q)
+    xs = [rng.randrange(F.q) for _ in range(3000)] + [0, 0, 1, F.q - 1]
+    ys = [rng.randrange(F.q) for _ in range(3000)] + [0, 5, 0, F.q - 1]
+    _check_against_oracle(F, xs[:500], xs, ys,
+                          [1, F.q - 1] + [rng.randrange(1, F.q) for _ in range(20)])
+    orders = PolyField(F).element_order(range(1, F.generator() + 1)).tolist()
+    assert orders.index(F.q - 1) == F.generator() - 1
+
+
+def test_generator_codes_are_pinned():
+    # subgroup_of_order, construct gammaframe and confinement witnesses
+    # read the generator, so its code is part of the output contract
+    fields = {(2, 2): 2, (2, 8): 3, (3, 5): 3, (257, 1): 3, (2, 16): 3, (3, 10): 34,
+              (65521, 1): 17}
+    assert {pk: make_field(*pk).generator() for pk in fields} == fields
+
+
+@pytest.mark.parametrize("modulus", [(1, 1, 0), (1, 0, 1, 1, 0), (1, 1, 2)])
+def test_modulus_must_be_monic_of_degree_k(modulus):
+    with pytest.raises(ValueError, match="monic of degree k"):
+        FiniteField(2, 3, modulus=modulus)
+
+
+def test_reducible_modulus_rejected():
+    with pytest.raises(ValueError, match="reducible"):
+        FiniteField(2, 3, modulus=(1, 0, 0, 1))  # x^3 + 1 = (x + 1)(x^2 + x + 1)
+
+
+@pytest.mark.parametrize("p,k", [(2, 2), (7, 1), (2, 9), (3, 6)])
+def test_zero_has_no_inverse_log_or_order(p, k):
+    F = make_field(p, k)
+    for op in (F.inv, F.dlog, F.element_order):
+        with pytest.raises(ZeroDivisionError):
+            op(0)
+
+
+@pytest.mark.parametrize("codes,message", [
+    ({2, 4}, "must contain 1"),
+    ({1, 2, 4, 6}, "must divide q-1"),
+    ({1, 2}, "not closed"),
+    ({1, 3, 5}, "not closed"),
+    ({0, 1}, "not closed"),
+])
+def test_mult_subgroup_refusals(codes, message):
+    with pytest.raises(ValueError, match=message):
+        MultSubgroup(make_field(7, 1), frozenset(codes))
+
+
+@pytest.mark.parametrize("p,k", [(2, 1), (2, 2), (5, 1), (7, 1), (2, 3), (3, 2)])
+def test_mult_subgroup_accepts_exactly_the_closed_sets(p, k):
+    # every set of codes, against the closure check by the polynomial definition
+    F = make_field(p, k)
+    O = PolyField(F)
+    for r in range(F.q + 1):
+        for S in map(frozenset, combinations(F.elements(), r)):
+            closed = (1 in S and (F.q - 1) % len(S) == 0 and 0 not in S
+                      and all(O.mul(a, b) in S for a in S for b in S))
+            try:
+                MultSubgroup(F, S)
+            except ValueError:
+                assert not closed
+            else:
+                assert closed
+
+
+@pytest.mark.parametrize("p,k", [(2, 9), (3, 6), (2, 16)])
+def test_subgroup_of_order_is_the_orbit_of_a_generator_power(p, k):
+    F = make_field(p, k)
+    n = F.q - 1
+    for m in [m for m in range(1, n + 1) if n % m == 0][:6]:
+        h, orbit, x = F.pow(F.generator(), n // m), set(), 1
+        for _ in range(m):
+            orbit.add(x)
+            x = F.mul(x, h)
+        assert subgroup_of_order(F, m).elements == frozenset(orbit)
+        if 1 < m < n:  # swap one element for a non-element
+            outside = next(a for a in F.nonzero() if a not in orbit)
+            with pytest.raises(ValueError, match="not closed"):
+                MultSubgroup(F, frozenset((orbit - {max(orbit)}) | {outside}))
+
+
+def test_subgroup_check_is_linear_in_the_order():
+    # a closure loop over all pairs takes tens of seconds here
+    F = make_field(2, 16)
+    assert subgroup_of_order(F, F.q - 1).order == F.q - 1
+    assert subgroup_of_order(make_field(2, 10), 1023).order == 1023

@@ -90,7 +90,7 @@ def closed_span(draw, gamma, ambient):
 
 @st.composite
 def frame_templates(draw):
-    F = draw(fields.filter(lambda F: F.q < 257))
+    F = draw(fields)
     gamma = draw(st.sampled_from(mult_subgroups(F)))
     C, D, X, Y0, Y1 = split(draw, ("C", "D", "X", "Y0", "Y1"))
     rows, cols = sort_labels(D + X), sort_labels(C + Y0 + Y1)
