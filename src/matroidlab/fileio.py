@@ -121,13 +121,18 @@ def _field_lines(keyword, F, poly):
 
 def _read_field(cur, keyword):
     """`keyword <p> <k>`, then an optional `poly` line, which is ignored when
-    k = 1; without one the field is make_field's."""
+    k = 1; without one, or with make_field's modulus, the field is
+    make_field's own object."""
     p, k = _ints(cur.line(keyword, 2))
     poly = cur.line("poly") if cur.peek() == "poly" else None
     if poly is None or k == 1:
         return make_field(p, k)
+    modulus = tuple(_codes(poly, k + 1, p))
+    default = make_field(p, k)
+    if modulus == default.modulus:
+        return default
     try:
-        return FiniteField(p, k, modulus=_codes(poly, k + 1, p))
+        return FiniteField(p, k, modulus=modulus)
     except ValueError as exc:
         raise ParseError(f"bad 'poly' line: {exc}") from None
 

@@ -16,8 +16,7 @@ from .errors import CapExceeded, DefectOutOfRange, check_budget
 from .field import FiniteField
 from .matroid import (
     DEFAULT_MINOR_CAP,
-    _iso_search,
-    _minor_profile,
+    _minor_ranks,
     _minor_search,
     _profile,
     all_subset_ranks,
@@ -81,14 +80,9 @@ def h_exhaustive(F: FiniteField, r: int, forbidden=None, cap=DEFAULT_SEARCH_CAP)
     geometry's rank table is built once, within a fixed limit of
     DEFAULT_MINOR_CAP points that is checked before the geometry is built,
     and subsets are scanned by decreasing size, in combinations order within
-    a size; at most `cap` subsets are examined.  A spanning subset's
-    restriction profile is read from the table.  Restrictions found to carry
-    the minor are kept as profiles, bucketed by rank histogram, and a
-    restriction isomorphic to one of them is skipped without a minor search,
-    which otherwise runs in the restriction's table read from the
-    geometry's.  Skipping only isomorphic copies leaves the first subset
-    without the minor, and so the witness, as an unbucketed scan would find
-    it.
+    a size; at most `cap` subsets are examined.  Each spanning subset's
+    restriction table is read from the geometry's, and the minor search
+    runs in it; the first restriction without the minor is the witness.
     """
     from .constructions import pg
 
@@ -109,20 +103,13 @@ def h_exhaustive(F: FiniteField, r: int, forbidden=None, cap=DEFAULT_SEARCH_CAP)
     PN = _profile(forbidden, DEFAULT_MINOR_CAP) if forbidden.size <= n else None
     examined = 0
     for size in range(n, r - 1, -1):
-        rejected = {}
         for S in combinations(range(n), size):
             examined += 1
             check_budget(examined, "subsets", cap)
-            mask = sum(1 << i for i in S)
-            if ranks[mask] != r:
+            if ranks[sum(1 << i for i in S)] != r:
                 continue
-            profile = _minor_profile(ranks, S)
-            bucket = rejected.setdefault(frozenset(profile.hist.items()), [])
-            if any(_iso_search(profile, seen, lambda mapping: True) for seen in bucket):
-                continue
-            if PN is None or _minor_search(profile.ranks, PN) is None:
+            if PN is None or _minor_search(_minor_ranks(ranks, S), PN) is None:
                 return size, tuple(points[i] for i in S)
-            bucket.append(profile)
     raise ValueError("every spanning restriction carries the forbidden minor")
 
 

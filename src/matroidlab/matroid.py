@@ -546,15 +546,15 @@ def _profile(M, cap):
     return _IsoProfile(all_subset_ranks(M, cap=cap))
 
 
-def _minor_profile(ranks, kept, cmask=0):
-    """The _IsoProfile of M/C\\D read from M's rank table, where cmask
-    holds C and kept lists the indices of E - C - D in increasing order:
+def _minor_ranks(ranks, kept, cmask=0):
+    """The rank table of M/C\\D read from M's, where cmask holds C and
+    kept lists the indices of E - C - D in increasing order:
     r(X) = r(X + C) - r(C)."""
     masks = [cmask]
     for i in kept:
         masks += [m | 1 << i for m in masks]
     c = ranks[cmask]
-    return _IsoProfile([ranks[m] - c for m in masks])
+    return [ranks[m] - c for m in masks]
 
 
 def _iso_search(P1, P2, accept):
@@ -690,7 +690,7 @@ def _minor_search(ranks, PN):
                     or sum(pm & kmask == pm for pm in pmasks) != n_pairs):
                 continue
             kept = [i for i in rest if kmask >> i & 1]
-            if _iso_search(_minor_profile(ranks, kept, cmask), PN,
+            if _iso_search(_IsoProfile(_minor_ranks(ranks, kept, cmask)), PN,
                            lambda mapping: True):
                 return C, D
     return None

@@ -685,7 +685,7 @@ class _Target:
     otherwise.  key(v) is v normalized (None for a zero column), computed
     once per distinct column over the whole query.  The rank profile is
     built once, on first use and within cap table entries, and handed to
-    every equivalence test.  Candidates already compared are skipped.
+    every equivalence test.
     """
 
     def __init__(self, M, cap, prefilter):
@@ -694,7 +694,6 @@ class _Target:
         self.prefilter = prefilter
         self.key = cache(normalizer(M.field))
         self.invariants = self._invariants(_columns(M.space.basis, M.size))
-        self.checked = set()
 
     def _invariants(self, cols):
         """The loop count and sorted parallel-class sizes of the column
@@ -717,10 +716,6 @@ class _Target:
         M = self.M
         if N.size != M.size or N.rank != M.rank:
             return False
-        key = (N.ground, N.space.basis)
-        if key in self.checked:
-            return False
-        self.checked.add(key)
         if not self.prefilter and not self.columns_match(_columns(N.space.basis, N.size)):
             return False
         return equivalent_up_to_relabel_scaling(N, M, cap=M.size, profile2=self.profile)

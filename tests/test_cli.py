@@ -295,6 +295,15 @@ def test_growth_exhaustive(capsys):
     assert code == 0 and json.loads(out)["value"] == 6
 
 
+def test_growth_exhaustive_refuses_when_every_restriction_has_the_minor(capsys):
+    # the forbidden PG(0, 2) is a single point, a minor of every spanning
+    # restriction of the Fano plane
+    assert main(["growth", "exhaustive", "--gf", "2", "1", "--rank", "3",
+                 "--forbidden", "pg:1,2,1"]) == 2
+    assert capsys.readouterr() == (
+        "", "error: every spanning restriction carries the forbidden minor\n")
+
+
 def test_growth_exhaustive_subset_budget_is_cap(capsys):
     assert main(["growth", "exhaustive", "--gf", "3", "1", "--rank", "3",
                  "--forbidden", "kn:4", "--cap", "100"]) == 3

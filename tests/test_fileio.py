@@ -36,6 +36,21 @@ def test_matrix_round_trip_extension_field():
     assert read_matrix(text) == A
 
 
+@pytest.mark.parametrize("p,k", [(2, 2), (2, 16)])
+def test_default_modulus_reads_back_to_make_field_itself(p, k):
+    F = make_field(p, k)
+    text = write_matrix(Matrix(F, (0,), ("a",), [[1]]))
+    assert "\npoly " in text
+    assert read_matrix(text).field is F
+
+
+def test_non_default_modulus_reads_back_to_a_field_of_its_own():
+    F = FiniteField(2, 3, modulus=(1, 0, 1, 1))
+    back = read_matrix(write_matrix(Matrix(F, (0,), ("a",), [[3]]))).field
+    assert back == F and back != make_field(2, 3)
+    assert back.modulus == (1, 0, 1, 1)
+
+
 def test_matrix_labels_parse_back_as_ints():
     A = Matrix(GF2, (0, 1), (10, 20), [[1, 0], [0, 1]])
     B = read_matrix(write_matrix(A))

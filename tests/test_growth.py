@@ -130,6 +130,7 @@ def test_h_exhaustive_forbidden_k4_matches_oracle():
 
 FANO = pg(3, GF2)
 K4 = graphic(complete_graph(4), GF2)
+U23 = uniform_represented(2, 3, GF3)
 U24 = uniform_represented(2, 4, GF3)
 
 
@@ -150,7 +151,9 @@ def test_h_exhaustive_gf2_matches_reference(forbidden, value, witness):
 @pytest.mark.parametrize("forbidden,value,witness", [
     (K4, 9, tuple(range(9))),
     (U24, 6, (0, 1, 2, 3, 6, 10)),
-], ids=["K4", "U24"])
+    # points 0-2 are collinear, so the first spanning triple is (0, 1, 3)
+    (U23, 3, (0, 1, 3)),
+], ids=["K4", "U24", "U23"])
 def test_h_exhaustive_gf3_witness_is_pinned(forbidden, value, witness):
     assert h_exhaustive(GF3, 3, forbidden=forbidden) == (value, witness)
 
