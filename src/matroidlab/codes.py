@@ -14,9 +14,11 @@ once per distinct error pattern of a block (the pattern fixes the
 outcome), weighted by how often the pattern was drawn.  Ties are scored
 fractionally: a tie among t codewords that includes the transmitted one
 counts (t-1)/t of an error, which is the exact error probability of a
-uniform tie-breaking ML decoder.  Randomness is counter-based: block b
-of trials uses Philox key (seed, b), so any partition of blocks over
-workers reproduces the same stream.
+uniform tie-breaking ML decoder.  The codeword table is matroid's span
+kernel (_span_words) over the generator rows: word i combines them by
+the bits of i, little-endian, the order codeword_index counts in.
+Randomness is counter-based: block b of trials uses Philox key (seed, b),
+so any partition of blocks over workers reproduces the same stream.
 """
 
 import math
@@ -37,7 +39,7 @@ from .errors import (
 )
 from .field import make_field
 from .linalg import DEFAULT_WEIGHT_CAP, min_weight
-from .matroid import ReprMatroid
+from .matroid import ReprMatroid, _np_tables, _span_words
 
 DEFAULT_CODEWORD_CAP = 1 << 14
 MC_BLOCK = 1 << 14
@@ -210,11 +212,8 @@ def _codeword_table(M: ReprMatroid, cap):
         raise NotBinary("the simulated channel is binary")
     k, n = M.rank, M.size
     check_budget(2 ** k, "codewords", cap)
-    G = np.array([list(row) for row in M.space.basis], dtype=np.uint8)
-    G = G.reshape(k, n)
-    msgs = np.arange(2 ** k, dtype=np.uint32)
-    bits = ((msgs[:, None] >> np.arange(k)[None, :]) & 1).astype(np.uint8)
-    return (bits @ G) % 2
+    add, mul = _np_tables(M.field)
+    return _span_words(np.array(M.space.basis, dtype=np.uint8).reshape(k, n), add, mul, n)
 
 
 def wilson_interval(x: float, n: int, z: float = 3.0):

@@ -14,7 +14,7 @@ from itertools import combinations, product
 
 from .errors import FieldTooSmall, LabelMismatch
 from .field import FiniteField, MultSubgroup
-from .linalg import Matrix, combine, label_key, normalizer
+from .linalg import Matrix, combine, label_key, normalizer, transpose, unit_vectors
 from .matroid import ReprMatroid, from_generator
 
 
@@ -122,8 +122,7 @@ def pg(m: int, F: FiniteField) -> ReprMatroid:
     if m < 1:
         raise ValueError("rank must be >= 1")
     pts = _pg_points(m, F)
-    rows = [tuple(p[i] for p in pts) for i in range(m)]
-    return from_generator(Matrix(F, tuple(range(m)), tuple(range(len(pts))), rows))
+    return from_generator(Matrix(F, range(m), range(len(pts)), transpose(pts, m)))
 
 
 def ag(m: int, F: FiniteField) -> ReprMatroid:
@@ -131,8 +130,7 @@ def ag(m: int, F: FiniteField) -> ReprMatroid:
     if m < 1:
         raise ValueError("rank must be >= 1")
     pts = [p for p in _pg_points(m, F) if p[0] == 1]
-    rows = [tuple(p[i] for p in pts) for i in range(m)]
-    return from_generator(Matrix(F, tuple(range(m)), tuple(range(len(pts))), rows))
+    return from_generator(Matrix(F, range(m), range(len(pts)), transpose(pts, m)))
 
 
 def uniform(m: int, n: int):
@@ -158,9 +156,8 @@ def uniform_represented(m: int, n: int, F: FiniteField) -> ReprMatroid:
     for t in range(min(n, F.q)):
         cols.append(tuple(F.pow(t, i) if t or i == 0 else 0 for i in range(m)))
     if n == F.q + 1:
-        cols.append(tuple(1 if i == m - 1 else 0 for i in range(m)))
-    rows = [tuple(c[i] for c in cols) for i in range(m)]
-    return from_generator(Matrix(F, tuple(range(m)), tuple(range(n)), rows))
+        cols.append(unit_vectors(m)[m - 1])
+    return from_generator(Matrix(F, range(m), range(n), transpose(cols, m)))
 
 
 # ---------------------------------------------------------------------------
@@ -236,8 +233,7 @@ def reid(F: FiniteField, lines=None) -> ReprMatroid:
                              + [tuple(a), tuple(b)]))
     if len(pts) != 2 * F.q + 3:
         raise ValueError("chosen points do not form a Reid configuration")
-    rows = [tuple(p[i] for p in pts) for i in range(3)]
-    return from_generator(Matrix(F, (0, 1, 2), tuple(range(len(pts))), rows))
+    return from_generator(Matrix(F, range(3), range(len(pts)), transpose(pts, 3)))
 
 
 # ---------------------------------------------------------------------------
@@ -251,9 +247,7 @@ def gamma_frame_full(r: int, gamma: MultSubgroup) -> ReprMatroid:
     if r < 1:
         raise ValueError("rank must be >= 1")
     F = gamma.field
-    cols = []
-    for i in range(r):
-        cols.append(tuple(1 if t == i else 0 for t in range(r)))
+    cols = unit_vectors(r)
     for i in range(r):
         for j in range(i + 1, r):
             for g in sorted(gamma.elements):
@@ -261,19 +255,4 @@ def gamma_frame_full(r: int, gamma: MultSubgroup) -> ReprMatroid:
                 col[i] = 1
                 col[j] = F.neg(g)
                 cols.append(tuple(col))
-    rows = [tuple(c[i] for c in cols) for i in range(r)]
-    return from_generator(Matrix(F, tuple(range(r)), tuple(range(len(cols))), rows))
-
-
-def _is_gamma_frame_column(F, gamma, col):
-    """At most two nonzero entries: a lone one is 1, a pair is 1 and -g
-    for some g in Gamma."""
-    nz = [x for x in col if x]
-    if len(nz) > 2:
-        return False
-    if len(nz) == 1:
-        return nz[0] == 1
-    if len(nz) == 2:
-        v1, v2 = nz
-        return (v1 == 1 and F.neg(v2) in gamma) or (v2 == 1 and F.neg(v1) in gamma)
-    return True
+    return from_generator(Matrix(F, range(r), range(len(cols)), transpose(cols, r)))

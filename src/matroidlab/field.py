@@ -29,7 +29,7 @@ needed by frame matrices and by subfield confinement.
 """
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from math import gcd, isqrt
 
 import numpy as np
@@ -407,11 +407,14 @@ class SubfieldEmbedding:
     parent: FiniteField
     fwd: tuple  # fwd[c] = image code in parent, indexed by sub code
 
+    @cached_property
+    def back(self):
+        """fwd's inverse: image code in parent -> sub code.  Not a
+        dataclass field, so equality and hashing see fwd only."""
+        return {x: c for c, x in enumerate(self.fwd)}
+
     def embed(self, code):
         return self.fwd[code]
-
-    def image(self):
-        return frozenset(self.fwd)
 
     def __repr__(self):
         return f"{self.sub!r} -> {self.parent!r}"
@@ -445,7 +448,7 @@ def _embedding(sub: FiniteField, parent: FiniteField) -> SubfieldEmbedding:
             acc = parent.add(acc, parent.mul(digit, bp))
         fwd.append(acc)
     emb = SubfieldEmbedding(sub, parent, tuple(fwd))
-    if len(set(fwd)) != sub.q:
+    if len(emb.back) != sub.q:
         raise AssertionError("embedding is not injective")
     return emb
 

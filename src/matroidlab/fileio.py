@@ -269,7 +269,7 @@ def write_template(tmpl) -> str:
         named = _field_lines("subfield", sub, sub != make_field(sub.p, sub.k))
         sets = (("C", tmpl.C), ("D", tmpl.D), ("Y", tmpl.Y))
         rows = sort_labels(tmpl.D)
-        back = {v: i for i, v in enumerate(tmpl.emb.fwd)}
+        back = tmpl.emb.back
         A2 = tmpl.A2.submatrix(rows, sort_labels(tmpl.Y))
         blocks = (("A1", tmpl.A1.submatrix(rows, sort_labels(tmpl.C)).data),
                   ("A2", [[back[x] for x in row] for row in A2.data]),

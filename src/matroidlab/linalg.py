@@ -144,6 +144,18 @@ def normalizer(field):
     return normalize
 
 
+def transpose(vectors, n):
+    """The n columns of a list of rows, or the n rows of a list of
+    columns, as tuples: n empty ones when the list is empty."""
+    return list(zip(*vectors)) if vectors else [()] * n
+
+
+def unit_vectors(n):
+    """The n unit vectors of F^n, as tuples: the rows, and the columns, of
+    the n x n identity."""
+    return [tuple(int(i == j) for i in range(n)) for j in range(n)]
+
+
 # ---------------------------------------------------------------------------
 # labelled matrices
 # ---------------------------------------------------------------------------
@@ -182,9 +194,7 @@ class Matrix:
     @classmethod
     def identity(cls, field, labels):
         labels = tuple(labels)
-        n = len(labels)
-        return cls(field, labels, labels,
-                   [[1 if i == j else 0 for j in range(n)] for i in range(n)])
+        return cls(field, labels, labels, unit_vectors(len(labels)))
 
     def entry(self, r, c):
         return self.data[self._rindex[r]][self._cindex[c]]

@@ -25,7 +25,6 @@ from itertools import combinations
 import numpy as np
 
 from .errors import CapExceeded, LabelMismatch, NotASubfield, NotSubset
-from .field import FiniteField
 from .linalg import (
     DEFAULT_WEIGHT_CAP,
     Matrix,
@@ -34,6 +33,7 @@ from .linalg import (
     normalizer,
     orth_complement,
     rref_rows,
+    transpose,
 )
 
 DEFAULT_SUBSET_CAP = 16      # max |E| for subset enumerations
@@ -192,8 +192,8 @@ def smallest_circuit(M, workers=1, cap=DEFAULT_WEIGHT_CAP):
     return _min_support(M, orth_complement(M.space), cap)
 
 
-def girth(M, workers=1, cap=DEFAULT_WEIGHT_CAP):
-    hit = smallest_circuit(M, workers=workers, cap=cap)
+def girth(M, cap=DEFAULT_WEIGHT_CAP):
+    hit = smallest_circuit(M, cap=cap)
     return None if hit is None else hit[0]
 
 
@@ -204,8 +204,8 @@ def smallest_cocircuit(M, workers=1, cap=DEFAULT_WEIGHT_CAP):
     return _min_support(M, M.space, cap)
 
 
-def cogirth(M, workers=1, cap=DEFAULT_WEIGHT_CAP):
-    hit = smallest_cocircuit(M, workers=workers, cap=cap)
+def cogirth(M, cap=DEFAULT_WEIGHT_CAP):
+    hit = smallest_cocircuit(M, cap=cap)
     return None if hit is None else hit[0]
 
 
@@ -216,9 +216,8 @@ def cogirth(M, workers=1, cap=DEFAULT_WEIGHT_CAP):
 def _parallel_classes_repr(M):
     """Map normalized-column key -> list of labels; None key for loops."""
     normalize = normalizer(M.field)
-    basis = M.space.basis
     classes = {}
-    for e, col in zip(M.ground, zip(*basis) if basis else [()] * M.size):
+    for e, col in zip(M.ground, transpose(M.space.basis, M.size)):
         classes.setdefault(normalize(col), []).append(e)
     return classes
 
@@ -305,8 +304,9 @@ def confined_to(M: ReprMatroid, F0) -> bool:
 
 
 def confinement_witness(M: ReprMatroid, F0):
-    """Column scalings sending the RREF generator into the embedded
-    subfield, as a label -> code dict, or None if M is not confined.
+    """Column scalings sending the RREF generator into the subfield of M's
+    field that has the order of the field F0, as a label -> code dict, or
+    None if M is not confined.
 
     Each nonzero RREF entry constrains the scalings of its column and its
     pivot column inside the quotient group F^x / F0^x, cyclic of order
@@ -315,16 +315,12 @@ def confinement_witness(M: ReprMatroid, F0):
     re-verified before being returned.
     """
     F = M.field
-    if isinstance(F0, FiniteField):
-        sub = F0
-    else:
-        sub = F0.sub  # SubfieldEmbedding
-    if sub.p != F.p or F.k % sub.k != 0:
-        raise NotASubfield(f"{sub!r} is not a subfield of {F!r}")
+    if F0.p != F.p or F.k % F0.k != 0:
+        raise NotASubfield(f"{F0!r} is not a subfield of {F!r}")
     n = len(M.ground)
-    if sub.q == F.q or M.rank == 0:
+    if F0.q == F.q or M.rank == 0:
         return {e: 1 for e in M.ground}
-    m = (F.q - 1) // (sub.q - 1)
+    m = (F.q - 1) // (F0.q - 1)
     B = M.space
     constraints = [(p, c, -F.dlog(row[c]) % m)
                    for row, p in zip(B.basis, B.pivots)
@@ -335,7 +331,7 @@ def confinement_witness(M: ReprMatroid, F0):
         return None
     g = F.generator()
     scales = [F.pow(g, val.get(c, 0)) for c in range(n)]
-    sub_codes = F.subfield_codes(sub.k)
+    sub_codes = F.subfield_codes(F0.k)
     scaled = [[F.mul(x, s) for x, s in zip(row, scales)] for row in B.basis]
     red, _ = rref_rows(F, scaled)
     assert all(x in sub_codes for row in red for x in row)
@@ -356,7 +352,7 @@ def _column_reducer(M):
     reduce_by(v, rest) returns rest with v eliminated from each column.
     """
     F = M.field
-    cols = [M.column(e) for e in M.ground]
+    cols = transpose(M.space.basis, M.size)
     if F.q == 2:
         def reduce_by(v, rest):
             low = v & -v

@@ -6,8 +6,11 @@ A template constrains a matrix A in F^(B x (E-B)) block by block; the
 matroid it realizes is M([I,A]) after the prescribed contraction and
 deletion.  Both conformance predicates decompose per column, which the
 checkers exploit: each free column is classified independently, and the
-existential witness column set Z is recovered in closed form.  A
-conforming matrix is realized by matroid's minor kernel (_realize).
+existential witness column set Z is recovered in closed form.  The
+subfield checker maps entries back into F0 by the embedding's inverse
+(SubfieldEmbedding.back); the frame checker owns the Gamma-frame column
+predicate.  A conforming matrix is realized by matroid's minor kernel
+(_realize).
 
 Enumeration and membership draw their matrices from one layout per
 template kind (_SubfieldLayout, _FrameLayout): the labels, the option
@@ -50,15 +53,17 @@ from itertools import combinations_with_replacement, product
 from math import comb
 
 from .errors import LabelClash, NotConforming, check_budget
-from .constructions import _is_gamma_frame_column
 from .field import (FiniteField, MultSubgroup, SubfieldEmbedding, _digits, _embedding,
                     _undigits, make_field)
 from .linalg import (
     Matrix,
     Subspace,
+    _layout_of,
     extend_echelon,
     normalizer,
     sort_labels,
+    transpose,
+    unit_vectors,
 )
 from .matroid import (
     ReprMatroid,
@@ -84,11 +89,9 @@ class AdditiveSpan:
     """
 
     def __init__(self, field: FiniteField, ambient, generators):
-        ambient = tuple(ambient)
         self.field = field
-        self.ambient = sort_labels(ambient)
-        if ambient != self.ambient:  # generators follow `ambient`; permute as Subspace does
-            perm = [ambient.index(lbl) for lbl in self.ambient]
+        self.ambient, perm, _ = _layout_of(ambient)
+        if perm is not None:  # generators follow `ambient`; permute as Subspace does
             generators = [[g[i] for i in perm] for g in generators]
         self.space = Subspace(make_field(field.p, 1), range(len(self.ambient) * field.k),
                               [self._flatten(g) for g in generators])
@@ -171,8 +174,8 @@ class SubfieldTemplate:
             raise LabelClash("A1 must be indexed by D x C")
         if set(self.A2.rows) != set(self.D) or set(self.A2.cols) != set(self.Y):
             raise LabelClash("A2 must be indexed by D x Y")
-        img = self.emb.image()
-        if any(x not in img for row in self.A2.data for x in row):
+        back = self.emb.back
+        if any(x not in back for row in self.A2.data for x in row):
             raise LabelClash("A2 entries must lie in the subfield")
         if self.lam.field != self.emb.sub or self.lam.ambient != sort_labels(self.D):
             raise LabelClash("Lambda must be an F0-subspace of F0^D")
@@ -253,25 +256,16 @@ class ConformanceReport:
 # subfield conformance
 # ---------------------------------------------------------------------------
 
-def _embedded_back(emb, x):
-    """Parent code -> subfield code, or None if outside the image."""
-    try:
-        return emb.fwd.index(x)
-    except ValueError:
-        return None
-
-
 def check_subfield(A: Matrix, tmpl: SubfieldTemplate) -> ConformanceReport:
     """Clause-by-clause conformance of A (rows are B, columns are E-B)."""
     B = A.rows
-    emb = tmpl.emb
     D, C = set(tmpl.D), set(tmpl.C)
     named = C | set(tmpl.Y)
     if not D <= set(B):
         raise LabelClash("template set D must be a subset of the row labels")
     if not named <= set(A.cols):
         raise LabelClash("template sets C and Y must be column labels")
-    img = emb.image()
+    back = tmpl.emb.back
     free = [c for c in A.cols if c not in named]
     rest_rows = [r for r in B if r not in D]
     # clause ii: fixed blocks, and F0 entries everywhere outside A[D, C]
@@ -284,16 +278,17 @@ def check_subfield(A: Matrix, tmpl: SubfieldTemplate) -> ConformanceReport:
                 return ConformanceReport(False, "clause-ii")
     for r, row in zip(B, A.data):
         skip = C if r in D else ()
-        if any(x not in img for c, x in zip(A.cols, row) if c not in skip):
+        if any(x not in back for c, x in zip(A.cols, row) if c not in skip):
             return ConformanceReport(False, "clause-ii")
-    # clause iii: columns of A[D, free] lie in Lambda (ambient: sorted D)
+    # clause iii: columns of A[D, free] lie in Lambda (ambient: sorted D);
+    # clause ii put these entries, and clause iv's, in the image of F0
     for c in free:
-        col = [_embedded_back(emb, A.entry(r, c)) for r in tmpl.lam.ambient]
+        col = [back[A.entry(r, c)] for r in tmpl.lam.ambient]
         if not tmpl.lam.contains(col):
             return ConformanceReport(False, "clause-iii")
     # clause iv: rows of A[B-D, C+Y] lie in Delta (ambient: sorted C+Y)
     for r in rest_rows:
-        row = [_embedded_back(emb, A.entry(r, c)) for c in tmpl.delta.ambient]
+        row = [back[A.entry(r, c)] for c in tmpl.delta.ambient]
         if not tmpl.delta.contains(row):
             return ConformanceReport(False, "clause-iv")
     return ConformanceReport(True)
@@ -311,9 +306,7 @@ def _realize(A: Matrix, contract_set, delete_set) -> ReprMatroid:
     """M([I,A]) / C \\ D, by the minor kernel's one row reduction."""
     if set(A.rows) & set(A.cols):
         raise LabelClash("row labels must be disjoint from column labels")
-    m = len(A.rows)
-    rows = [[0] * ri + [1] + [0] * (m - ri - 1) + list(row)
-            for ri, row in enumerate(A.data)]
+    rows = [unit + row for unit, row in zip(unit_vectors(len(A.rows)), A.data)]
     return _minor_of_rows(A.field, A.rows + A.cols, rows, set(contract_set),
                           set(delete_set))
 
@@ -321,6 +314,20 @@ def _realize(A: Matrix, contract_set, delete_set) -> ReprMatroid:
 # ---------------------------------------------------------------------------
 # frame conformance
 # ---------------------------------------------------------------------------
+
+def _is_gamma_frame_column(F, gamma, col):
+    """At most two nonzero entries: a lone one is 1, a pair is 1 and -g
+    for some g in Gamma."""
+    nz = [x for x in col if x]
+    if len(nz) > 2:
+        return False
+    if len(nz) == 1:
+        return nz[0] == 1
+    if len(nz) == 2:
+        v1, v2 = nz
+        return (v1 == 1 and F.neg(v2) in gamma) or (v2 == 1 and F.neg(v1) in gamma)
+    return True
+
 
 def _is_unit_column(col):
     nz = [x for x in col if x]
@@ -348,8 +355,6 @@ def check_frame_conforms(A: Matrix, tmpl: FrameTemplate) -> ConformanceReport:
     F = tmpl.field
     free = [c for c in A.cols if c not in named_cols]
     bottom_rows = [r for r in B if r not in named_rows]
-    Dsorted = tmpl.lam.ambient
-    Y1 = _sorted_y1(tmpl)
     for r in tuple(tmpl.D) + tuple(tmpl.X):
         for c in named_cols:
             if A.entry(r, c) != tmpl.A1.entry(r, c):
@@ -358,19 +363,21 @@ def check_frame_conforms(A: Matrix, tmpl: FrameTemplate) -> ConformanceReport:
         row = [A.entry(r, c) for c in tmpl.delta.ambient]
         if not tmpl.delta.contains(row):
             return ConformanceReport(False, "clause-v")
+    # free and Y1 columns are read over sorted D, then X, then the bottom rows
+    order = tmpl.lam.ambient + tuple(tmpl.X) + tuple(bottom_rows)
+    nd = len(tmpl.D)
+    top = nd + len(tmpl.X)
+    y1_columns = [[A.entry(r, j) for r in order] for j in _sorted_y1(tmpl)]
+    minus_one = F.neg(1)
     Z = []
     for c in free:
-        dpart = [A.entry(r, c) for r in Dsorted]
-        xpart = [A.entry(r, c) for r in tmpl.X]
-        bottom = [A.entry(r, c) for r in bottom_rows]
-        if (not any(xpart) and tmpl.lam.contains(dpart)
-                and _is_gamma_frame_column(F, tmpl.gamma, bottom)):
+        col = [A.entry(r, c) for r in order]
+        if (not any(col[nd:top]) and tmpl.lam.contains(col[:nd])
+                and _is_gamma_frame_column(F, tmpl.gamma, col[top:])):
             continue  # usable as a non-Z column of A' directly
-        for j in Y1:
-            dp = [F.sub(x, A.entry(r, j)) for x, r in zip(dpart, Dsorted)]
-            xp = [F.sub(x, A.entry(r, j)) for x, r in zip(xpart, tmpl.X)]
-            bt = [F.sub(x, A.entry(r, j)) for x, r in zip(bottom, bottom_rows)]
-            if not any(dp) and not any(xp) and _is_unit_column(bt):
+        for y1 in y1_columns:
+            rest = F.axpy(minus_one, col, y1)
+            if not any(rest[:top]) and _is_unit_column(rest[top:]):
                 Z.append(c)
                 break
         else:
@@ -391,11 +398,6 @@ def frame_matroid_of(A: Matrix, tmpl: FrameTemplate) -> ReprMatroid:
 # ---------------------------------------------------------------------------
 # conforming matrices: one layout per template kind
 # ---------------------------------------------------------------------------
-
-def _columns(rows, n):
-    """The n columns of a list of rows (n empty columns when there are none)."""
-    return list(zip(*rows)) if rows else [()] * n
-
 
 def _anon_labels(prefix, count):
     return tuple(f"{prefix}{i:02d}" for i in range(count))
@@ -418,15 +420,14 @@ class _SubfieldLayout:
         self.cols = tuple(tmpl.C) + tuple(tmpl.Y) + _anon_labels("e", f)
         self.lam_elems = [tuple(emb.embed(x) for x in v) for v in tmpl.lam.vectors()]
         self.delta_elems = [tuple(emb.embed(x) for x in v) for v in tmpl.delta.vectors()]
-        self.img = sorted(emb.image())
+        self.img = sorted(emb.fwd)
         self.n_row_options = len(self.delta_elems) * len(self.img) ** f
         # per D row: its fixed A1/A2 entries and its position in Lambda vectors
         self._top = [([tmpl.A1.entry(r, c) for c in tmpl.C]
                       + [tmpl.A2.entry(r, c) for c in tmpl.Y], tmpl.lam.ambient.index(r))
                      for r in tmpl.D]
         self._cy = [tmpl.delta.ambient.index(c) for c in tuple(tmpl.C) + tuple(tmpl.Y)]
-        self._units = [tuple(int(i == j) for i in range(len(self.rows)))
-                       for j in range(len(tmpl.D), len(self.rows))]
+        self._units = unit_vectors(len(self.rows))[len(tmpl.D):]
 
     def row_options(self):
         return [(delta, entries) for delta in self.delta_elems
@@ -446,7 +447,7 @@ class _SubfieldLayout:
         """The columns of [I,A] outside D, over every row: the unit columns
         of the anonymous rows, then every column of A.  When C is empty
         their column matroid is the realized matroid."""
-        return self._units + _columns(data, len(self.cols))
+        return self._units + transpose(data, len(self.cols))
 
 
 class _FrameLayout:
@@ -469,8 +470,7 @@ class _FrameLayout:
         self._pairs = [F.neg(g) for g in sorted(tmpl.gamma.elements)]
         self._y1 = _sorted_y1(tmpl)
         self._dpos = [tmpl.lam.ambient.index(d) for d in tmpl.D]
-        self._x_units = [tuple(int(i == j) for i in range(len(self.rows)))
-                         for j in range(len(tmpl.D), self.n_named)]
+        self._x_units = unit_vectors(len(self.rows))[len(tmpl.D):self.n_named]
         # per named column: its fixed A1 entries and its position in Delta vectors
         top_rows = tuple(tmpl.D) + tuple(tmpl.X)
         self._named = [(c, [tmpl.A1.entry(r, c) for r in top_rows],
@@ -516,8 +516,7 @@ class _FrameLayout:
 
     def matrix(self, named, free_columns):
         colvecs = [named[c] for c in self.named_cols] + list(free_columns)
-        data = [[col[ri] for col in colvecs] for ri in range(len(self.rows))]
-        return Matrix(self.field, self.rows, self.cols, data)
+        return Matrix(self.field, self.rows, self.cols, transpose(colvecs, len(self.rows)))
 
     def kept_columns(self, named, free_columns):
         """The columns of [I,A] outside (B-X) + Y1, over every row: the unit
@@ -591,7 +590,7 @@ def _echelon_walk(F, m, fixed, columns, depth):
     leaves them alone, and a leaf costs one product T * c and at most one
     elimination, where rref_rows would reduce the whole matrix."""
     add, mul, neg, inv = F.add, F.mul, F.neg, F.inv
-    units = [tuple(int(i == j) for i in range(m)) for j in range(m)]
+    units = unit_vectors(m)
 
     def step(T, r, c):
         """(c's reduced column, T, r) once column c is appended."""
@@ -693,7 +692,7 @@ class _Target:
         self.cap = cap
         self.prefilter = prefilter
         self.key = cache(normalizer(M.field))
-        self.invariants = self._invariants(_columns(M.space.basis, M.size))
+        self.invariants = self._invariants(transpose(M.space.basis, M.size))
 
     def _invariants(self, cols):
         """The loop count and sorted parallel-class sizes of the column
@@ -716,7 +715,7 @@ class _Target:
         M = self.M
         if N.size != M.size or N.rank != M.rank:
             return False
-        if not self.prefilter and not self.columns_match(_columns(N.space.basis, N.size)):
+        if not self.prefilter and not self.columns_match(transpose(N.space.basis, N.size)):
             return False
         return equivalent_up_to_relabel_scaling(N, M, cap=M.size, profile2=self.profile)
 

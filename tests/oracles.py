@@ -8,7 +8,7 @@ import random
 import numpy as np
 
 from matroidlab.codes import _codeword_table
-from matroidlab.constructions import _is_gamma_frame_column, pg
+from matroidlab.constructions import pg
 from matroidlab.errors import (
     CapExceeded,
     LabelClash,
@@ -44,6 +44,7 @@ from matroidlab.templates import (
     ConformanceReport,
     SubfieldTemplate,
     _FrameLayout,
+    _is_gamma_frame_column,
     _is_unit_column,
     check_frame_conforms,
     check_subfield,

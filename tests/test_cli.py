@@ -693,10 +693,21 @@ PINNED_TEMPLATE_MATRICES = {
     "u24gf3": Matrix(GF3, (0, 1), tuple(range(4)), [[1, 0, 1, 1], [0, 1, 1, 2]]),
     "u24gf4": Matrix(GF4, (0, 1), tuple(range(4)), [[1, 0, 1, 1], [0, 1, 2, 3]]),
     "fano": FANO,
+    # conforms to sub4cdy
+    "sub4ok": Matrix(GF4, ("d", "b0"), ("c", "y", "e0"), [[2, 1, 0], [1, 1, 1]]),
+    # conform to frame2c with Z = (e1); the second breaks clause iii at e1
+    "frame2z": Matrix(GF2, ("d", "x", "b0", "b1"), ("c", "y0", "y1", "e0", "e1"),
+                      [[1, 1, 0, 1, 0], [0, 1, 1, 0, 1], [1, 1, 0, 1, 1],
+                       [1, 1, 0, 0, 0]]),
+    "frame2bad": Matrix(GF2, ("d", "x", "b0", "b1"), ("c", "y0", "y1", "e0", "e1"),
+                        [[1, 1, 0, 1, 0], [0, 1, 1, 0, 1], [1, 1, 0, 1, 1],
+                         [0, 0, 0, 0, 1]]),
 }
 # argv -> (number of matroids, SHA-256 of stdout) for enumerate, stdout for
-# member; recorded before enumeration stopped re-checking conformance and
-# row-reducing candidates whose echelon form it already holds
+# the other actions; enumerate's recorded before enumeration stopped
+# re-checking conformance and row-reducing candidates whose echelon form it
+# already holds, check's and realize's before the subfield embedding
+# carried its inverse
 PINNED_TEMPLATE_STDOUT = [
     (["enumerate", "sub3", "--rows", "2", "--cols", "2"],
      (81, "7bffe2736cab228690bf26999fc2c15d15096228567901142bf35bab96996a4c")),
@@ -709,6 +720,12 @@ PINNED_TEMPLATE_STDOUT = [
     (["member", "sub3", "u24gf3"], '{"member": true}\n'),
     (["member", "sub4cdy", "u24gf4"], '{"member": false}\n'),
     (["member", "frame2", "fano"], '{"member": false}\n'),
+    (["check", "sub4cdy", "sub4ok"], '{"conforms": true, "violated": null}\n'),
+    (["check", "frame2c", "frame2z"], '{"Z": ["e1"], "conforms": true, "violated": null}\n'),
+    (["check", "frame2c", "frame2bad"], '{"conforms": false, "violated": "clause-iii"}\n'),
+    (["realize", "sub4cdy", "sub4ok"], "gf 2 2\npoly 1 1 1\nrows 0\ncols b0 e0 y\n1 1 2\n"),
+    (["realize", "frame2c", "frame2z"],
+     "gf 2 1\nrows 0 1 2\ncols e0 e1 x y0\n1 0 0 0\n0 1 0 0\n0 0 1 1\n"),
 ]
 
 
@@ -724,7 +741,7 @@ def test_template_enumerate_and_member_stdout_bytes(capsys, tmp_path, argv, expe
         paths[name].write_text(write_matrix(A))
     code, out = run(capsys, ["template"] + [str(paths.get(a, a)) for a in argv])
     assert code == 0
-    if argv[0] == "member":
-        assert out == expected
-    else:
+    if argv[0] == "enumerate":
         assert (len(json.loads(out)), hashlib.sha256(out.encode()).hexdigest()) == expected
+    else:
+        assert out == expected

@@ -153,7 +153,23 @@ def test_subgroup_of_order_rejects_nondivisor():
 def test_subfield_codes_match_embedding_image():
     F = make_field(2, 4)
     for emb in subfield_lattice(F):
-        assert F.subfield_codes(emb.sub.k) == emb.image()
+        assert F.subfield_codes(emb.sub.k) == frozenset(emb.back)
+
+
+@pytest.mark.parametrize("p,k", [(2, 2), (2, 3), (3, 2), (2, 4), (2, 6)])
+def test_embedding_inverse_maps_the_image_back(p, k):
+    F = make_field(p, k)
+    embs = subfield_lattice(F)
+    for emb in embs:
+        assert [emb.back[emb.embed(c)] for c in emb.sub.elements()] == list(emb.sub.elements())
+        for x in F.elements():
+            if x not in emb.fwd:
+                with pytest.raises(KeyError):
+                    emb.back[x]
+    # the inverse is derived: embeddings that built it compare and hash
+    # as ones that did not
+    fresh = subfield_lattice(F)
+    assert fresh == embs and list(map(hash, fresh)) == list(map(hash, embs))
 
 
 def test_subfield_codes_rejects_nondivisor_degree():

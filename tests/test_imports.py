@@ -1,6 +1,6 @@
-"""Every name a library module imports is used in that module, and every
+"""Every name a library module imports is used in that module, every
 function, class and constant a library module defines has a reader
-outside the tests.
+outside the tests, and every private one has a reader in its own module.
 
 __init__.py is skipped by the import check: its imports are the
 package's public API.
@@ -104,3 +104,27 @@ def test_every_library_definition_has_a_caller():
     library = {p.name: p.read_text() for p in sorted(PACKAGE.glob("*.py"))}
     callers = [p.read_text() for p in CALLERS]
     assert uncalled_definitions(library, callers) == []
+
+
+def unread_private_names(source):
+    """Each private top-level name that source defines and that no other
+    top-level statement of source refers to: a helper that only another
+    module reads belongs in that module."""
+    nodes = [(node, names_used(node)) for node in ast.parse(source).body]
+    out = []
+    for node, _ in nodes:
+        own = set().union(*(u for n, u in nodes if n is not node))
+        out += [name for name in defined_names(node)
+                if name.startswith("_") and name not in own]
+    return out
+
+
+def test_check_finds_an_unread_private_name():
+    source = ("def _kept():\n    return 1\n\ndef _alone():\n    return _alone()\n"
+              "\ndef api():\n    return _kept()\n\n_ORPHAN = 0\n")
+    assert unread_private_names(source) == ["_alone", "_ORPHAN"]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_module_reads_its_private_names(path):
+    assert unread_private_names(path.read_text()) == []
