@@ -164,8 +164,6 @@ def _cmd_construct(args):
         if args.gf:
             _emit_matroid(args, uniform_represented(args.m, args.n, _field_arg(args.gf)))
         else:
-            if 0 <= args.m <= args.n:  # else uniform reports the bad m
-                check_subset_cap(args.n, args.cap)
             _emit_rank_table(args, args.n, uniform(args.m, args.n))
     elif kind == "kn":
         _require(args, "n", "gf")

@@ -16,7 +16,8 @@ fractionally: a tie among t codewords that includes the transmitted one
 counts (t-1)/t of an error, which is the exact error probability of a
 uniform tie-breaking ML decoder.  The codeword table is matroid's span
 kernel (_span_words) over the generator rows: word i combines them by
-the bits of i, little-endian, the order codeword_index counts in.
+the bits of i, little-endian, the order codeword_index counts in.  It and
+the flip patterns are packed into uint64 words by linalg._pack_words.
 Randomness is counter-based: block b of trials uses Philox key (seed, b),
 so any partition of blocks over workers reproduces the same stream.
 """
@@ -38,8 +39,8 @@ from .errors import (
     check_budget,
 )
 from .field import make_field
-from .linalg import DEFAULT_WEIGHT_CAP, min_weight
-from .matroid import ReprMatroid, _np_tables, _span_words
+from .linalg import DEFAULT_WEIGHT_CAP, _pack_words, min_weight
+from .matroid import ReprMatroid, _span_words
 
 DEFAULT_CODEWORD_CAP = 1 << 14
 MC_BLOCK = 1 << 14
@@ -212,8 +213,7 @@ def _codeword_table(M: ReprMatroid, cap):
         raise NotBinary("the simulated channel is binary")
     k, n = M.rank, M.size
     check_budget(2 ** k, "codewords", cap)
-    add, mul = _np_tables(M.field)
-    return _span_words(np.array(M.space.basis, dtype=np.uint8).reshape(k, n), add, mul, n)
+    return _span_words(M.field, np.array(M.space.basis, dtype=np.uint8).reshape(k, n), n)
 
 
 def wilson_interval(x: float, n: int, z: float = 3.0):
@@ -225,26 +225,6 @@ def wilson_interval(x: float, n: int, z: float = 3.0):
     center = (phat + z * z / (2 * n)) / denom
     half = z * math.sqrt(phat * (1 - phat) / n + z * z / (4 * n * n)) / denom
     return max(0.0, center - half), min(1.0, center + half)
-
-
-def _pack_words(bits):
-    """Rows of 0/1 entries as little-endian uint64 words, at least one.
-
-    Bit j of a row lands in bit j % 64 of word j // 64.  Rows are padded
-    with zero bits only to whole bytes (a copy only when n % 8 != 0), one
-    flat packbits packs them all, and the packed bytes are copied into
-    zeroed rows of whole words; rows of length 0 still get a word to sort
-    and XOR."""
-    rows, n = bits.shape
-    nbytes = -(-n // 8)
-    if n % 8:
-        padded = np.zeros((rows, 8 * nbytes), dtype=bool)
-        padded[:, :n] = bits
-        bits = padded
-    packed = np.packbits(bits, bitorder="little")
-    out = np.zeros((rows, 8 * max(1, -(-n // 64))), dtype=np.uint8)
-    out[:, :nbytes] = packed.reshape(rows, nbytes)
-    return out.view(np.uint64)
 
 
 def _draw_flips(n, p, seed, block_idx, count):

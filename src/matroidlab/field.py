@@ -16,7 +16,8 @@ inverses, powers, discrete logs and orders are index arithmetic on them.
 Addition is XOR over characteristic 2, mod p over a prime field, and by
 Zech logarithms Z(i) = log(1 + g^i) otherwise (Huber, IEEE Trans. IT
 1990).  Fields with q <= 256 also keep q x q addition and multiplication
-tables, built from these, as a lookup is faster there.
+tables, built from these, as a lookup is faster there: the lists add_t
+and mul_t, and their read-only uint8 arrays add_np and mul_np.
 
 Every field also carries the row kernel of the library's eliminations:
 F.axpy(f, xs, ys), the list x + f*y, and F.scale(f, xs), the list f*x.
@@ -139,14 +140,16 @@ class FiniteField:
         self.exp = exp.tolist() * 2
         self.log = log.tolist()
         self._half = n // 2 if p > 2 else 0  # -1 = g^half
-        self.add_t = self.mul_t = self._zech = None
+        self.add_t = self.mul_t = self.add_np = self.mul_np = self._zech = None
         if q <= _TABLE_MAX:
             weights = p ** np.arange(k)
             digits = np.arange(q)[:, None] // weights % p
-            self.add_t = ((digits[:, None] + digits[None]) % p @ weights).tolist()
+            add = (digits[:, None] + digits[None]) % p @ weights
             mul = np.tile(exp, 2)[log[:, None] + log[None]]
             mul[0] = mul[:, 0] = 0
-            self.mul_t = mul.tolist()
+            self.add_t, self.mul_t = add.tolist(), mul.tolist()
+            self.add_np, self.mul_np = add.astype(np.uint8), mul.astype(np.uint8)
+            self.add_np.flags.writeable = self.mul_np.flags.writeable = False
         elif p > 2 and k > 1:
             # 1 + g^i adds 1 to the lowest digit, and is 0 at i = half;
             # doubled, zech[i] = Z(i) for -n < i < 2n (negative i wrap)

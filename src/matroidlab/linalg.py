@@ -11,7 +11,7 @@ basis over the sorted ambient label set.  rref_rows, reduce_vector,
 extend_echelon and combine are the one echelon kernel: the rest of the
 library reduces vectors and combines rows through them, except
 all_subset_ranks and min_weight's packed scoring.  all_subset_ranks
-counts codewords by zero set through numpy copies of the field tables
+counts codewords by zero set through the field's numpy tables
 (Greene's identity), or below its size floor walks the subsets with XOR
 over GF(2) and F.axpy elsewhere.  Each row update in the four kernel
 functions is one call of the field's row kernel, F.axpy(f, xs, ys)
@@ -359,6 +359,28 @@ def intersect_spaces(U: Subspace, V: Subspace) -> Subspace:
 MW_CHUNK_WORDS = 1 << 18  # packed words per batch of combinations; bounds its memory
 
 
+def _pack_words(bits):
+    """Rows of 0/1 entries as little-endian uint64 words ('<u8'), at least
+    one per row: bit j of a row is bit j % 64 of word j // 64, whatever the
+    host's byte order.
+
+    Rows are padded with zero bits only to whole bytes (a copy only when
+    n % 8 != 0), one flat packbits packs them all, and the packed bytes are
+    copied into zeroed rows of whole words; rows of length 0 still get a
+    word to sort and XOR."""
+    bits = np.asarray(bits, dtype=bool)
+    rows, n = bits.shape
+    nbytes = -(-n // 8)
+    if n % 8:
+        padded = np.zeros((rows, 8 * nbytes), dtype=bool)
+        padded[:, :n] = bits
+        bits = padded
+    packed = np.packbits(bits, bitorder="little")
+    out = np.zeros((rows, 8 * max(1, -(-n // 64))), dtype=np.uint8)
+    out[:, :nbytes] = packed.reshape(rows, nbytes)
+    return out.view("<u8")
+
+
 @lru_cache(maxsize=256)
 def _word_layout(F, n):
     """(pack, unpack, add, weight) for vectors of F^n packed into rows of
@@ -367,7 +389,8 @@ def _word_layout(F, n):
     Each base-p digit of an element code gets a lane of w bits; coordinate
     j owns e lanes, and a word holds 64 // (e*w) whole coordinates.  Over
     characteristic 2 a lane is one bit and addition is XOR, since element
-    codes are digit vectors.  For odd p a lane has p.bit_length()+1 bits:
+    codes are digit vectors; over GF(2) itself a word is 64 coordinates,
+    and _pack_words packs them.  For odd p a lane has p.bit_length()+1 bits:
     lanes are added as integers, then p is subtracted from every lane that
     reached p, found by adding H-p to each lane and reading its high bit H.
     The weight is the popcount of one nonzero flag per coordinate (the OR
@@ -423,7 +446,7 @@ def _word_layout(F, n):
         counts = np.bitwise_count(g)
         return counts[:, 0] if words == 1 else counts.sum(axis=1)
 
-    return pack, unpack, add, weight
+    return (_pack_words if p == 2 and e == 1 else pack), unpack, add, weight
 
 
 def min_weight(U: Subspace, *, cap=DEFAULT_WEIGHT_CAP):

@@ -6,20 +6,22 @@ equality.  Girth is computed as the minimum weight of the orthogonal
 complement (circuits are the minimal supports of the kernel of any
 generator matrix); cogirth is the minimum weight of the row space
 itself.  The tests compare both with a circuit enumeration in
-tests/oracles.py.
+tests/oracles.py.  Projective equivalence and subfield confinement solve
+their column-scaling ratios as discrete logs in Z/m (_solve_ratios).
 
 Isomorphism, minor search and vertical connectivity read a matroid only
 through its rank table (all_subset_ranks).  From _CODEWORD_FLOOR = 7
 elements on, over fields of order at most 256, the table comes from
 Greene's identity (Greene, "Weight enumeration and the geometry of linear
 codes", Stud. Appl. Math. 1976): the codewords of C = rowspace(M) that
-vanish on S number q^(r - r(S)).  It counts the words of C or of C-perp,
-whichever has fewer, by zero set in numpy.  Smaller tables, and fields
+vanish on S number q^(r - r(S)).  It builds the words of C or of C-perp,
+whichever has fewer, through the field's numpy tables and counts them by
+zero set, packed by linalg._pack_words.  Smaller tables, and fields
 without tables, use a depth-first walk over the subsets.
 """
 
 from collections import Counter
-from functools import cached_property, lru_cache
+from functools import cached_property
 from itertools import combinations
 
 import numpy as np
@@ -29,6 +31,7 @@ from .linalg import (
     DEFAULT_WEIGHT_CAP,
     Matrix,
     Subspace,
+    _pack_words,
     min_weight,
     normalizer,
     orth_complement,
@@ -240,30 +243,30 @@ def simplify(M):
 # projective equivalence and subfield confinement
 # ---------------------------------------------------------------------------
 
-def _solve_ratios(n, constraints, op, inverse, one):
-    """Labels val[c] in a group with val[c] = op(w, val[p]) for every
+def _solve_ratios(n, constraints, m):
+    """Labels val[c] in Z/m with val[c] = val[p] + w (mod m) for every
     constraint (p, c, w), or None if no labelling satisfies them all.
 
     Each component of the column graph is labelled by propagation from
-    its least column, set to `one`; every constraint is then re-checked.
+    its least column, set to 0; every constraint is then re-checked.
     """
     adj = {}
     for p, c, w in constraints:
         adj.setdefault(p, []).append((c, w))
-        adj.setdefault(c, []).append((p, inverse(w)))
+        adj.setdefault(c, []).append((p, -w))
     val = {}
     for start in range(n):
         if start in val or start not in adj:
             continue
-        val[start] = one
+        val[start] = 0
         stack = [start]
         while stack:
             u = stack.pop()
             for v, w in adj[u]:
                 if v not in val:
-                    val[v] = op(w, val[u])
+                    val[v] = (val[u] + w) % m
                     stack.append(v)
-    if all(val[c] == op(w, val[p]) for p, c, w in constraints):
+    if all(val[c] == (val[p] + w) % m for p, c, w in constraints):
         return val
     return None
 
@@ -273,8 +276,9 @@ def projectively_equivalent(M1: ReprMatroid, M2: ReprMatroid) -> bool:
 
     Because both spaces are in RREF, a scaling D works iff the pivot sets
     match and the per-entry ratio constraints d_c / d_pivot(i) =
-    B2[i,c] / B1[i,c] admit a solution in F^x, which _solve_ratios
-    decides, so no scaling search is needed.
+    B2[i,c] / B1[i,c] admit a solution in F^x.  Written through discrete
+    logs they are constraints in Z/(q-1), which _solve_ratios decides, so
+    no scaling search is needed.
     """
     if M1.ground != M2.ground:
         raise LabelMismatch("projective equivalence needs equal ground sets")
@@ -294,8 +298,8 @@ def projectively_equivalent(M1: ReprMatroid, M2: ReprMatroid) -> bool:
             if (row1[c] == 0) != (row2[c] == 0):
                 return False
             if row1[c]:
-                constraints.append((p, c, F.div(row2[c], row1[c])))
-    return _solve_ratios(n, constraints, F.mul, F.inv, 1) is not None
+                constraints.append((p, c, F.log[row2[c]] - F.log[row1[c]]))
+    return _solve_ratios(n, constraints, F.q - 1) is not None
 
 
 def confined_to(M: ReprMatroid, F0) -> bool:
@@ -322,15 +326,13 @@ def confinement_witness(M: ReprMatroid, F0):
         return {e: 1 for e in M.ground}
     m = (F.q - 1) // (F0.q - 1)
     B = M.space
-    constraints = [(p, c, -F.dlog(row[c]) % m)
+    constraints = [(p, c, -F.dlog(row[c]))
                    for row, p in zip(B.basis, B.pivots)
                    for c in range(n) if c != p and row[c]]
-    val = _solve_ratios(n, constraints, lambda w, x: (w + x) % m,
-                        lambda w: -w % m, 0)
+    val = _solve_ratios(n, constraints, m)
     if val is None:
         return None
-    g = F.generator()
-    scales = [F.pow(g, val.get(c, 0)) for c in range(n)]
+    scales = [F.exp[val.get(c, 0)] for c in range(n)]
     sub_codes = F.subfield_codes(F0.k)
     scaled = [[F.mul(x, s) for x, s in zip(row, scales)] for row in B.basis]
     red, _ = rref_rows(F, scaled)
@@ -398,19 +400,10 @@ def _walk_ranks(M):
     return ranks
 
 
-@lru_cache(maxsize=None)
-def _np_tables(F):
-    """F's addition and multiplication tables as read-only uint8 arrays,
-    built once per field (F must have tables, so q <= 256)."""
-    tables = tuple(np.array(t, dtype=np.uint8) for t in (F.add_t, F.mul_t))
-    for t in tables:
-        t.flags.writeable = False
-    return tables
-
-
-def _span_words(rows, add, mul, n):
-    """Every linear combination of `rows` (uint8 arrays of length n), one
-    per row of the result: q^len(rows) words."""
+def _span_words(F, rows, n):
+    """Every linear combination over F, which has tables, of `rows` (uint8
+    arrays of length n), one per row of the result: q^len(rows) words."""
+    add, mul = F.add_np, F.mul_np
     words = np.zeros((1, n), np.uint8)
     for g in rows:
         # mul[:, g][a] is a * g; each old word meets each multiple
@@ -422,16 +415,16 @@ def _zero_set_counts(G, F, n):
     """counts[m] = the number of words of rowspace(G) whose zero set is the
     mask m.  The words are built in blocks of at most _CODEWORD_BLOCK: one
     block spans G's last rows and is shifted by each combination of the
-    others.  Zero masks gather in a buffer of 2^n entries or one block,
-    counted whenever it fills, so memory stays proportional to the table."""
-    add, mul = _np_tables(F)
+    others.  Zero masks (word 0 of _pack_words, as n <= 64) gather in a
+    buffer of 2^n entries or one block, counted whenever it fills, so
+    memory stays proportional to the table."""
+    add = F.add_np
     size = 1 << n
     t = len(G)
     while t and F.q ** t > _CODEWORD_BLOCK:
         t -= 1
-    block = _span_words(G[len(G) - t:], add, mul, n)
-    heads = _span_words(G[:len(G) - t], add, mul, n)
-    weights = np.left_shift(1, np.arange(n, dtype=np.int64))
+    block = _span_words(F, G[len(G) - t:], n)
+    heads = _span_words(F, G[:len(G) - t], n)
     counts = np.zeros(size, np.int64)
     buf = np.empty(max(size, len(block)), np.int64)
     fill = 0
@@ -439,7 +432,7 @@ def _zero_set_counts(G, F, n):
         if fill + len(block) > len(buf):
             counts += np.bincount(buf[:fill], minlength=size)
             fill = 0
-        np.matmul(add[block, head] == 0, weights, out=buf[fill:fill + len(block)])
+        buf[fill:fill + len(block)] = _pack_words(add[block, head] == 0)[:, 0]
         fill += len(block)
     return counts + np.bincount(buf[:fill], minlength=size)
 

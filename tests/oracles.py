@@ -510,7 +510,7 @@ def exact_ml_error(code, p, cap=1 << 20) -> float:
 
 
 def pack_words_per_row(bits):
-    """codes._pack_words row by row: each row packed on its own, then padded
+    """linalg._pack_words row by row: each row packed on its own, then padded
     with zero bytes to whole uint64 words, at least one."""
     packed = np.packbits(bits, axis=1, bitorder="little")
     nbytes = packed.shape[1]

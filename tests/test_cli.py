@@ -560,10 +560,15 @@ def test_confine_perturb_reid_stdout_bytes(capsys, tmp_path, argv, expected):
 
 
 def test_construct_uniform_refuses_large_n_before_building(capsys, monkeypatch):
-    def build(m, n):
-        raise AssertionError("uniform built before the cap check")
+    # uniform(m, n) only checks m and returns the rank function; building
+    # the table is what must wait for the cap check
+    def rank_function(m, n):
+        def rank(S):
+            raise AssertionError("rank table built before the cap check")
 
-    monkeypatch.setattr(cli, "uniform", build)
+        return rank
+
+    monkeypatch.setattr(cli, "uniform", rank_function)
     code = main(["construct", "uniform", "--m", "3", "--n", "3000000"])
     assert code == 3
     assert capsys.readouterr().err == (
@@ -641,6 +646,12 @@ PINNED_CONSTRUCT = [
      (0, 95, "97c4cfe90497ed1329bcdd55438208b4a40d73ca891d564af967d718c93cefa6", "")),
     (["dual", "gf4"],
      (0, 74, "1414069a1c9c0b477fc6883e9ceb626b7c14f606fc5a0a05bd1e5f6024f199ad", "")),
+    (["construct", "pg", "--gf", "2", "1"],
+     (2, 0, EMPTY_SHA, "error: --rank is required for this shape")),
+    (["construct", "bicircular"], (2, 0, EMPTY_SHA, "error: give --kn N or --graph FILE")),
+    # a bad m is reported before the cap check, with n over the cap
+    (["construct", "uniform", "--m", "-1", "--n", "30"],
+     (2, 0, EMPTY_SHA, "error: need 0 <= m <= n")),
 ]
 
 
@@ -655,6 +666,49 @@ def test_construct_and_dual_bytes(capsys, tmp_path, argv, expected):
     out, err = captured.out, captured.err.strip().splitlines()
     assert (code, len(out), hashlib.sha256(out.encode()).hexdigest(),
             err[-1] if err else "") == expected
+
+
+# M(K4), as `construct kn --n 4 --gf 2 1` writes it
+K4 = Matrix(GF2, (0, 1, 2), tuple(range(6)),
+            [[1, 0, 0, 1, 1, 0], [0, 1, 0, 1, 0, 1], [0, 0, 1, 0, 1, 1]])
+# argv -> (exit code, stdout, last stderr line) of growth, threshold and
+# argument paths; the parser's refusals exit through SystemExit
+PINNED_GROWTH = [
+    (["growth", "alphat", "fano", "--alpha", "1", "--t", "0"],
+     (0, '{"value": false, "witness": null}\n', "")),
+    (["growth", "alphat", "fano", "--alpha", "1", "--t", "1"],
+     (0, '{"value": true, "witness": {"T": [0], "V": [1, 2]}}\n', "")),
+    (["growth", "alphat", "k4", "--alpha", "1", "--t", "1", "--exact"],
+     (0, '{"value": true, "witness": {"T": [0], "V": [1, 2]}}\n', "")),
+    (["growth", "exhaustive", "--gf", "2", "1", "--rank", "3"],
+     (0, '{"value": 7, "witness": [0, 1, 2, 3, 4, 5, 6]}\n', "")),
+    (["growth", "exhaustive", "--gf", "2", "1", "--rank", "3", "--forbidden", "file:k4"],
+     (0, '{"value": 5, "witness": [0, 1, 2, 3, 4]}\n', "")),
+    (["growth", "exhaustive", "--gf", "2", "1", "--rank", "3", "--forbidden", "k5"],
+     (2, "", "error: unknown forbidden minor spec 'k5'")),
+    (["threshold"], (2, "", "error: give --R values or --grid")),
+    (["girth", "fano", "--workers", "0"],
+     (2, "", "matroidlab girth: error: argument --workers: must be positive, got 0")),
+    (["girth", "fano", "--cap", "x"],
+     (2, "", "matroidlab girth: error: argument --cap: not an integer: 'x'")),
+]
+
+
+@pytest.mark.parametrize("argv,expected", PINNED_GROWTH,
+                         ids=[" ".join(argv) for argv, _ in PINNED_GROWTH])
+def test_growth_threshold_and_argument_bytes(capsys, tmp_path, argv, expected):
+    paths = {"fano": tmp_path / "fano.mat", "k4": tmp_path / "k4.mat"}
+    paths["fano"].write_text(write_matrix(FANO))
+    paths["k4"].write_text(write_matrix(K4))
+    argv = [str(paths[a]) if a in paths else a for a in argv]
+    argv = [f"file:{paths[a[5:]]}" if a.startswith("file:") else a for a in argv]
+    try:
+        code = main(argv)
+    except SystemExit as exit_info:
+        code = exit_info.code
+    captured = capsys.readouterr()
+    err = captured.err.strip().splitlines()
+    assert (code, captured.out, err[-1] if err else "") == expected
 
 
 @pytest.mark.parametrize("p,k,order", [

@@ -15,7 +15,7 @@ from oracles import (
 
 from matroidlab.errors import Disconnected, DomainError, EmptyCode, NotBinary
 from matroidlab.field import make_field
-from matroidlab.linalg import Matrix
+from matroidlab.linalg import Matrix, _pack_words, _word_layout
 from matroidlab.constructions import Graph, complete_graph, graphic
 from matroidlab.matroid import dual, from_generator, girth
 from matroidlab import codes
@@ -295,7 +295,7 @@ def test_ml_block_matches_per_trial_oracle(monkeypatch):
              (sixty_four, 0)]
     default = codes.MC_CHUNK_WORDS
     for M, sent in cases:
-        words = codes._pack_words(codes._codeword_table(M, 1 << 14))
+        words = _pack_words(codes._codeword_table(M, 1 << 14))
         for p in (0.01, 0.1, 0.45, 0.25, 2.0 ** -20):
             for block, count in ((0, codes.MC_BLOCK), (3, 701)):
                 args = (words, M.size, sent, p, 29, block, count)
@@ -309,14 +309,17 @@ def test_ml_block_matches_per_trial_oracle(monkeypatch):
 @pytest.mark.parametrize("n", [0, 1, 7, 8, 12, 16, 63, 64, 65, 128, 129])
 def test_pack_words_matches_per_row_packing(n):
     # every byte and word boundary, the zero-column row, and one flat pack
-    # of a whole block of rows
+    # of a whole block of rows; the GF(2) word layout of min_weight packs
+    # with the same routine
     rng = np.random.default_rng(n)
+    pack = _word_layout(GF2, n)[0]
     for rows in (1, 2, 3, 4, 5, 1 << 14):
         bits = rng.random((rows, n)) < 0.5
-        for table in (bits, bits.astype(np.uint8)):
-            packed = codes._pack_words(table)
-            assert packed.dtype == np.uint64
-            assert np.array_equal(packed, pack_words_per_row(table))
+        for table in (bits, bits.astype(np.uint8), bits.astype(int).tolist()):
+            expected = pack_words_per_row(np.array(table, dtype=bool).reshape(rows, n))
+            for packed in (_pack_words(table), pack(table)):
+                assert packed.dtype == np.dtype("<u8")
+                assert np.array_equal(packed, expected)
 
 
 def test_flip_draw_matches_float_draw(monkeypatch):

@@ -507,15 +507,42 @@ def test_proj_equiv_distinguishes_loops():
 
 
 def test_proj_equiv_matches_bruteforce():
+    # the ratios are solved as logs mod q - 1: trivially over GF(2) (q - 1
+    # = 1), and modulo composite q - 1 over GF(5), GF(7) and GF(9).  Each
+    # first matroid gets a loop column or rank 0 now and then; the second
+    # is its column scaling, that scaling with one nonzero entry changed,
+    # or an independent sample on the same ground set
     rng = seeded(13)
-    for _ in range(60):
-        F = [GF3, GF4][rng.randrange(2)]
-        M1 = random_matroid(F, 4, rng)
-        M2 = random_matroid(F, 4, rng)
-        if M1.size != M2.size:
-            continue
-        M2 = ReprMatroid(Subspace(F, M1.ground, M2.space.basis))
-        assert projectively_equivalent(M1, M2) == proj_equiv_bruteforce(M1, M2)
+    for F in (GF2, GF3, GF4, make_field(5, 1), make_field(7, 1), make_field(3, 2)):
+        verdicts = []
+        for i in range(24):
+            n = rng.randint(1, 4) if i % 4 == 0 else 4
+            m = 0 if i % 4 == 0 else 2 if i % 3 == 1 else rng.randint(1, 3)
+            # mostly nonzero entries, so that the ratio constraints close cycles
+            zeros = 0 if i % 3 == 1 else 0.2
+            rows = [[rng.randrange(1, F.q) if rng.random() >= zeros else 0 for _ in range(n)]
+                    for _ in range(m)]
+            if i % 4 == 1:
+                for row in rows:
+                    row[-1] = 0  # a loop
+            M1 = from_generator(Matrix(F, range(m), range(n), rows))
+            scales = [rng.randrange(1, F.q) for _ in range(n)]
+            B = [[F.mul(x, s) for x, s in zip(row, scales)] for row in M1.space.basis]
+            U = Subspace(F, M1.ground, B)
+            if i % 3 == 1:
+                # same pivots and zero pattern: only the ratio cycles decide
+                B = [list(row) for row in U.basis]
+                spots = [(r, c) for r, row in enumerate(B) for c, x in enumerate(row)
+                         if x and c not in U.pivots]
+                if spots and F.q > 2:
+                    r, c = rng.choice(spots)
+                    B[r][c] = rng.choice([x for x in F.nonzero() if x != B[r][c]])
+                U = Subspace(F, M1.ground, B)
+            elif i % 3 == 2:
+                U = Subspace(F, M1.ground, random_matrix(F, M1.rank, n, rng).data)
+            verdicts.append(projectively_equivalent(M1, ReprMatroid(U)))
+            assert verdicts[-1] == proj_equiv_bruteforce(M1, ReprMatroid(U))
+        assert True in verdicts and (F.q == 2 or False in verdicts)
 
 
 def test_proj_equiv_is_equivalence_relation_on_samples():

@@ -1,5 +1,6 @@
 """Smoke tests of the scripts in scripts/: each runs to exit 0 on small
-arguments and writes its CSV header (and, for growth_tables.py, a row)."""
+arguments and writes its CSV header (and, for growth_tables.py, a row;
+for line_coverage.py, a module's row)."""
 
 import os
 import subprocess
@@ -23,7 +24,11 @@ SRC = os.path.dirname(os.path.dirname(matroidlab.__file__))
     ("growth_tables.py", ["--rmax", "3"],
      ["q,r,formula_pg,exhaustive_pg,frame_alpha1,exhaustive_no_fano,exhaustive_no_k4",
       "2,3,7,7,6,6,5"]),
-], ids=["threshold_curves", "goodness_probe", "girth_survey", "growth_tables"])
+    # errors.py's one function body, check_budget, has two statements, and
+    # reading and writing files checks no budget
+    ("line_coverage.py", [os.path.join(ROOT, "tests", "test_fileio.py")],
+     ["module,statements,run,percent,unreached", "errors.py,2,0,0.0,28 29"]),
+], ids=["threshold_curves", "goodness_probe", "girth_survey", "growth_tables", "line_coverage"])
 def test_script_runs_and_writes_csv_header(script, args, lines):
     proc = subprocess.run([sys.executable, os.path.join(ROOT, "scripts", script), *args],
                           capture_output=True, text=True,

@@ -1037,13 +1037,9 @@ VERDICT_CASES = [
 ]
 
 
-@pytest.mark.parametrize("name,n,row_cap", VERDICT_CASES)
-def test_member_of_verdicts_match_bruteforce(name, n, row_cap):
-    make = {**{k: v[0] for k, v in PREFILTER_TEMPLATES.items()},
-            "subfield-gf4": rich_subfield_template,
-            "frame-gf2-C": contracting_frame_template_gf2}[name]
-    tmpl = make()
-    F = tmpl.field
+def _bruteforce_members(tmpl, n, row_cap):
+    """The brute-force oracle's realized matroids of the template's
+    matrices with n kept columns and at most row_cap anonymous rows."""
     pool = set()
     for b in range(row_cap + 1):
         if isinstance(tmpl, SubfieldTemplate):
@@ -1052,6 +1048,17 @@ def test_member_of_verdicts_match_bruteforce(name, n, row_cap):
             f = n - len(tmpl.X) - len(tmpl.Y0)
         if f >= 0:
             pool |= conforming_matroids_bruteforce(tmpl, *_labels(tmpl, b, f))
+    return pool
+
+
+@pytest.mark.parametrize("name,n,row_cap", VERDICT_CASES)
+def test_member_of_verdicts_match_bruteforce(name, n, row_cap):
+    make = {**{k: v[0] for k, v in PREFILTER_TEMPLATES.items()},
+            "subfield-gf4": rich_subfield_template,
+            "frame-gf2-C": contracting_frame_template_gf2}[name]
+    tmpl = make()
+    F = tmpl.field
+    pool = _bruteforce_members(tmpl, n, row_cap)
     assert pool and all(K.size == n for K in pool)
     rng = random.Random(f"{name}-{n}")
     members = sorted(pool, key=lambda K: (K.rank, repr(K.space.basis)))
@@ -1065,6 +1072,63 @@ def test_member_of_verdicts_match_bruteforce(name, n, row_cap):
         verdicts.append(truth)
     # the copies of members are positives; some random targets must be negatives
     assert verdicts.count(False) >= 3, verdicts
+
+
+def y0_start_frame_template(a):
+    """Gamma = {1} over GF(2) with only X = (x) and Y0 = (y0), A1 = [a] and
+    Delta = GF(2)^{y0}.  Under the zero Delta pick, y0's column is a times
+    x's unit column: a loop for a = 0, parallel to it for a = 1."""
+    return FrameTemplate(ONE2, (), (), ("x",), ("y0",), (), Matrix(GF2, ("x",), ("y0",), [[a]]),
+                         AdditiveSpan(GF2, (), []), AdditiveSpan(GF2, ("y0",), [(1,)]))
+
+
+# (template, target's generator rows, row cap, frame search nodes, finished
+# candidates whose kept columns are compared with the target's, verdict)
+FRAME_PRUNE_CASES = [
+    # the triangle is simple, and the zero Delta pick's survivor columns
+    # start with a loop (a = 0) or a parallel pair (a = 1): that pick is
+    # cut before any free column
+    (lambda: y0_start_frame_template(0), [[1, 0, 1], [0, 1, 1]], 1, 1, 0, False),
+    (lambda: y0_start_frame_template(1), [[1, 0, 1], [0, 1, 1]], 1, 2, 1, True),
+    # rank-3 targets with parallel pairs, whose searches reach leaves of
+    # rank 2: a triangle plus a parallel pair, and a coloop plus two
+    # parallel pairs
+    (lambda: y0_start_frame_template(0),
+     [[1, 0, 0, 1, 0], [0, 1, 0, 1, 0], [0, 0, 1, 0, 1]], 2, 145, 91, False),
+    (rich_frame_template_gf2, [[1, 0, 0, 0, 0], [0, 1, 1, 0, 0], [0, 0, 0, 1, 1]], 1, 201, 143,
+     True),
+]
+
+
+@pytest.mark.parametrize("make,rows,row_cap,nodes,checked,verdict", FRAME_PRUNE_CASES,
+                         ids=["loop-start", "parallel-start", "low-rank-leaf-nonmember",
+                              "low-rank-leaf-member"])
+def test_frame_search_prunes_match_bruteforce(monkeypatch, make, rows, row_cap, nodes, checked,
+                                              verdict):
+    # the start and leaf rank prunes agree with the oracle; the pinned node
+    # and candidate counts fail a weaker prune (more work) or a wrong cut
+    # (less), and a leaf of the wrong rank must not reach the column check
+    tmpl = make()
+    N = from_generator(Matrix(tmpl.field, range(len(rows)), range(len(rows[0])), rows))
+    pool = _bruteforce_members(tmpl, N.size, row_cap)
+    assert any(equivalent_up_to_relabel_scaling(N, K) for K in pool
+               if K.rank == N.rank) is verdict
+    counted = []
+    real = templates.check_budget
+
+    def count_nodes(count, what, cap):
+        if what == "frame search nodes":
+            counted.append(count)
+        real(count, what, cap)
+
+    compared = []
+    columns_match = _Target.columns_match
+    monkeypatch.setattr(templates, "check_budget", count_nodes)
+    monkeypatch.setattr(_Target, "columns_match",
+                        lambda target, cols: compared.append(cols) or columns_match(target, cols))
+    assert member_of(tmpl, N, row_cap=row_cap) is verdict
+    assert counted == list(range(1, nodes + 1))
+    assert len(compared) == checked
 
 
 # every shape of the rich templates, plus the empty and trivial templates
